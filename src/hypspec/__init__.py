@@ -39,6 +39,7 @@ from .resolvent import (
     build_radial_operator,
     cover_point,
     frobenius_solve,
+    kernel_blocks,
     kernel_eval,
     kernel_derivatives,
     form_ode_residual,

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bounds import compare
+from .bounds import compare, sullivan_corlette
 from .errors import (
     BranchPoint,
     DomainError,
@@ -42,11 +42,11 @@ from .resolvent import (
     decay_check,
     form_ode_residual,
     frobenius_solve,
+    kernel_blocks,
     kernel_eval,
     psi_extract,
 )
 from .spaces import Field, alpha_p, make_space
-from .bounds import sullivan_corlette
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -278,10 +278,11 @@ def _cmd_resolvent(args) -> OutputEnvelope:
     }]
     grid_rows = []
     for t in t_grid:
-        F = kernel_eval(kern, float(t))
-        entry = {"t": float(t), "total_norm": float(np.linalg.norm(F, 2))}
-        for bi, P in enumerate(kern.block_projectors):
-            entry[f"block{bi}_norm"] = float(np.linalg.norm(P @ F, 2))
+        # F = sum_j f_j P_j: operator norm max_j |f_j|, block j norm |f_j|
+        f = np.abs(kernel_blocks(kern, float(t))[0])
+        entry = {"t": float(t), "total_norm": float(f.max())}
+        for bi, fb in enumerate(f):
+            entry[f"block{bi}_norm"] = float(fb)
         grid_rows.append(entry)
     extra = {
         "e_values": list(op.taup.e_values),

@@ -67,6 +67,10 @@ class FitFailure(NumericalError):
     """Power-law fit residual exceeded tolerance."""
 
 
+class OrbitOverflow(NumericalError):
+    """Orbit point coordinates overflow double precision."""
+
+
 class CombinatorialBlowup(HypspecError):
     """Orbit enumeration would exceed the configured word cap."""
 

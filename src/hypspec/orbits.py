@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CombinatorialBlowup, DegenerateFit, DomainError
+from .errors import CombinatorialBlowup, DegenerateFit, DomainError, OrbitOverflow
 from .green import green0_eval
 from .spaces import Field, SpaceDescriptor
 
@@ -148,7 +148,12 @@ Model = Union[RealHyperboloid, ComplexProjective]
 
 def _stable_acosh(c: np.ndarray) -> np.ndarray:
     delta = np.maximum(np.asarray(c, dtype=float) - 1.0, 0.0)
-    return np.log1p(delta + np.sqrt(delta * (delta + 2.0)))
+    # log1p(delta + sqrt(delta (delta + 2))) with the root split, so it stays
+    # finite wherever cosh does; in place, so no more temporaries than before
+    root = np.sqrt(delta + 2.0)
+    root *= np.sqrt(delta)
+    root += delta
+    return np.log1p(root, out=root)
 
 
 def distance(model: Model, x: Sequence, y: Sequence) -> float:
@@ -226,6 +231,7 @@ def _word_cap(max_words: Optional[int]) -> int:
     return int(env) if env else _DEFAULT_WORD_CAP
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises OrbitOverflow below
 def enumerate_orbit(
     gens: GroupGenerators,
     base: Optional[Sequence] = None,
@@ -238,7 +244,10 @@ def enumerate_orbit(
     Enumeration is lexicographic in the alphabet (g1, g1^-1, g2, ...),
     level by level; within the free-reduction policy only point orbits
     are tracked, which keeps the punctured-torus cap of ~10^7 words in
-    a few hundred MB.
+    a few hundred MB.  Under free reduction the size of the next level
+    is known exactly, so the word cap is checked before it is built;
+    under matrix hashing it is checked after.  OrbitOverflow is raised
+    at the first word length whose distances are not finite.
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
@@ -252,6 +261,10 @@ def enumerate_orbit(
         letters.append(np.asarray(ginv, dtype=model.dtype))
     n_letters = len(letters)
     cap = _word_cap(max_words)
+    blowup = CombinatorialBlowup(
+        f"orbit enumeration exceeds the cap of {cap} words "
+        f"(set HYPSPEC_MAX_WORDS or max_words to raise it)"
+    )
     dedup = dedup_policy == DedupPolicy.MATRIX_HASH
 
     dists: list[np.ndarray] = [np.zeros(1)]
@@ -262,7 +275,11 @@ def enumerate_orbit(
     prev_pts = base_pt[None, :]
     prev_letter = np.array([-1], dtype=np.int8)
 
-    for _ in range(1, max_len + 1):
+    for level in range(1, max_len + 1):
+        # every word but the identity extends by all letters except its inverse
+        next_size = n_letters * len(prev_letter) - np.count_nonzero(prev_letter >= 0)
+        if not dedup and total + next_size > cap:
+            raise blowup
         parts, part_letters = [], []
         mat_parts = []
         for li in range(n_letters):
@@ -293,11 +310,14 @@ def enumerate_orbit(
             prev_mats = np.concatenate(mat_parts, axis=0)
         total += prev_pts.shape[0]
         if total > cap:
-            raise CombinatorialBlowup(
-                f"orbit enumeration exceeds the cap of {cap} words "
-                f"(set HYPSPEC_MAX_WORDS or max_words to raise it)"
+            raise blowup
+        d = _stable_acosh(model.batch_cosh_distance(prev_pts, base_pt))
+        if not np.isfinite(d).all():
+            raise OrbitOverflow(
+                f"orbit distances stop being finite at word length {level} "
+                f"(max_len={max_len} is beyond double precision for this group)"
             )
-        dists.append(_stable_acosh(model.batch_cosh_distance(prev_pts, base_pt)))
+        dists.append(d)
 
     return OrbitSample(
         model=model,

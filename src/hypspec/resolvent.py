@@ -23,6 +23,17 @@ new algorithmic content and are rejected):
     with beta = (n-1)/2 and A = sum_r Y_r^2.  The k = 0 identification
     with rho^2 - alpha_p + D is checked exactly in rational arithmetic.
 
+    Let P_j project onto the B <= 2 eigenspaces of the E element: e_I
+    lies in one or the other as 0 is in I or not (they merge when
+    n = 2p).  span{P_j} is closed: A is constant on each block, and Y_r
+    swaps the indices 0 and r, so Y_r P_j Y_r is diagonal on the other
+    block.  Hence F(t) = sum_j f_j(t) P_j, and everything below runs on
+    length-B vectors with a_j (A = sum_j a_j P_j) and the sandwich matrix
+    S (sum_r Y_r P_j Y_r = sum_i S_ij P_i), derived once from the dense
+    maps (AssemblyMismatch if an image leaves span{P_j}); cf. E. Pedon,
+    C. R. Acad. Sci. Paris 1997.  The dense maps remain only as the
+    oracle behind `form_ode_residual` and `operator_series_error`.
+
 3.  `frobenius_solve` builds the solution decaying at infinity as a sum
     of per-block series  e^(-mu_j t) sum_l (a_{j,l} + t b_{j,l}) e^(-lt)
     with exponents mu_j = sqrt(s^2 + e_j) over the eigenvalues e_j of
@@ -31,17 +42,20 @@ new algorithmic content and are rejected):
     switched on; near-integer gaps inside the resonance floor raise
     ResonanceDetected instead of returning a poisoned series.
 
-4.  `kernel_eval` / `form_ode_residual` / `decay_check` evaluate the
-    reconstructed kernel, its exact derivatives, the residual of the
-    original radial equation, and the far-field decay rate.
+4.  `kernel_blocks` evaluates the series and its exact derivatives on
+    coefficients, with norms ||sum_j c_j P_j||_F = sqrt(sum_j m_j |c_j|^2)
+    (m_j = rank P_j); `kernel_eval` / `kernel_derivatives` expand them to
+    dim_v x dim_v matrices, `form_ode_residual` checks the dense radial
+    equation and `decay_check` fits the far-field decay rate.
 
-5.  `psi_extract` integrates the kernel down to small t and extracts
-    the coefficient of the t^(2-n) singularity.  For p >= 1 the kernel
-    also carries *stronger* transverse singular sectors (up to t^-n);
-    the delta-function normalizer lives in the spherically averaged
-    sector, i.e. the kernel of T(X) = A X + X A - 2 sum_r Y_r X Y_r,
-    which coincides with the commutant of the full SO(n) action.  The
-    extraction therefore projects onto ker T before fitting t^(2-n).
+5.  `psi_extract` integrates the 2B-state system down to small t and
+    extracts the coefficient of the t^(2-n) singularity.  For p >= 1 the
+    kernel also carries *stronger* transverse singular sectors (up to
+    t^-n); the delta-function normalizer lives in the spherically
+    averaged sector ker T, T(X) = sum_r [Y_r, [Y_r, X]], the commutant of
+    SO(n): C I, plus C * (Hodge star) when n = 2p.  The star sends e_I to
+    +-e_(complement of I), so it is orthogonal to every P_j and the
+    projection onto ker T is the trace average (sum_j m_j f_j / dim_v) I.
 """
 
 from __future__ import annotations
@@ -80,6 +94,7 @@ __all__ = [
     "build_radial_operator",
     "cover_point",
     "frobenius_solve",
+    "kernel_blocks",
     "kernel_eval",
     "kernel_derivatives",
     "form_ode_residual",
@@ -154,13 +169,9 @@ class TauPAction:
     def sandwich(self, X: np.ndarray) -> np.ndarray:
         """sum_r Y_r X Y_r."""
         out = np.zeros_like(X)
-        for y in self._y_float:
+        for y in self._yf:
             out += y @ X @ y
         return out
-
-    @property
-    def _y_float(self) -> tuple[np.ndarray, ...]:
-        return self._yf
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_yf", tuple(y.astype(float) for y in self.y_matrices))
@@ -206,7 +217,11 @@ def build_tau_p_action(n: int, p: int) -> TauPAction:
 
 @dataclass(frozen=True)
 class RadialOperator:
-    """Conjugated radial operator with its closed-form perturbation series."""
+    """Conjugated radial operator with its closed-form perturbation series.
+
+    Block constants, for X = sum_j c_j P_j: block_of[i] is the block of
+    basis row i, block_mult[j] = rank P_j, block_a = a, block_s = S.
+    """
 
     n: int
     p: int
@@ -215,13 +230,33 @@ class RadialOperator:
     alpha_p: Fraction
     L_w: int
     q_parity: frozenset[str]    # which parities of q-powers carry nonzero maps
+    block_of: np.ndarray
+    block_mult: np.ndarray
+    block_a: np.ndarray
+    block_s: np.ndarray
 
-    @property
-    def end_dim(self) -> int:
-        return self.taup.dim_v ** 2
+    def expand(self, c: np.ndarray) -> np.ndarray:
+        """sum_j c_j P_j as a dim_v x dim_v matrix."""
+        return np.diag(np.asarray(c)[self.block_of])
+
+    def block_norm(self, c: np.ndarray) -> np.ndarray:
+        """Frobenius norm of sum_j c_j P_j, over the last axis of c."""
+        return np.sqrt(np.abs(c) ** 2 @ self.block_mult)
+
+    def sphere_average(self, c: np.ndarray) -> np.ndarray:
+        """Coefficient of I in the projection of sum_j c_j P_j onto ker T,
+        over the first axis of c."""
+        return self.block_mult @ c / self.taup.dim_v
+
+    def w_series(self, past: np.ndarray) -> np.ndarray:
+        """sum_k W_k(x_(l-k)) on coefficient vectors, past[k-1] = x_(l-k)."""
+        k = np.arange(1, len(past) + 1)
+        even = np.where(k % 2 == 0, 2.0 * k, 0.0) @ past
+        odd = np.where(k % 2 == 1, 4.0 * k, 0.0) @ past
+        return (float(self.beta ** 2 - self.beta) - 2.0 * self.block_a) * even + self.block_s @ odd
 
     def w_apply(self, k: int, X: np.ndarray) -> np.ndarray:
-        """Apply the order-k perturbation map to X."""
+        """Apply the order-k perturbation map to a dense X (oracle)."""
         tp = self.taup
         beta = float(self.beta)
         if k % 2 == 0:
@@ -232,7 +267,7 @@ class RadialOperator:
     def direct_apply(
         self, s: complex, F: np.ndarray, dF: np.ndarray, ddF: np.ndarray, t: float
     ) -> np.ndarray:
-        """Radial Hodge-Laplacian equation applied to (F, F', F'') at t.
+        """Radial Hodge-Laplacian equation applied to dense (F, F', F'') at t.
 
         Returns  (Delta_p - alpha_p + s^2) F(a_t); zero on the kernel.
         """
@@ -251,12 +286,31 @@ class RadialOperator:
         )
 
 
+def _block_structure(tp: TauPAction) -> dict:
+    """Block structure constants, from the dense maps applied to each P_j."""
+    block_of = np.searchsorted(tp.e_values, tp.e_diag)
+    onehot = (block_of[:, None] == np.arange(len(tp.e_values))).astype(float)
+    mult = onehot.sum(axis=0)
+    A = np.diag(tp.omega_k - tp.omega_m).astype(float)
+    a = A @ onehot / mult
+    if not np.array_equal(A, a[block_of]):
+        raise AssemblyMismatch("A = sum_r Y_r^2 is not constant on the E blocks")
+    S = np.empty((len(mult), len(mult)))
+    for j, P in enumerate(onehot.T):
+        img = tp.sandwich(np.diag(P))
+        S[:, j] = np.diag(img) @ onehot / mult
+        if not np.array_equal(img, np.diag(S[block_of, j])):
+            raise AssemblyMismatch(f"sandwich image of block {j} leaves span{{P_j}}")
+    return {"block_of": block_of, "block_mult": mult, "block_a": a, "block_s": S}
+
+
 def build_radial_operator(n: int, p: int, L_w: int = 40) -> RadialOperator:
     """Assemble the conjugated radial operator for degree p on dimension n.
 
     The zeroth-order coefficient is identified exactly in rationals with
     rho^2 - alpha_p + D; a mismatch with the closed-form constant table
-    raises AssemblyMismatch.
+    raises AssemblyMismatch, as does a block projector whose image under
+    A or the sandwich map leaves span{P_j}.
     """
     if L_w < 1:
         raise DomainError("perturbation order L_w must be >= 1")
@@ -275,13 +329,8 @@ def build_radial_operator(n: int, p: int, L_w: int = 40) -> RadialOperator:
     if 0 < p < n:
         parities.add("odd")  # the two-sided sandwich maps sit at odd orders
     return RadialOperator(
-        n=n,
-        p=p,
-        taup=tp,
-        beta=beta,
-        alpha_p=alpha_table,
-        L_w=L_w,
-        q_parity=frozenset(parities),
+        n=n, p=p, taup=tp, beta=beta, alpha_p=alpha_table, L_w=L_w,
+        q_parity=frozenset(parities), **_block_structure(tp),
     )
 
 
@@ -289,7 +338,8 @@ def operator_series_error(
     op: RadialOperator, s: complex, t: float, X: Optional[np.ndarray] = None
 ) -> float:
     """Relative mismatch between the q-series form of the conjugated
-    operator and its direct evaluation at time t, on a probe matrix."""
+    operator and its direct evaluation at time t, on a probe matrix;
+    the direct side is `direct_apply` on (sinh t)^-beta X, rescaled."""
     tp = op.taup
     dim = tp.dim_v
     if X is None:
@@ -301,16 +351,9 @@ def operator_series_error(
     series = (beta * beta - float(op.alpha_p) + s * s) * X + tp.omega_m.astype(float) @ X
     for k in range(1, op.L_w + 1):
         series += q ** k * op.w_apply(k, X)
-    # direct: the conjugated operator without the -d^2/dt^2 term
     coth = 1.0 / math.tanh(t)
-    sh2 = math.sinh(t) ** 2
-    A = (tp.omega_k - tp.omega_m).astype(float)
-    direct = (
-        ((beta * beta - beta) * coth * coth + beta + s * s - float(op.alpha_p)) * X
-        - coth * coth * (A @ X)
-        - (X @ A) / sh2
-        + 2.0 * math.cosh(t) / sh2 * tp.sandwich(X)
-        + tp.omega_k.astype(float) @ X
+    direct = op.direct_apply(
+        s, X, -beta * coth * X, ((beta * beta + beta) * coth * coth - beta) * X, t
     )
     return float(
         np.linalg.norm(series - direct, 2) / max(np.linalg.norm(direct, 2), 1e-300)
@@ -384,17 +427,16 @@ def cover_point(
 class FrobeniusKernel:
     """Truncated series solution decaying at infinity.
 
-    Per block j: exponent mu_j, projector-seeded coefficients a (and the
-    t-linear coefficients b, nonzero only when an integer resonance was
-    absorbed logarithmically).
+    coef_a[j, l, i]: coefficient of P_i at level l of the series seeded
+    on block j; coef_b: the t-linear terms of log-absorbed resonances.
+    block_projectors, coeffs_a and coeffs_b expand them on access.
     """
 
     operator: RadialOperator
     cover: CoverPoint
     exponents: tuple[complex, ...]
-    block_projectors: tuple[np.ndarray, ...]
-    coeffs_a: tuple[tuple[np.ndarray, ...], ...]
-    coeffs_b: tuple[tuple[np.ndarray, ...], ...]
+    coef_a: np.ndarray          # (B, L+1, B)
+    coef_b: np.ndarray          # (B, L+1, B)
     truncation: int
     resonance_margin: float
     has_log_terms: bool
@@ -410,6 +452,21 @@ class FrobeniusKernel:
             - math.log(self.tail_rtol) / max(self.truncation, 1),
             0.02,
         )
+
+    def _expand(self, coef: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+        return tuple(tuple(self.operator.expand(c) for c in blk) for blk in coef)
+
+    @property
+    def block_projectors(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.operator.expand(c) for c in np.eye(len(self.exponents), dtype=complex))
+
+    @property
+    def coeffs_a(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        return self._expand(self.coef_a)
+
+    @property
+    def coeffs_b(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        return self._expand(self.coef_b)
 
 
 def frobenius_solve(
@@ -430,74 +487,54 @@ def frobenius_solve(
     s = cover.s
     if resonance_floor is None:
         resonance_floor = 1e-8 * (1.0 + abs(s) ** 2)
-    tp = op.taup
-    dim = tp.dim_v
-    e_diag = tp.e_diag.astype(float)
-    mus = [cover.exponent_for(e) for e in tp.e_values]
-    scale = (1.0 + max(abs(m) for m in mus)) ** 2
-    snap_abs = snap_tol * scale
+    e = np.asarray(op.taup.e_values, dtype=float)
+    mus = [cover.exponent_for(ev) for ev in op.taup.e_values]
+    snap_abs = snap_tol * (1.0 + max(abs(m) for m in mus)) ** 2
 
-    blocks_a: list[tuple[np.ndarray, ...]] = []
-    blocks_b: list[tuple[np.ndarray, ...]] = []
-    projectors: list[np.ndarray] = []
+    coef_a = np.zeros((len(mus), L + 1, len(mus)), dtype=complex)
+    coef_b = np.zeros_like(coef_a)
     has_log = False
     margin = math.inf
-    for j, (e_j, mu) in enumerate(zip(tp.e_values, mus)):
-        P = np.diag((tp.e_diag == e_j).astype(float)).astype(complex)
-        projectors.append(P)
-        a = [P.copy()]
-        b = [np.zeros((dim, dim), dtype=complex)]
-        any_b = False
+    for j, mu in enumerate(mus):
+        a, b = coef_a[j], coef_b[j]
+        a[0, j] = 1.0
         for l in range(1, L + 1):
             lam = mu + l
-            rhs_a = np.zeros((dim, dim), dtype=complex)
-            rhs_b = np.zeros((dim, dim), dtype=complex)
-            for k in range(1, l + 1):
-                rhs_a += op.w_apply(k, a[l - k])
-                if any_b:
-                    rhs_b += op.w_apply(k, b[l - k])
-            # row-level solvability of [lam^2 - s^2 - E] X = rhs
-            dvec = (lam * lam - s * s) - e_diag
-            res_rows = np.abs(dvec) <= snap_abs
-            if res_rows.any() and abs(lam) < resonance_floor:
+            rhs_a = op.w_series(a[l - 1::-1])
+            rhs_b = op.w_series(b[l - 1::-1])
+            # block-level solvability of [lam^2 - s^2 - E] X = rhs
+            dvec = (lam * lam - s * s) - e
+            res = np.abs(dvec) <= snap_abs
+            if res.any() and abs(lam) < resonance_floor:
                 raise ResonanceDetected(
                     f"double root at exponent {lam} (level {l} of block {j})"
                 )
-            near = (~res_rows) & (np.abs(dvec) < resonance_floor)
+            near = (~res) & (np.abs(dvec) < resonance_floor)
             if near.any():
                 raise ResonanceDetected(
                     f"recursion divisor {dvec[near][0]:.3g} at level {l} of block {j} "
                     f"is inside the resonance floor {resonance_floor:.3g}"
                 )
-            if (~res_rows).any():
-                margin = min(margin, float(np.abs(dvec[~res_rows]).min()))
-            ok = ~res_rows
-            al = np.zeros((dim, dim), dtype=complex)
-            bl = np.zeros((dim, dim), dtype=complex)
-            if any_b or res_rows.any():
-                bl[ok, :] = rhs_b[ok, :] / dvec[ok, None]
-            if res_rows.any():
-                if np.abs(rhs_b[res_rows, :]).max() > 1e-8 * max(1.0, np.abs(rhs_a).max()):
+            ok = ~res
+            if ok.any():
+                margin = min(margin, float(np.abs(dvec[ok]).min()))
+            b[l, ok] = rhs_b[ok] / dvec[ok]
+            if res.any():
+                if np.abs(rhs_b[res]).max() > 1e-8 * max(1.0, np.abs(rhs_a).max()):
                     raise ResonanceDetected(
                         "repeated resonance in one block needs t^2 terms; not supported"
                     )
-                bl[res_rows, :] = -rhs_a[res_rows, :] / (2.0 * lam)
+                b[l, res] = -rhs_a[res] / (2.0 * lam)
                 has_log = True
-                any_b = True
-            al[ok, :] = (rhs_a[ok, :] + 2.0 * lam * bl[ok, :]) / dvec[ok, None]
-            # resonant rows of a stay zero: the freedom is a multiple of the
-            # other block's solution, fixed to the minimal choice
-            a.append(al)
-            b.append(bl)
-        blocks_a.append(tuple(a))
-        blocks_b.append(tuple(b))
+            # resonant entries of a stay zero: the freedom is a multiple of
+            # the other block's solution, fixed to the minimal choice
+            a[l, ok] = (rhs_a[ok] + 2.0 * lam * b[l, ok]) / dvec[ok]
 
     # effective geometric growth of the coefficients, smoothed over a dozen
     # levels (parity of the perturbation makes consecutive ratios oscillate)
     growth = 1.0
-    for a in blocks_a:
-        norms = [float(np.linalg.norm(x)) for x in a]
-        span = min(12, len(norms) - 1)
+    span = min(12, L)
+    for norms in op.block_norm(coef_a):
         if span >= 2 and norms[-1 - span] > 0 and norms[-1] > 0:
             growth = max(growth, (norms[-1] / norms[-1 - span]) ** (1.0 / span))
     if growth > 2.0:
@@ -506,45 +543,19 @@ def frobenius_solve(
             TruncationWarning,
         )
     return FrobeniusKernel(
-        operator=op,
-        cover=cover,
-        exponents=tuple(mus),
-        block_projectors=tuple(projectors),
-        coeffs_a=tuple(blocks_a),
-        coeffs_b=tuple(blocks_b),
-        truncation=L,
-        resonance_margin=margin if margin < math.inf else float("inf"),
-        has_log_terms=has_log,
-        growth_ratio=growth,
+        operator=op, cover=cover, exponents=tuple(mus), coef_a=coef_a, coef_b=coef_b,
+        truncation=L, resonance_margin=margin, has_log_terms=has_log, growth_ratio=growth,
     )
 
 
-def _series_eval(kernel: FrobeniusKernel, t: float):
-    """(v, v', v'') of the conjugated series at t."""
-    dim = kernel.operator.taup.dim_v
-    v = np.zeros((dim, dim), dtype=complex)
-    dv = np.zeros_like(v)
-    ddv = np.zeros_like(v)
-    for mu, a, b in zip(kernel.exponents, kernel.coeffs_a, kernel.coeffs_b):
-        for l in range(len(a)):
-            lam = mu + l
-            E = np.exp(-lam * t)
-            term = a[l] + t * b[l]
-            v += term * E
-            dv += (b[l] - lam * term) * E
-            ddv += (lam * lam * term - 2.0 * lam * b[l]) * E
-    return v, dv, ddv
-
-
-def kernel_eval(kernel: FrobeniusKernel, t: float) -> np.ndarray:
-    """Reconstructed kernel F_p at radial time t."""
-    return kernel_derivatives(kernel, t)[0]
-
-
-def kernel_derivatives(
+def kernel_blocks(
     kernel: FrobeniusKernel, t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(F, F', F'') at t; exact derivatives of the truncated series."""
+    """Block coefficients (f, f', f'') of (F, F', F'') at t, F = sum_j f_j P_j.
+
+    Exact derivatives of the truncated series; below the series validity
+    threshold TailBoundExceeded is raised.
+    """
     if t <= 0:
         raise DomainError(f"radial time must be positive, got t={t}")
     ratio = kernel.growth_ratio * math.exp(-t)
@@ -553,16 +564,19 @@ def kernel_derivatives(
             f"t={t} below the series validity threshold {kernel.t_min:.3f} "
             f"(coefficient growth {kernel.growth_ratio:.3f})"
         )
-    beta = float(kernel.operator.beta)
-    v, dv, ddv = _series_eval(kernel, t)
-    tail = 0.0
-    for mu, a in zip(kernel.exponents, kernel.coeffs_a):
-        tail += (
-            np.linalg.norm(a[-1])
-            * math.exp(-(mu.real + kernel.truncation) * t)
-            / (1.0 - ratio)
-        )
-    vnorm = float(np.linalg.norm(v))
+    op = kernel.operator
+    beta = float(op.beta)
+    mu = np.asarray(kernel.exponents)
+    lam = mu[:, None] + np.arange(kernel.truncation + 1)
+    E = np.exp(-lam * t)
+    lam = lam[..., None]
+    a, b = kernel.coef_a, kernel.coef_b
+    term = a + t * b
+    v = np.einsum("jl,jli->i", E, term)
+    dv = np.einsum("jl,jli->i", E, b - lam * term)
+    ddv = np.einsum("jl,jli->i", E, lam * lam * term - 2.0 * lam * b)
+    tail = op.block_norm(a[:, -1]) @ np.exp(-(mu.real + kernel.truncation) * t) / (1.0 - ratio)
+    vnorm = float(op.block_norm(v))
     if vnorm > 0 and tail > kernel.tail_rtol * vnorm:
         raise TailBoundExceeded(
             f"truncated tail estimate {tail:.3g} exceeds {kernel.tail_rtol:.1g} "
@@ -570,16 +584,29 @@ def kernel_derivatives(
         )
     coth = 1.0 / math.tanh(t)
     sig = math.sinh(t) ** (-beta)
-    F = sig * v
-    dF = sig * (dv - beta * coth * v)
-    ddF = sig * (
+    f = sig * v
+    df = sig * (dv - beta * coth * v)
+    ddf = sig * (
         ddv - 2.0 * beta * coth * dv + ((beta * beta + beta) * coth * coth - beta) * v
     )
-    return F, dF, ddF
+    return f, df, ddf
+
+
+def kernel_eval(kernel: FrobeniusKernel, t: float) -> np.ndarray:
+    """Reconstructed kernel F_p at radial time t."""
+    return kernel.operator.expand(kernel_blocks(kernel, t)[0])
+
+
+def kernel_derivatives(
+    kernel: FrobeniusKernel, t: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, F', F'') at t; exact derivatives of the truncated series."""
+    f, df, ddf = kernel_blocks(kernel, t)
+    return kernel.operator.expand(f), kernel.operator.expand(df), kernel.operator.expand(ddf)
 
 
 def form_ode_residual(kernel: FrobeniusKernel, t: float) -> float:
-    """Relative residual of the radial equation on the reconstructed kernel.
+    """Relative residual of the dense radial equation on the expanded kernel.
 
     Normalized by the largest of the individual operator-term norms, so
     the value is meaningful both in the far field and near the origin.
@@ -592,31 +619,15 @@ def form_ode_residual(kernel: FrobeniusKernel, t: float) -> float:
 
 
 def decay_check(kernel: FrobeniusKernel, t_grid: Sequence[float]) -> float:
-    """Fitted exponential decay rate of the operator norm over t_grid."""
+    """Fitted exponential decay rate of the operator norm over t_grid
+    (max_j |f_j| for F = sum_j f_j P_j)."""
     samples = []
     for t in t_grid:
-        norm = np.linalg.norm(kernel_eval(kernel, t), 2)
+        norm = float(np.abs(kernel_blocks(kernel, t)[0]).max())
         if norm <= 0:
             raise DegenerateFit(f"kernel norm vanished at t={t}")
-        samples.append((float(t), float(norm)))
+        samples.append((float(t), norm))
     return decay_rate_fit(samples)
-
-
-def _spherical_sector_basis(tp: TauPAction) -> np.ndarray:
-    """Orthonormal basis (columns, flattened) of ker T, the commutant of
-    the full rotation action inside End(V)."""
-    dim = tp.dim_v
-    A = (tp.omega_k - tp.omega_m).astype(float)
-    T = np.zeros((dim * dim, dim * dim))
-    for col in range(dim * dim):
-        X = np.zeros((dim, dim))
-        X.flat[col] = 1.0
-        T[:, col] = (A @ X + X @ A - 2.0 * tp.sandwich(X)).ravel()
-    w, V = np.linalg.eigh((T + T.T) / 2.0)
-    null = V[:, np.abs(w) < 1e-9 * max(1.0, abs(w).max())]
-    if null.shape[1] == 0:
-        raise AssemblyMismatch("angular operator has no kernel; expected the identity sector")
-    return null
 
 
 def psi_extract(
@@ -628,64 +639,44 @@ def psi_extract(
 ) -> tuple[np.ndarray, float]:
     """Extract the t^(2-n) singularity coefficient of the kernel.
 
-    Integrates the radial system from T down to t0 with initial data
-    from the series, projects onto the spherically averaged sector
-    (ker T; for p >= 1 stronger transverse singularities are present
-    and must be projected out), fits the power law, and extrapolates
+    Integrates the block system from T down to t0 with initial data from
+    the series, projects onto the spherically averaged sector (ker T,
+    the trace average), fits the power law, and extrapolates
     vol(S^(n-1)) t^(n-2) F(t) to t -> 0.
 
-    Returns (psi, fitted_singularity_exponent).
+    Returns (psi, fitted_singularity_exponent); psi is a multiple of I.
     """
     if not 0 < t0 < T:
         raise DomainError("need 0 < t0 < T")
-    tp = op.taup
-    dim = tp.dim_v
     n = op.n
+    B = len(op.block_mult)
     s = kernel.cover.s
-    F0, dF0, _ = kernel_derivatives(kernel, T)
-    A = (tp.omega_k - tp.omega_m).astype(float)
-    Ok = tp.omega_k.astype(float)
-    alpha = float(op.alpha_p)
+    f0, df0, _ = kernel_blocks(kernel, T)
+    a, S = op.block_a, op.block_s
+    c0 = s * s - float(op.alpha_p) - op.taup.omega_k_scalar  # omega_k = -omega_k_scalar I
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        F = y[: dim * dim].reshape(dim, dim)
-        dF = y[dim * dim:].reshape(dim, dim)
+        f, df = y[:B], y[B:]
         coth = 1.0 / math.tanh(t)
         sh2 = math.sinh(t) ** 2
-        ddF = (
-            -(n - 1) * coth * dF
-            - coth * coth * (A @ F)
-            - (F @ A) / sh2
-            + 2.0 * math.cosh(t) / sh2 * tp.sandwich(F)
-            + Ok @ F
-            + (s * s - alpha) * F
+        ddf = (
+            -(n - 1) * coth * df
+            - (coth * coth + 1.0 / sh2) * a * f
+            + 2.0 * math.cosh(t) / sh2 * (S @ f)
+            + c0 * f
         )
-        return np.concatenate([dF.ravel(), ddF.ravel()])
+        return np.concatenate([df, ddf])
 
     t_eval = np.geomspace(t0, min(10 * t0, 0.8 * T), 8)[::-1]
-    sol = solve_ivp(
-        rhs,
-        (T, t0),
-        np.concatenate([F0.ravel(), dF0.ravel()]).astype(complex),
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-14,
-        t_eval=t_eval,
-    )
+    sol = solve_ivp(rhs, (T, t0), np.concatenate([f0, df0]), method="DOP853",
+                    rtol=rtol, atol=1e-14, t_eval=t_eval)
     if not sol.success:
         raise StiffIntegration(f"downward integration failed: {sol.message}")
 
-    null = _spherical_sector_basis(tp)
-    vol = vol_sphere(n)
-    norms = []
-    scaled = []
-    for i, t in enumerate(sol.t):
-        F = sol.y[: dim * dim, i].reshape(dim, dim)
-        PF = (null @ (null.T.conj() @ F.ravel())).reshape(dim, dim)
-        norms.append(np.linalg.norm(PF, 2))
-        scaled.append(PF * vol * t ** (n - 2))
+    g = op.sphere_average(sol.y[:B])
+    scaled = g * vol_sphere(n) * sol.t ** (n - 2)
     logt = np.log(sol.t)
-    logn = np.log(norms)
+    logn = np.log(np.abs(g))
     slope, intercept = np.polyfit(logt, logn, 1)
     fit_res = float(np.max(np.abs(logn - (slope * logt + intercept))))
     if fit_res > 0.05:
@@ -693,4 +684,4 @@ def psi_extract(
     # two smallest t values, Richardson in t^2
     tA, tB = sol.t[-1], sol.t[-2]
     psi = (scaled[-1] * tB ** 2 - scaled[-2] * tA ** 2) / (tB ** 2 - tA ** 2)
-    return psi, float(-slope)
+    return psi * np.eye(op.taup.dim_v, dtype=complex), float(-slope)

@@ -146,6 +146,21 @@ def test_delta_cyclic_group_file(tmp_path, capsys):
     assert row["lambda00_at_estimate"] == pytest.approx(0.25, abs=0.05)
 
 
+def test_delta_overflow_structured_error(tmp_path, capsys):
+    doc = {
+        "model": {"type": "real_hyperboloid", "n": 3},
+        "generators": [
+            {"label": "a",
+             "matrix": [[format(v, ".17g") for v in row] for row in boost_matrix(3, 3.0)]}
+        ],
+    }
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "delta", "--group-file", str(path), "--max-len", "400")
+    assert code == 4
+    assert json.loads(out)["error"]["type"] == "OrbitOverflow"
+
+
 def test_delta_malformed_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,10 +1,17 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hypspec.errors import CombinatorialBlowup, DegenerateFit, DomainError
+from hypspec.errors import (
+    CombinatorialBlowup,
+    DegenerateFit,
+    DomainError,
+    NumericalError,
+    OrbitOverflow,
+)
 from hypspec.orbits import (
     ComplexProjective,
     DedupPolicy,
@@ -117,6 +124,39 @@ def test_enumeration_deterministic():
 def test_word_cap_guard():
     with pytest.raises(CombinatorialBlowup):
         enumerate_orbit(schottky_pair(4.0), max_len=10, max_words=1000)
+
+
+@pytest.mark.parametrize("policy", list(DedupPolicy))
+def test_word_cap_is_exact(policy):
+    # 1 + 4 + 12 + 36 + 108 freely reduced words of length <= 4 in two generators
+    gens = punctured_torus_group()
+    assert enumerate_orbit(gens, max_len=4, dedup_policy=policy, max_words=161).n_words == 161
+    with pytest.raises(CombinatorialBlowup, match="cap of 160 words"):
+        enumerate_orbit(gens, max_len=4, dedup_policy=policy, max_words=160)
+
+
+def test_word_cap_checked_before_building_the_level():
+    # under free reduction the level past the cap is never allocated
+    gens = punctured_torus_group()
+    through_11 = 1 + sum(4 * 3 ** (k - 1) for k in range(1, 12))
+    level_12_bytes = 4 * 3 ** 11 * 3 * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(CombinatorialBlowup):
+            enumerate_orbit(gens, max_len=12, max_words=through_11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * level_12_bytes
+
+
+def test_overflowing_orbit_structured_error():
+    # cosh(3 k) leaves double precision at k = 237
+    assert issubclass(OrbitOverflow, NumericalError)
+    with pytest.raises(OrbitOverflow, match="word length 237"):
+        estimate_delta(enumerate_orbit(cyclic_group(3, 3.0), max_len=400))
+    sample = enumerate_orbit(cyclic_group(3, 3.0), max_len=236)
+    assert sample.distances[-1] == pytest.approx(708.0, rel=1e-12)
 
 
 def test_inverse_symmetry_of_sample():
