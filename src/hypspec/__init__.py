@@ -38,6 +38,7 @@ from .resolvent import (
     build_tau_p_action,
     build_radial_operator,
     cover_point,
+    e_element_values,
     frobenius_solve,
     kernel_blocks,
     kernel_eval,

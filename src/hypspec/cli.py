@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=None, help="reserved; no command samples")
 
     p = sub.add_parser("alpha", help="table of spectral constants alpha_p")
     p.add_argument("--field", required=True, choices=[f.value for f in Field])

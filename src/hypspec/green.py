@@ -28,10 +28,9 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DegenerateFit, DomainError, PoleOfGamma
-from .hyper import DEFAULT_CONFIG, GreenEvalConfig, gauss_2f1
+from .hyper import DEFAULT_CONFIG, GreenEvalConfig, _loggamma, gauss_2f1
 from .spaces import SpaceDescriptor
 
 __all__ = [
@@ -76,10 +75,10 @@ def plancherel_prefactor(space: SpaceDescriptor, s: complex) -> complex:
     logf = (
         (d - 2) * math.log(2.0)
         - (d * n - 1) / 2.0 * math.log(math.pi)
-        + _sp.loggamma(num1)
-        + _sp.loggamma(num2)
-        - _sp.loggamma(s + 1.0)
-        - _sp.loggamma(s / 2.0 + d * (n - 1) / 4.0)
+        + _loggamma(num1)
+        + _loggamma(num2)
+        - _loggamma(s + 1.0)
+        - _loggamma(s / 2.0 + d * (n - 1) / 4.0)
     )
     return complex(cmath.exp(logf))
 
@@ -101,11 +100,11 @@ def _log_norm_constant(space: SpaceDescriptor, s: complex) -> complex:
     return (
         a * math.log(2.0)
         + math.log(kappa)
-        + _sp.loggamma(a)
-        + _sp.loggamma(c - b)
+        + _loggamma(a)
+        + _loggamma(c - b)
         - math.log(4.0)
         - (dn / 2.0) * math.log(math.pi)
-        - _sp.loggamma(c)
+        - _loggamma(c)
     )
 
 

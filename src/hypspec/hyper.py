@@ -13,6 +13,10 @@ within 1e-8 of an integer are snapped onto the exact-integer branch.
 The only remaining perturbation fallback is the z -> 1-z connection with
 c - a - b near an integer, which this library's own callers never hit;
 its documented accuracy is ~1e-8.
+
+scipy.special is imported on the first Gamma-function call, not at
+import time: the exact-arithmetic parts of the package never need it.
+This module is the one place hypspec binds it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-from scipy import special as _sp
 
 from .errors import DomainError, NoConvergence, PoleOfGamma
 
@@ -48,6 +50,25 @@ class GreenEvalConfig:
 DEFAULT_CONFIG = GreenEvalConfig()
 
 
+class _DeferredSpecial:
+    """Stand-in for scipy.special until first use.
+
+    The first attribute access imports scipy.special and rebinds the
+    module global _sp to it, so later calls look the function up on the
+    real module with no extra cost.
+    """
+
+    def __getattr__(self, name: str):
+        global _sp
+        from scipy import special
+
+        _sp = special
+        return getattr(special, name)
+
+
+_sp = _DeferredSpecial()
+
+
 def _gamma(z: complex) -> complex:
     return complex(_sp.gamma(z))
 
@@ -58,6 +79,12 @@ def _rgamma(z: complex) -> complex:
 
 def _digamma(z: complex) -> complex:
     return complex(_sp.digamma(z))
+
+
+def _loggamma(z: complex):
+    """Principal branch of log Gamma, as the numpy scalar scipy returns
+    (a complex() conversion would nearly double the cost per call)."""
+    return _sp.loggamma(z)
 
 
 def _near_nonpositive_int(z: complex) -> bool:

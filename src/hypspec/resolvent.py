@@ -68,7 +68,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     AssemblyMismatch,
@@ -93,6 +92,7 @@ __all__ = [
     "build_tau_p_action",
     "build_radial_operator",
     "cover_point",
+    "e_element_values",
     "frobenius_solve",
     "kernel_blocks",
     "kernel_eval",
@@ -177,12 +177,30 @@ class TauPAction:
         object.__setattr__(self, "_yf", tuple(y.astype(float) for y in self.y_matrices))
 
 
-def build_tau_p_action(n: int, p: int) -> TauPAction:
-    """Construct the representation data for Lambda^p of SO(n) in integers."""
+def _check_degree(n: int, p: int) -> None:
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if not 0 <= p <= n:
         raise DomainError(f"degree p={p} out of range [0, {n}]")
+
+
+def e_element_values(n: int, p: int) -> tuple[int, ...]:
+    """Distinct eigenvalues of the E element on Lambda^p(R^n), ascending.
+
+    Closed form of `build_tau_p_action(n, p).e_values`: restricted to
+    SO(n-1), Lambda^p(R^n) = Lambda^p(R^(n-1)) + Lambda^(p-1)(R^(n-1))
+    (e_I with 0 not in I, resp. in I), with Casimirs q(n-1-q), and E
+    takes the value c(sigma_max) - q(n-1-q) on the degree-q summand.
+    """
+    _check_degree(n, p)
+    casimirs = {q * (n - 1 - q) for q in (p - 1, p) if 0 <= q <= n - 1}
+    top = max(casimirs)
+    return tuple(sorted(top - c for c in casimirs))
+
+
+def build_tau_p_action(n: int, p: int) -> TauPAction:
+    """Construct the representation data for Lambda^p of SO(n) in integers."""
+    _check_degree(n, p)
     ys = tuple(_exterior_matrix(_so_generator(n, 0, r), n, p) for r in range(1, n))
     dim = math.comb(n, p)
     omega_m = np.zeros((dim, dim), dtype=np.int64)
@@ -395,9 +413,8 @@ def cover_point(
     """
     if space.field is not Field.REAL:
         raise UnsupportedField("the form-valued resolvent is implemented for the real field only")
-    tp = build_tau_p_action(space.n, p)
     s = complex(s)
-    e_pos = tuple(e for e in tp.e_values if e > 0)
+    e_pos = tuple(e for e in e_element_values(space.n, p) if e > 0)
     signs = list(branch_signs) if branch_signs is not None else [1] * len(e_pos)
     if len(signs) != len(e_pos):
         raise DomainError(
@@ -646,6 +663,10 @@ def psi_extract(
 
     Returns (psi, fitted_singularity_exponent); psi is a multiple of I.
     """
+    # deferred: importing scipy.integrate takes longer than most CLI
+    # calls, and this is the only function that integrates an ODE
+    from scipy.integrate import solve_ivp
+
     if not 0 < t0 < T:
         raise DomainError("need 0 < t0 < T")
     n = op.n

@@ -195,9 +195,12 @@ def test_float_serialization_17_digits():
     assert to_json({"x": 2.0 + 0.25j}) == '{"x": {"re": 2, "im": 0.25}}'
 
 
-def test_seed_flag_reserved(capsys):
-    code, _ = run(capsys, "alpha", "--field", "R", "--n", "2", "--seed", "7")
-    assert code == 0
+def test_seed_flag_removed(capsys):
+    # --seed was a reserved no-op (no command samples); it is now unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["alpha", "--field", "R", "--n", "2", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_resolvent_kernel_grid_in_extra(capsys):

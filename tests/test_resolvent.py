@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hypspec import resolvent
 from hypspec.errors import (
     BranchPoint,
     DomainError,
@@ -16,6 +17,7 @@ from hypspec.resolvent import (
     build_tau_p_action,
     cover_point,
     decay_check,
+    e_element_values,
     form_ode_residual,
     frobenius_solve,
     kernel_derivatives,
@@ -152,6 +154,25 @@ def test_cover_point_branch_point_and_field_guard():
         cover_point(sp, 1, 1j * math.sqrt(3))
     with pytest.raises(UnsupportedField):
         cover_point(make_space(Field.COMPLEX, 3), 1, 1.0)
+
+
+def test_e_element_values_closed_form_matches_representation():
+    for n in range(2, 10):
+        for p in range(n + 1):
+            assert e_element_values(n, p) == build_tau_p_action(n, p).e_values, (n, p)
+    with pytest.raises(DomainError):
+        e_element_values(4, 5)
+
+
+def test_cover_point_does_not_build_the_representation(monkeypatch):
+    def fail(n, p):
+        raise AssertionError("cover_point built the tau_p action")
+
+    monkeypatch.setattr(resolvent, "build_tau_p_action", fail)
+    cp = cover_point(make_space(Field.REAL, 10), 4, 1.0)
+    assert cp.e_values_pos == (2,)  # 4 * 5 - 3 * 6
+    with pytest.raises(DomainError):
+        cover_point(make_space(Field.REAL, 3), 4, 1.0)
 
 
 # ------------------------------------------------------------ frobenius solve
