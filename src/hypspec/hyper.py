@@ -25,6 +25,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NoConvergence, PoleOfGamma
 
 __all__ = ["GreenEvalConfig", "gauss_2f1"]
@@ -111,6 +113,31 @@ def _series(a: complex, b: complex, c: complex, z: complex, cfg: GreenEvalConfig
     raise NoConvergence(
         f"2F1 series did not converge within {cfg.max_terms} terms at z={z}"
     )
+
+
+def _series_many(a: complex, b: complex, c: complex, z: np.ndarray, cfg: GreenEvalConfig) -> np.ndarray:
+    """_series at every point of the 1-d array z, with the same term
+    recurrence and stopping test: each point leaves the sum at the term
+    where the scalar series would stop."""
+    out = np.empty(len(z), dtype=complex)
+    active = np.arange(len(z))
+    term = np.ones(len(z), dtype=complex)
+    total = np.ones(len(z), dtype=complex)
+    for k in range(cfg.max_terms):
+        if not active.size:
+            break
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+        total += term
+        done = np.abs(term) <= cfg.series_tolerance * np.maximum(1.0, np.abs(total))
+        if done.any():
+            out[active[done]] = total[done]
+            keep = ~done
+            active, z, term, total = active[keep], z[keep], term[keep], total[keep]
+    if active.size:
+        raise NoConvergence(
+            f"2F1 series did not converge within {cfg.max_terms} terms at z={z[0]}"
+        )
+    return out
 
 
 def _terminating(a: complex, b: complex, c: complex, z: complex) -> complex:

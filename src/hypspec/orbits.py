@@ -16,6 +16,7 @@ generating sets that do not generate freely.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import CombinatorialBlowup, DegenerateFit, DomainError, OrbitOverflow
-from .green import green0_eval
+from .green import green0_eval_many
 from .spaces import Field, SpaceDescriptor
 
 __all__ = [
@@ -52,6 +53,8 @@ __all__ = [
 
 _DEFAULT_WORD_CAP = 20_000_000
 _FORM_TOL = 1e-10
+_TAIL_SHELLS = 4      # shell ratios averaged by the bisection estimator
+_ROOT_XTOL = 1e-14     # relative step at which the delta root is accepted
 
 
 @dataclass(frozen=True)
@@ -231,6 +234,50 @@ def _word_cap(max_words: Optional[int]) -> int:
     return int(env) if env else _DEFAULT_WORD_CAP
 
 
+def _extend_free(
+    letters: list[np.ndarray], prev_pts: np.ndarray, prev_letter: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Next level under free reduction, written letter by letter into one
+    array of the known size (no per-letter parts to concatenate)."""
+    pts = np.empty((size, prev_pts.shape[1]), dtype=prev_pts.dtype)
+    last = np.empty(size, dtype=np.int8)
+    off = 0
+    for li, g in enumerate(letters):
+        mask = prev_letter != (li ^ 1)
+        cnt = int(np.count_nonzero(mask))
+        np.matmul(prev_pts[mask], g.T, out=pts[off:off + cnt])
+        last[off:off + cnt] = li
+        off += cnt
+    return pts, last
+
+
+def _extend_hashed(
+    letters: list[np.ndarray],
+    prev_mats: np.ndarray,
+    prev_letter: np.ndarray,
+    seen: set,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Next level under matrix hashing: words whose isometry was not seen."""
+    mat_parts, letter_parts = [], []
+    for li, g in enumerate(letters):
+        mask = prev_letter != (li ^ 1)
+        if not mask.any():
+            continue
+        new_mats = np.einsum("ij,njk->nik", g, prev_mats[mask])
+        keep = []
+        for idx in range(new_mats.shape[0]):
+            key = _quantize_key(new_mats[idx])
+            if key not in seen:
+                seen.add(key)
+                keep.append(idx)
+        if keep:
+            mat_parts.append(new_mats[keep])
+            letter_parts.append(np.full(len(keep), li, dtype=np.int8))
+    if not mat_parts:
+        return prev_mats[:0], prev_letter[:0]
+    return np.concatenate(mat_parts, axis=0), np.concatenate(letter_parts)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises OrbitOverflow below
 def enumerate_orbit(
     gens: GroupGenerators,
@@ -243,11 +290,13 @@ def enumerate_orbit(
 
     Enumeration is lexicographic in the alphabet (g1, g1^-1, g2, ...),
     level by level; within the free-reduction policy only point orbits
-    are tracked, which keeps the punctured-torus cap of ~10^7 words in
-    a few hundred MB.  Under free reduction the size of the next level
-    is known exactly, so the word cap is checked before it is built;
-    under matrix hashing it is checked after.  OrbitOverflow is raised
-    at the first word length whose distances are not finite.
+    are tracked, and each level is written into one array of its known
+    size, so the punctured-torus cap of ~10^7 words stays within a few
+    hundred MB.  Under free reduction level l has exactly m (m-1)^(l-1)
+    words for m letters, so the word cap is checked once, before
+    anything is built; under matrix hashing it is checked after each
+    level.  OrbitOverflow is raised at the first word length whose
+    distances are not finite.
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
@@ -259,13 +308,22 @@ def enumerate_orbit(
     for g, ginv in zip(gens.matrices, gens.inverses()):
         letters.append(np.asarray(g, dtype=model.dtype))
         letters.append(np.asarray(ginv, dtype=model.dtype))
-    n_letters = len(letters)
     cap = _word_cap(max_words)
     blowup = CombinatorialBlowup(
         f"orbit enumeration exceeds the cap of {cap} words "
         f"(set HYPSPEC_MAX_WORDS or max_words to raise it)"
     )
     dedup = dedup_policy == DedupPolicy.MATRIX_HASH
+    if not dedup:
+        # m letters give m (m-1)^(l-1) freely reduced words of length l;
+        # summed level by level, so a huge max_len stops at the cap
+        m = len(letters)
+        sizes, words = [], 1
+        for level in range(max_len):
+            sizes.append(m * (m - 1) ** level)
+            words += sizes[-1]
+            if words > cap:
+                raise blowup
 
     dists: list[np.ndarray] = [np.zeros(1)]
     total = 1
@@ -276,41 +334,21 @@ def enumerate_orbit(
     prev_letter = np.array([-1], dtype=np.int8)
 
     for level in range(1, max_len + 1):
-        # every word but the identity extends by all letters except its inverse
-        next_size = n_letters * len(prev_letter) - np.count_nonzero(prev_letter >= 0)
-        if not dedup and total + next_size > cap:
-            raise blowup
-        parts, part_letters = [], []
-        mat_parts = []
-        for li in range(n_letters):
-            mask = prev_letter != (li ^ 1)
-            if not mask.any():
-                continue
-            if dedup:
-                new_mats = np.einsum("ij,njk->nik", letters[li], prev_mats[mask])
-                keep = []
-                for idx in range(new_mats.shape[0]):
-                    key = _quantize_key(new_mats[idx])
-                    if key not in seen:
-                        seen.add(key)
-                        keep.append(idx)
-                if not keep:
-                    continue
-                new_mats = new_mats[keep]
-                mat_parts.append(new_mats)
-                parts.append(new_mats @ base_pt)
-            else:
-                parts.append(prev_pts[mask] @ letters[li].T)
-            part_letters.append(np.full(parts[-1].shape[0], li, dtype=np.int8))
-        if not parts:
-            break
-        prev_pts = np.concatenate(parts, axis=0)
-        prev_letter = np.concatenate(part_letters)
         if dedup:
-            prev_mats = np.concatenate(mat_parts, axis=0)
-        total += prev_pts.shape[0]
-        if total > cap:
-            raise blowup
+            prev_mats, prev_letter = _extend_hashed(letters, prev_mats, prev_letter, seen)
+            if not len(prev_letter):
+                break
+            prev_pts = prev_mats @ base_pt
+            total += len(prev_letter)
+            if total > cap:
+                raise blowup
+        else:
+            if not sizes[level - 1]:
+                break  # no generators: the orbit is the base point
+            prev_pts, prev_letter = _extend_free(
+                letters, prev_pts, prev_letter, sizes[level - 1]
+            )
+            total += len(prev_letter)
         d = _stable_acosh(model.batch_cosh_distance(prev_pts, base_pt))
         if not np.isfinite(d).all():
             raise OrbitOverflow(
@@ -346,14 +384,53 @@ class DeltaEstimate:
     spread: float
 
 
-def _tail_ratio(sample: OrbitSample, s: float, shells: int = 4) -> float:
-    T = shell_sums(sample, s)
-    T = T[1:]  # drop the identity shell
-    if len(T) < 2:
-        raise DegenerateFit("need at least two word-length shells")
-    ratios = T[1:] / T[:-1]
-    tail = ratios[-shells:]
-    return float(np.exp(np.mean(np.log(tail))))
+def _has_three_distinct(d: np.ndarray, decimals: int = 12) -> bool:
+    """Whether sorted distances take at least three values after rounding.
+
+    Rounding is monotone, so on sorted input the values rounding like
+    d[0] form a prefix; a bisection finds its end without a pass over d.
+    """
+    def key(v):
+        return np.round(v, decimals)
+
+    first = key(d[0])
+    i = bisect.bisect_right(d, first, key=key)
+    return i < len(d) and key(d[i]) != key(d[-1])
+
+
+def _log_shell_sum(d: np.ndarray, d_min: float, s: float) -> tuple[float, float]:
+    """log sum exp(-s d) over one shell, and the exp(-s d)-weighted mean
+    distance, which is minus its derivative in s.  Shifted by the shell's
+    smallest distance, so no term overflows or underflows to zero."""
+    w = np.subtract(d, d_min)
+    w *= -s
+    np.exp(w, out=w)
+    total = float(w.sum())
+    return -s * d_min + math.log(total), float(w @ d) / total
+
+
+def _safeguarded_newton(fn, lo: float, hi: float, x: float) -> float:
+    """Root of fn in [lo, hi], given fn(lo) >= 0 > fn(hi), starting at x;
+    fn returns the value and the derivative.  Newton steps that leave the
+    bracket are replaced by bisection, so this converges wherever
+    bisection does."""
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for _ in range(200):
+        f, df = fn(x)
+        if f == 0.0:
+            return x
+        if f > 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = x - f / df if df < 0.0 else 0.5 * (lo + hi)
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= _ROOT_XTOL * max(1.0, x):
+            return x_new
+        x = x_new
+    return x
 
 
 def estimate_delta(
@@ -371,11 +448,17 @@ def estimate_delta(
     default (0.5, 1.0) keeps the outer half of it, away from small-R
     transients; both endpoints are tunable.
     bisection: abscissa where the geometric-tail model of the partial
-    sums switches between convergence and divergence (the last
-    word-length shells are modelled as a geometric series).
+    sums switches between convergence and divergence.  The last
+    word-length shells T_l(s) = sum exp(-s d) are modelled as a
+    geometric series whose ratio is the geometric mean of the last
+    k <= 4 shell ratios; that mean telescopes to (T_last / T_(last-k))^(1/k),
+    so only two shells enter.  The root of log T_last - log T_(last-k)
+    is bracketed as before and found by a Newton iteration safeguarded
+    by bisection, with the derivative -(<d>_last - <d>_(last-k)) from the
+    same pass.  (The field keeps its name: it is the CLI's key.)
     """
     d = sample.distances
-    if len(np.unique(np.round(d, 12))) < 3:
+    if not _has_three_distinct(d):
         raise DegenerateFit("need at least three distinct radii")
     last_shell = sample.distances_by_length[-1]
     r_complete = float(last_shell.min()) if len(last_shell) else float(d[-1])
@@ -389,24 +472,30 @@ def estimate_delta(
         raise DegenerateFit("window too small for the growth fit")
     growth = float(np.polyfit(grid[good], np.log(counts[good]), 1)[0])
 
-    # bisection on the shell tail-ratio statistic
+    shells = sample.distances_by_length[1:]  # drop the identity shell
+    if len(shells) < 2:
+        raise DegenerateFit("need at least two word-length shells")
+    k = min(_TAIL_SHELLS, len(shells) - 1)
+    top, bottom = shells[-1], shells[-1 - k]
+    top_min, bottom_min = float(top.min()), float(bottom.min())
+
+    def tail_log_ratio(s: float) -> tuple[float, float]:
+        # k times the log of the tail ratio, and its derivative in s
+        log_top, mean_top = _log_shell_sum(top, top_min, s)
+        log_bottom, mean_bottom = _log_shell_sum(bottom, bottom_min, s)
+        return log_top - log_bottom, mean_bottom - mean_top
+
     s_lo, s_hi = 0.0, max(1.0, 2.0 * abs(growth))
-    if _tail_ratio(sample, s_lo) < 1.0:
-        bisection = 0.0
+    f_lo, df_lo = tail_log_ratio(s_lo)
+    if f_lo < 0.0 or (f_lo == 0.0 and df_lo < 0.0):
+        bisection = 0.0  # the tail already converges at s = 0, or turns there
     else:
-        for _ in range(60):
-            if _tail_ratio(sample, s_hi) < 1.0:
-                break
+        while tail_log_ratio(s_hi)[0] >= 0.0:
             s_hi *= 2.0
             if s_hi > 1e3:
                 raise DegenerateFit("tail ratio never drops below 1")
-        for _ in range(60):
-            mid = 0.5 * (s_lo + s_hi)
-            if _tail_ratio(sample, mid) >= 1.0:
-                s_lo = mid
-            else:
-                s_hi = mid
-        bisection = 0.5 * (s_lo + s_hi)
+        # the growth fit estimates the same exponent: a close first guess
+        bisection = _safeguarded_newton(tail_log_ratio, s_lo, s_hi, growth)
     return DeltaEstimate(
         growth_fit=growth,
         bisection=bisection,
@@ -417,7 +506,8 @@ def estimate_delta(
 def pullback_green_partial_sum(
     space: SpaceDescriptor, s: float, sample: OrbitSample
 ) -> float:
-    """Partial sum of the scalar Green kernel over nonzero orbit distances."""
+    """Partial sum of the scalar Green kernel over nonzero orbit distances,
+    evaluated in one array pass (green0_eval_many)."""
     if space.field is not sample.model.field or space.n != sample.model.n:
         raise DomainError(
             f"space {space} does not match the sample's model "
@@ -425,11 +515,9 @@ def pullback_green_partial_sum(
         )
     if s <= 0:
         raise DomainError("the comparison requires real s > 0")
-    total = 0.0
-    for d in sample.distances:
-        if d > 1e-12:
-            total += green0_eval(space, s, float(d)).real
-    return total
+    d = sample.distances
+    d = d[d > 1e-12]
+    return float(green0_eval_many(space, s, d).real.sum())
 
 
 # ---------------------------------------------------------------------------

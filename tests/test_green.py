@@ -3,12 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypspec.errors import DegenerateFit, DomainError
 from hypspec.green import (
     decay_rate_fit,
     green0_derivatives,
     green0_eval,
+    green0_eval_many,
     green0_ode_residual,
     plancherel_prefactor,
     small_r_constant,
@@ -182,3 +185,57 @@ def test_holomorphy_in_s():
                 dre = (green0_eval(sp, s0 + h, r) - green0_eval(sp, s0 - h, r)) / (2 * h)
                 dim = (green0_eval(sp, s0 + 1j * h, r) - green0_eval(sp, s0 - 1j * h, r)) / (2j * h)
                 assert abs(dre - dim) / max(abs(dre), 1e-300) < 1e-6
+
+
+# ------------------------------------------------------------ array path
+
+# the nine spaces of the Green-grid benchmark
+ARRAY_SPACES = [
+    make_space(f, n)
+    for f, n in [(Field.REAL, 2), (Field.REAL, 3), (Field.REAL, 4), (Field.REAL, 5),
+                 (Field.COMPLEX, 2), (Field.COMPLEX, 3), (Field.QUATERNION, 2),
+                 (Field.QUATERNION, 3), (Field.OCTONION, 2)]
+]
+# straddling |z| = 0.9 (r ~ 0.95), the Pfaff threshold (r ~ 0.327) and
+# the large-r branch of log sinh (r = 20)
+EDGE_RADII = [0.02, 0.3, 0.3266, 0.3271, 0.33, 0.9, 0.9513, 0.9515, 1.0,
+              19.999, 20.0, 20.001, 25.0]
+ARRAY_RTOL = 1e-13
+
+
+def assert_many_matches_scalar(space, s, radii):
+    radii = np.asarray(radii, dtype=float)
+    many = green0_eval_many(space, s, radii)
+    scalar = np.array([green0_eval(space, s, float(r)) for r in radii])
+    assert many.shape == radii.shape
+    assert np.all(np.abs(many - scalar) <= ARRAY_RTOL * np.abs(scalar))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.sampled_from(ARRAY_SPACES),
+    st.builds(complex, st.floats(0.2, 2.5), st.sampled_from([0.0, 0.0, -0.8, 0.6])),
+    st.lists(st.floats(0.02, 25.0), min_size=1, max_size=40),
+)
+def test_green_many_matches_scalar(space, s, radii):
+    assert_many_matches_scalar(space, s, radii + EDGE_RADII)
+
+
+def test_green_many_every_space_real_and_complex_s():
+    radii = np.concatenate([np.geomspace(0.02, 25.0, 60), EDGE_RADII])
+    for space in ARRAY_SPACES:
+        for s in [0.4, 1.3, 1.0 + 0.7j, 2.2 - 0.4j]:
+            assert_many_matches_scalar(space, s, radii)
+
+
+def test_green_many_terminating_parameters():
+    # R^5 at s = 1: b = (s + 1)/2 - (n - 1)/4 = 0, a terminating 2F1
+    assert_many_matches_scalar(make_space(Field.REAL, 5), 1.0, np.geomspace(0.02, 25.0, 40))
+
+
+def test_green_many_edge_inputs():
+    assert green0_eval_many(H3, 1.0, np.array([])).shape == (0,)
+    with pytest.raises(DomainError):
+        green0_eval_many(H3, 1.0, np.array([1.0, 0.0]))
+    with pytest.raises(DomainError):
+        green0_eval_many(H3, -2.0, np.array([1.0]))

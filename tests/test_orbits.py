@@ -30,6 +30,7 @@ from hypspec.orbits import (
     shell_sums,
     sl2_to_so21,
 )
+from hypspec.green import green0_eval
 from hypspec.spaces import Field, make_space
 
 
@@ -106,6 +107,11 @@ def test_free_group_word_counts():
     assert counts == [1] + [4 * 3 ** (k - 1) for k in range(1, 6)]
 
 
+def test_no_generators_orbit_is_the_base_point():
+    sample = enumerate_orbit(GroupGenerators(RealHyperboloid(2), (), ()), max_len=3)
+    assert sample.n_words == 1 and len(sample.distances_by_length) == 1
+
+
 def test_count_by_radius_monotone():
     sample = enumerate_orbit(schottky_pair(4.0), max_len=5)
     grid = np.linspace(0, sample.distances[-1], 50)
@@ -148,6 +154,37 @@ def test_word_cap_checked_before_building_the_level():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * level_12_bytes
+
+
+def test_over_default_cap_raises_before_any_level(monkeypatch):
+    # 1 + sum 4 * 3^(l-1) for l <= 15 is about 2.9e7 words, over the 2e7 default
+    monkeypatch.delenv("HYPSPEC_MAX_WORDS", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CombinatorialBlowup, match="cap of 20000000 words"):
+            enumerate_orbit(punctured_torus_group(), max_len=15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_huge_max_len_raises_at_once():
+    with pytest.raises(CombinatorialBlowup):
+        enumerate_orbit(schottky_pair(4.0), max_len=10 ** 6, max_words=1000)
+
+
+def test_enumeration_peak_memory():
+    # each level is written into one array of its known size
+    level_12_bytes = 4 * 3 ** 11 * 3 * 8
+    tracemalloc.start()
+    try:
+        sample = enumerate_orbit(punctured_torus_group(), max_len=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sample.distances_by_length[-1]) == 4 * 3 ** 11
+    assert peak <= 3 * level_12_bytes
 
 
 def test_overflowing_orbit_structured_error():
@@ -260,6 +297,41 @@ def test_estimate_delta_range_sanity():
         assert -0.05 <= est.bisection <= two_rho + 0.1
 
 
+def reference_bisection(sample, growth):
+    """The estimator as first written: 60 bisection steps on the geometric
+    mean of the last four ratios of all shell sums, in the same bracket."""
+
+    def tail_ratio(s):
+        T = shell_sums(sample, s)[1:]
+        ratios = T[1:] / T[:-1]
+        return float(np.exp(np.mean(np.log(ratios[-4:]))))
+
+    s_lo, s_hi = 0.0, max(1.0, 2.0 * abs(growth))
+    if tail_ratio(s_lo) < 1.0:
+        return 0.0
+    while tail_ratio(s_hi) >= 1.0:
+        s_hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (s_lo + s_hi)
+        if tail_ratio(mid) >= 1.0:
+            s_lo = mid
+        else:
+            s_hi = mid
+    return 0.5 * (s_lo + s_hi)
+
+
+@pytest.mark.parametrize(
+    "gens, max_len",
+    [(punctured_torus_group(), 10)]
+    + [(schottky_pair(ell), 9) for ell in (4.0, 6.0, 8.0)]
+    + [(cyclic_group(n, 3.0), 40) for n in (2, 3, 4)],
+)
+def test_estimate_delta_matches_reference_bisection(gens, max_len):
+    sample = enumerate_orbit(gens, max_len=max_len)
+    est = estimate_delta(sample)
+    assert abs(est.bisection - reference_bisection(sample, est.growth_fit)) <= 1e-12
+
+
 def test_estimate_delta_degenerate():
     sample = enumerate_orbit(cyclic_group(2, 2.0), max_len=1)
     with pytest.raises(DegenerateFit):
@@ -295,6 +367,26 @@ def test_pullback_green_comparable_to_poincare():
         ratios.append(num / den)
     spread = (max(ratios) - min(ratios)) / min(ratios)
     assert spread < 0.05
+
+
+@pytest.mark.parametrize(
+    "space, gens, max_len, s",
+    [
+        # distances 0.1 .. 3: the 1/z, Pfaff and direct-series branches
+        (make_space(Field.REAL, 3), cyclic_group(3, 0.1), 30, 1.0),
+        (make_space(Field.REAL, 2), punctured_torus_group(), 6, 0.7),
+        (make_space(Field.REAL, 2), schottky_pair(4.0), 6, 0.4),
+        (make_space(Field.REAL, 4), cyclic_group(4, 0.25), 20, 1.6),
+    ],
+)
+def test_pullback_green_matches_scalar_loop(space, gens, max_len, s):
+    sample = enumerate_orbit(gens, max_len=max_len)
+    ref = 0.0
+    for d in sample.distances:
+        if d > 1e-12:
+            ref += green0_eval(space, s, float(d)).real
+    total = pullback_green_partial_sum(space, s, sample)
+    assert abs(total - ref) <= 1e-13 * abs(ref)
 
 
 def test_pullback_green_model_mismatch():
