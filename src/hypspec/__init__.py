@@ -43,8 +43,8 @@ from .resolvent import (
     kernel_blocks,
     kernel_eval,
     kernel_derivatives,
+    block_ode_residual,
     form_ode_residual,
-    operator_series_error,
     decay_check,
     psi_extract,
 )

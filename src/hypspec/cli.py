@@ -37,10 +37,10 @@ from .orbits import (
     shell_sums,
 )
 from .resolvent import (
+    block_ode_residual,
     build_radial_operator,
     cover_point,
     decay_check,
-    form_ode_residual,
     frobenius_solve,
     kernel_blocks,
     kernel_eval,
@@ -258,9 +258,8 @@ def _cmd_resolvent(args) -> OutputEnvelope:
     t_grid = _parse_grid(args.t_grid, False)
     # decay is a far-field quantity; fit it past the subleading corrections
     fit = decay_check(kern, np.linspace(max(5.0, float(t_grid[0])), 15.0, 11))
-    res_max = max(form_ode_residual(kern, float(t)) for t in t_grid)
+    res_max = max(block_ode_residual(kern, float(t)) for t in t_grid)
     psi, expo = psi_extract(op, kern)
-    svals = np.linalg.svd(psi, compute_uv=False)
     rows = [{
         "n": args.n,
         "p": args.p,
@@ -274,7 +273,7 @@ def _cmd_resolvent(args) -> OutputEnvelope:
         "resonance_margin": kern.resonance_margin,
         "has_log_terms": kern.has_log_terms,
         "psi_exponent": expo,
-        "psi_sigma_min": float(svals[-1]),
+        "psi_sigma_min": float(abs(psi[0, 0])),  # psi is a multiple of I
     }]
     grid_rows = []
     for t in t_grid:
@@ -285,7 +284,7 @@ def _cmd_resolvent(args) -> OutputEnvelope:
             entry[f"block{bi}_norm"] = float(fb)
         grid_rows.append(entry)
     extra = {
-        "e_values": list(op.taup.e_values),
+        "e_values": list(op.e_values),
         "exponents": [complex(m) for m in kern.exponents],
         "psi_matrix": [[complex(v) for v in row] for row in psi],
         "kernel_grid": grid_rows,

@@ -3,36 +3,38 @@
 Pipeline, d = 1 only (the other fields multiply the bookkeeping without
 new algorithmic content and are rejected):
 
-1.  `build_tau_p_action` realizes the degree-p form representation of
-    SO(n) on Lambda^p(R^n) with exact integer matrices, together with
-    the n-1 root-space generators Y_r projected into the maximal compact
-    subalgebra, and the relevant Casimir elements.
-
-2.  `build_radial_operator` conjugates the radial Hodge-Laplacian
+1.  `build_radial_operator` conjugates the radial Hodge-Laplacian
     operator by (sinh t)^((n-1)/2), which removes the first-derivative
     term and leaves
 
         -v'' + [rho^2 - alpha_p + s^2 + D + W(e^-t)] v = 0,
 
-    where D acts by left multiplication by the SO(n-1) Casimir matrix
-    and the perturbation W has *closed-form* coefficients:
+    where D acts by left multiplication by the SO(n-1) Casimir and the
+    perturbation W has *closed-form* coefficients:
 
         W_k(X) = 2k [ (beta^2-beta) X - A X - X A ]   (k even)
         W_k(X) = 4k * sum_r Y_r X Y_r                 (k odd)
 
-    with beta = (n-1)/2 and A = sum_r Y_r^2.  The k = 0 identification
-    with rho^2 - alpha_p + D is checked exactly in rational arithmetic.
+    with beta = (n-1)/2, Y_r the n-1 root-space generators projected into
+    the maximal compact subalgebra, and A = sum_r Y_r^2.  The k = 0
+    identification with rho^2 - alpha_p + D is checked exactly in
+    rational arithmetic.
 
-    Let P_j project onto the B <= 2 eigenspaces of the E element: e_I
-    lies in one or the other as 0 is in I or not (they merge when
-    n = 2p).  span{P_j} is closed: A is constant on each block, and Y_r
-    swaps the indices 0 and r, so Y_r P_j Y_r is diagonal on the other
-    block.  Hence F(t) = sum_j f_j(t) P_j, and everything below runs on
-    length-B vectors with a_j (A = sum_j a_j P_j) and the sandwich matrix
-    S (sum_r Y_r P_j Y_r = sum_i S_ij P_i), derived once from the dense
-    maps (AssemblyMismatch if an image leaves span{P_j}); cf. E. Pedon,
-    C. R. Acad. Sci. Paris 1997.  The dense maps remain only as the
-    oracle behind `form_ode_residual` and `operator_series_error`.
+2.  The constants are closed-form integers on at most two blocks.  Y_r
+    swaps the indices 0 and r, so Y_r^2 e_I = -e_I when exactly one of
+    0 and r lies in I, and 0 otherwise.  With P_in projecting onto the
+    e_I with 0 in I (C(n-1,p-1) of them, first in lexicographic order)
+    and P_out onto the others (C(n-1,p)), A = -(n-p) P_in - p P_out and
+    the sandwich map sends P_out to -(n-p) P_in and P_in to -p P_out.
+    These are Lambda^(p-1) and Lambda^p of R^(n-1), the eigenspaces P_j
+    of the E element (SO(n-1) Casimirs q(n-1-q), c(sigma_max) the larger;
+    one block when n = 2p).  So F(t) = sum_j f_j(t) P_j, and everything
+    below runs on length-B vectors (B <= 2) with a_j (A = sum_j a_j P_j)
+    and S (sum_r Y_r P_j Y_r = sum_i S_ij P_i); cf. E. Pedon, C. R. Acad.
+    Sci. Paris 1997.  `RadialOperator.apply_blocks` states the operator
+    on blocks; the integer-exact representation (`build_tau_p_action`,
+    built on demand as `RadialOperator.taup`) and `direct_apply` are the
+    dense oracle behind `form_ode_residual`.
 
 3.  `frobenius_solve` builds the solution decaying at infinity as a sum
     of per-block series  e^(-mu_j t) sum_l (a_{j,l} + t b_{j,l}) e^(-lt)
@@ -45,8 +47,8 @@ new algorithmic content and are rejected):
 4.  `kernel_blocks` evaluates the series and its exact derivatives on
     coefficients, with norms ||sum_j c_j P_j||_F = sqrt(sum_j m_j |c_j|^2)
     (m_j = rank P_j); `kernel_eval` / `kernel_derivatives` expand them to
-    dim_v x dim_v matrices, `form_ode_residual` checks the dense radial
-    equation and `decay_check` fits the far-field decay rate.
+    dim_v x dim_v matrices, `block_ode_residual` / `form_ode_residual`
+    check the radial equation and `decay_check` fits the far-field decay.
 
 5.  `psi_extract` integrates the 2B-state system down to small t and
     extracts the coefficient of the t^(2-n) singularity.  For p >= 1 the
@@ -60,6 +62,7 @@ new algorithmic content and are rejected):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -72,6 +75,7 @@ import numpy as np
 from .errors import (
     AssemblyMismatch,
     BranchPoint,
+    CombinatorialBlowup,
     DegenerateFit,
     DomainError,
     FitFailure,
@@ -97,8 +101,8 @@ __all__ = [
     "kernel_blocks",
     "kernel_eval",
     "kernel_derivatives",
+    "block_ode_residual",
     "form_ode_residual",
-    "operator_series_error",
     "decay_check",
     "psi_extract",
 ]
@@ -233,28 +237,43 @@ def build_tau_p_action(n: int, p: int) -> TauPAction:
     )
 
 
+# Largest dense matrix (entries) that the block-to-matrix expansion builds.
+MAX_EXPAND_ENTRIES = 2 ** 20
+
+
 @dataclass(frozen=True)
 class RadialOperator:
     """Conjugated radial operator with its closed-form perturbation series.
 
     Block constants, for X = sum_j c_j P_j: block_of[i] is the block of
-    basis row i, block_mult[j] = rank P_j, block_a = a, block_s = S.
+    basis row i, block_mult[j] = rank P_j, block_a = a, block_s = S,
+    and E = e_values[j] on block j.
     """
 
     n: int
     p: int
-    taup: TauPAction
     beta: Fraction              # (n-1)/2
     alpha_p: Fraction
     L_w: int
     q_parity: frozenset[str]    # which parities of q-powers carry nonzero maps
+    e_values: tuple[int, ...]
     block_of: np.ndarray
     block_mult: np.ndarray
     block_a: np.ndarray
     block_s: np.ndarray
 
+    @functools.cached_property
+    def taup(self) -> TauPAction:
+        """The dense representation, built on first access (oracle only)."""
+        return build_tau_p_action(self.n, self.p)
+
     def expand(self, c: np.ndarray) -> np.ndarray:
-        """sum_j c_j P_j as a dim_v x dim_v matrix."""
+        """sum_j c_j P_j as a dim_v x dim_v matrix; CombinatorialBlowup,
+        before allocating, above MAX_EXPAND_ENTRIES entries."""
+        entries = len(self.block_of) ** 2
+        if entries > MAX_EXPAND_ENTRIES:
+            raise CombinatorialBlowup(f"a dense (n, p) = ({self.n}, {self.p}) matrix has "
+                                      f"{entries} entries, over the cap of {MAX_EXPAND_ENTRIES}")
         return np.diag(np.asarray(c)[self.block_of])
 
     def block_norm(self, c: np.ndarray) -> np.ndarray:
@@ -264,7 +283,7 @@ class RadialOperator:
     def sphere_average(self, c: np.ndarray) -> np.ndarray:
         """Coefficient of I in the projection of sum_j c_j P_j onto ker T,
         over the first axis of c."""
-        return self.block_mult @ c / self.taup.dim_v
+        return self.block_mult @ c / self.block_mult.sum()
 
     def w_series(self, past: np.ndarray) -> np.ndarray:
         """sum_k W_k(x_(l-k)) on coefficient vectors, past[k-1] = x_(l-k)."""
@@ -273,14 +292,22 @@ class RadialOperator:
         odd = np.where(k % 2 == 1, 4.0 * k, 0.0) @ past
         return (float(self.beta ** 2 - self.beta) - 2.0 * self.block_a) * even + self.block_s @ odd
 
-    def w_apply(self, k: int, X: np.ndarray) -> np.ndarray:
-        """Apply the order-k perturbation map to a dense X (oracle)."""
-        tp = self.taup
-        beta = float(self.beta)
-        if k % 2 == 0:
-            A = tp.omega_k.astype(float) - tp.omega_m.astype(float)  # sum Y_r^2
-            return 2.0 * k * ((beta * beta - beta) * X - A @ X - X @ A)
-        return 4.0 * k * tp.sandwich(X)
+    @functools.cached_property
+    def _shift(self) -> float:
+        """alpha_p plus the SO(n) Casimir scalar p(n-p)."""
+        return float(self.alpha_p) + self.p * (self.n - self.p)
+
+    def apply_blocks(self, s: complex, f, df, ddf, t: float) -> np.ndarray:
+        """`direct_apply` on block coefficients: the coefficients r_j of
+        (Delta_p - alpha_p + s^2) F(a_t) for F = sum_j f_j P_j."""
+        coth = 1.0 / math.tanh(t)
+        sh2 = math.sinh(t) ** 2
+        return (
+            (s * s - self._shift - (coth * coth + 1.0 / sh2) * self.block_a) * f
+            + 2.0 * math.cosh(t) / sh2 * (self.block_s @ f)
+            - (self.n - 1) * coth * df
+            - ddf
+        )
 
     def direct_apply(
         self, s: complex, F: np.ndarray, dF: np.ndarray, ddF: np.ndarray, t: float
@@ -304,22 +331,22 @@ class RadialOperator:
         )
 
 
-def _block_structure(tp: TauPAction) -> dict:
-    """Block structure constants, from the dense maps applied to each P_j."""
-    block_of = np.searchsorted(tp.e_values, tp.e_diag)
-    onehot = (block_of[:, None] == np.arange(len(tp.e_values))).astype(float)
-    mult = onehot.sum(axis=0)
-    A = np.diag(tp.omega_k - tp.omega_m).astype(float)
-    a = A @ onehot / mult
-    if not np.array_equal(A, a[block_of]):
-        raise AssemblyMismatch("A = sum_r Y_r^2 is not constant on the E blocks")
-    S = np.empty((len(mult), len(mult)))
-    for j, P in enumerate(onehot.T):
-        img = tp.sandwich(np.diag(P))
-        S[:, j] = np.diag(img) @ onehot / mult
-        if not np.array_equal(img, np.diag(S[block_of, j])):
-            raise AssemblyMismatch(f"sandwich image of block {j} leaves span{{P_j}}")
-    return {"block_of": block_of, "block_mult": mult, "block_a": a, "block_s": S}
+def _block_constants(n: int, p: int, B: int) -> dict:
+    """Block constants in closed form (module docstring, step 2).
+
+    Blocks are in ascending E order, so P_in is block 0 exactly when
+    2p > n, where its Casimir (p-1)(n-p) is the larger.
+    """
+    m_in, m_out = (math.comb(n - 1, p - 1) if p else 0), math.comb(n - 1, p)
+    i, o = (0, 0) if B == 1 else (int(2 * p < n), int(2 * p > n))  # blocks of P_in, P_out
+    mult, a, S = np.zeros(B), np.zeros(B), np.zeros((B, B))
+    mult[i] += m_in
+    mult[o] += m_out
+    if m_in and m_out:  # else p = 0 or p = n, where A = 0 and S = 0
+        a[i], a[o] = -(n - p), -p
+        S[i, o], S[o, i] = -(n - p), -p
+    return {"block_of": np.repeat([i, o], [m_in, m_out]), "block_mult": mult,
+            "block_a": a, "block_s": S}
 
 
 def build_radial_operator(n: int, p: int, L_w: int = 40) -> RadialOperator:
@@ -327,16 +354,16 @@ def build_radial_operator(n: int, p: int, L_w: int = 40) -> RadialOperator:
 
     The zeroth-order coefficient is identified exactly in rationals with
     rho^2 - alpha_p + D; a mismatch with the closed-form constant table
-    raises AssemblyMismatch, as does a block projector whose image under
-    A or the sandwich map leaves span{P_j}.
+    raises AssemblyMismatch.
     """
     if L_w < 1:
         raise DomainError("perturbation order L_w must be >= 1")
-    tp = build_tau_p_action(n, p)
+    e_values = e_element_values(n, p)
+    c_sigma_max = max(q * (n - 1 - q) for q in (p - 1, p) if 0 <= q < n)
     beta = Fraction(n - 1, 2)
     space = make_space(Field.REAL, n)
     alpha_table = alpha_p(space, p)
-    alpha_machine = space.rho ** 2 - tp.c_sigma_max
+    alpha_machine = space.rho ** 2 - c_sigma_max
     if alpha_machine != alpha_table:
         raise AssemblyMismatch(
             f"rho^2 - c(sigma_max) = {alpha_machine} != table value {alpha_table}"
@@ -347,34 +374,8 @@ def build_radial_operator(n: int, p: int, L_w: int = 40) -> RadialOperator:
     if 0 < p < n:
         parities.add("odd")  # the two-sided sandwich maps sit at odd orders
     return RadialOperator(
-        n=n, p=p, taup=tp, beta=beta, alpha_p=alpha_table, L_w=L_w,
-        q_parity=frozenset(parities), **_block_structure(tp),
-    )
-
-
-def operator_series_error(
-    op: RadialOperator, s: complex, t: float, X: Optional[np.ndarray] = None
-) -> float:
-    """Relative mismatch between the q-series form of the conjugated
-    operator and its direct evaluation at time t, on a probe matrix;
-    the direct side is `direct_apply` on (sinh t)^-beta X, rescaled."""
-    tp = op.taup
-    dim = tp.dim_v
-    if X is None:
-        X = np.eye(dim) + 0.1 * np.arange(dim * dim, dtype=float).reshape(dim, dim)
-    X = X.astype(complex)
-    beta = float(op.beta)
-    q = math.exp(-t)
-    # q^0 part: rho^2 - alpha_p + s^2 + D(left); rho = beta for d = 1
-    series = (beta * beta - float(op.alpha_p) + s * s) * X + tp.omega_m.astype(float) @ X
-    for k in range(1, op.L_w + 1):
-        series += q ** k * op.w_apply(k, X)
-    coth = 1.0 / math.tanh(t)
-    direct = op.direct_apply(
-        s, X, -beta * coth * X, ((beta * beta + beta) * coth * coth - beta) * X, t
-    )
-    return float(
-        np.linalg.norm(series - direct, 2) / max(np.linalg.norm(direct, 2), 1e-300)
+        n=n, p=p, beta=beta, alpha_p=alpha_table, L_w=L_w, q_parity=frozenset(parities),
+        e_values=e_values, **_block_constants(n, p, len(e_values)),
     )
 
 
@@ -504,8 +505,8 @@ def frobenius_solve(
     s = cover.s
     if resonance_floor is None:
         resonance_floor = 1e-8 * (1.0 + abs(s) ** 2)
-    e = np.asarray(op.taup.e_values, dtype=float)
-    mus = [cover.exponent_for(ev) for ev in op.taup.e_values]
+    e = np.asarray(op.e_values, dtype=float)
+    mus = [cover.exponent_for(ev) for ev in op.e_values]
     snap_abs = snap_tol * (1.0 + max(abs(m) for m in mus)) ** 2
 
     coef_a = np.zeros((len(mus), L + 1, len(mus)), dtype=complex)
@@ -622,6 +623,14 @@ def kernel_derivatives(
     return kernel.operator.expand(f), kernel.operator.expand(df), kernel.operator.expand(ddf)
 
 
+def block_ode_residual(kernel: FrobeniusKernel, t: float) -> float:
+    """`form_ode_residual` on the block coefficients: F is diagonal, so
+    each 2-norm there is the largest block coefficient in modulus."""
+    f, df, ddf = kernel_blocks(kernel, t)
+    r = kernel.operator.apply_blocks(kernel.cover.s, f, df, ddf, t)
+    return float(np.abs(r).max() / max(np.abs(ddf).max(), np.abs(f).max(), 1e-300))
+
+
 def form_ode_residual(kernel: FrobeniusKernel, t: float) -> float:
     """Relative residual of the dense radial equation on the expanded kernel.
 
@@ -673,20 +682,10 @@ def psi_extract(
     B = len(op.block_mult)
     s = kernel.cover.s
     f0, df0, _ = kernel_blocks(kernel, T)
-    a, S = op.block_a, op.block_s
-    c0 = s * s - float(op.alpha_p) - op.taup.omega_k_scalar  # omega_k = -omega_k_scalar I
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         f, df = y[:B], y[B:]
-        coth = 1.0 / math.tanh(t)
-        sh2 = math.sinh(t) ** 2
-        ddf = (
-            -(n - 1) * coth * df
-            - (coth * coth + 1.0 / sh2) * a * f
-            + 2.0 * math.cosh(t) / sh2 * (S @ f)
-            + c0 * f
-        )
-        return np.concatenate([df, ddf])
+        return np.concatenate([df, op.apply_blocks(s, f, df, 0.0, t)])
 
     t_eval = np.geomspace(t0, min(10 * t0, 0.8 * T), 8)[::-1]
     sol = solve_ivp(rhs, (T, t0), np.concatenate([f0, df0]), method="DOP853",
@@ -705,4 +704,4 @@ def psi_extract(
     # two smallest t values, Richardson in t^2
     tA, tB = sol.t[-1], sol.t[-2]
     psi = (scaled[-1] * tB ** 2 - scaled[-2] * tA ** 2) / (tB ** 2 - tA ** 2)
-    return psi * np.eye(op.taup.dim_v, dtype=complex), float(-slope)
+    return op.expand(np.full(B, psi)), float(-slope)

@@ -6,6 +6,7 @@ kernel and the ker T projection against the dense maps, over random
 degrees and spectral parameters, and pin psi to reference values.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypspec.resolvent import (
+    block_ode_residual,
     build_radial_operator,
     cover_point,
     form_ode_residual,
@@ -22,6 +24,8 @@ from hypspec.resolvent import (
     psi_extract,
 )
 from hypspec.spaces import Field, make_space
+
+from dense_oracle import block_structure, w_apply
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -42,7 +46,7 @@ spectral = st.builds(
 def off_resonance(n, p, s, gap=0.05):
     """Cover point whose exponent differences stay `gap` away from integers."""
     cp = cover_point(make_space(Field.REAL, n), p, s)
-    mus = [cp.exponent_for(e) for e in build_radial_operator(n, p, L_w=1).taup.e_values]
+    mus = [cp.exponent_for(e) for e in build_radial_operator(n, p, L_w=1).e_values]
     for mi in mus:
         for mj in mus:
             d = mi - mj
@@ -60,7 +64,7 @@ def dense_coefficients(op, cover, L):
         mu = cover.exponent_for(e_j)
         a = [np.diag((tp.e_diag == e_j).astype(complex))]
         for l in range(1, L + 1):
-            rhs = sum(op.w_apply(k, a[l - k]) for k in range(1, l + 1))
+            rhs = sum(w_apply(op, k, a[l - k]) for k in range(1, l + 1))
             lam = mu + l
             a.append(rhs / ((lam * lam - s * s) - e_diag)[:, None])
         blocks.append(a)
@@ -99,18 +103,33 @@ def test_block_constants_reproduce_dense_maps(deg, k):
         assert np.array_equal(tp.sandwich(P), op.expand(op.block_s @ c))
         past = np.zeros((k, B))
         past[-1] = c  # W_k alone: past[k-1] = x_(l-k)
-        assert np.array_equal(op.w_apply(k, P), op.expand(op.w_series(past)))
+        assert np.array_equal(w_apply(op, k, P), op.expand(op.w_series(past)))
 
 
-def test_block_constants_closed_form():
-    # blocks (e = 0: 0 not in I; e = n - 2p: 0 in I) carry a = -p and
-    # a = -(n-p); the sandwich swaps them: P_out -> -(n-p) P_in, P_in -> -p P_out
-    op = build_radial_operator(5, 1, L_w=1)
-    assert list(op.block_mult) == [4, 1]
-    assert list(op.block_a) == [-1, -4]
-    assert op.block_s.tolist() == [[0, -1], [-4, 0]]
-    op = build_radial_operator(4, 2, L_w=1)  # n = 2p: one block
-    assert list(op.block_mult) == [6] and op.block_s.tolist() == [[-2]]
+@pytest.mark.parametrize("n", range(2, 10))
+def test_block_constants_closed_form(n):
+    for p in range(n + 1):
+        op = build_radial_operator(n, p, L_w=1)
+        tp = op.taup
+        ref = block_structure(tp)
+        for name, value in ref.items():
+            assert np.array_equal(getattr(op, name), value), (n, p, name)
+        assert make_space(Field.REAL, n).rho ** 2 - op.alpha_p == tp.c_sigma_max
+        assert tp.omega_k_scalar == p * (n - p)  # the Casimir `apply_blocks` uses
+
+
+@PROPERTY
+@given(degrees(), spectral, st.floats(0.2, 8.0), st.integers(0, 2 ** 32 - 1))
+def test_apply_blocks_matches_direct_apply(deg, s, t, seed):
+    n, p = deg
+    op = build_radial_operator(n, p, L_w=1)
+    rng = np.random.default_rng(seed)
+    B = len(op.block_mult)
+    f, df, ddf = rng.normal(size=(3, B)) + 1j * rng.normal(size=(3, B))
+    got = op.expand(op.apply_blocks(s, f, df, ddf, t))
+    want = op.direct_apply(s, op.expand(f), op.expand(df), op.expand(ddf), t)
+    scale = max(1.0, np.abs(want).max()) / min(1.0, np.tanh(t) ** 2)
+    assert np.abs(got - want).max() <= 1e-13 * scale
 
 
 # ------------------------------------------------------------------- recursion
@@ -137,7 +156,16 @@ def test_expanded_kernel_solves_dense_equation(deg, s):
     op = build_radial_operator(n, p, L_w=40)
     kern = frobenius_solve(op, cp, L=40)
     for t in (2.0, 4.0, 8.0):
-        assert form_ode_residual(kern, t) <= 1e-6
+        dense = form_ode_residual(kern, t)
+        assert dense <= 1e-6
+        assert abs(block_ode_residual(kern, t) - dense) <= 1e-13
+    # off the solution the residual is far above roundoff, and the two
+    # normalizations must still agree
+    level1 = (np.arange(kern.truncation + 1) == 1)[None, :, None]
+    off = dataclasses.replace(kern, coef_a=kern.coef_a + 1e-3 * level1)
+    dense = form_ode_residual(off, 2.0)
+    assert dense > 1e-9
+    assert block_ode_residual(off, 2.0) == pytest.approx(dense, rel=1e-9)
 
 
 # -------------------------------------------------------------- ker T projection

@@ -254,3 +254,10 @@ def test_resolvent_grid_rows_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "t,total_norm,block0_norm,block1_norm"
     assert len(lines) == 6
+
+
+def test_resolvent_dense_output_over_cap_is_refused(capsys):
+    # the psi matrix at (14, 7) would have C(14,7)^2 = 11778624 entries
+    code, out = run(capsys, "resolvent", "--n", "14", "--p", "7", "--s", "1")
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "CombinatorialBlowup"

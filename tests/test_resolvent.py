@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypspec import resolvent
+from hypspec.cli import main
 from hypspec.errors import (
     BranchPoint,
+    CombinatorialBlowup,
     DomainError,
     ResonanceDetected,
     TailBoundExceeded,
@@ -20,12 +25,14 @@ from hypspec.resolvent import (
     e_element_values,
     form_ode_residual,
     frobenius_solve,
+    kernel_blocks,
     kernel_derivatives,
     kernel_eval,
-    operator_series_error,
     psi_extract,
 )
 from hypspec.spaces import Field, alpha_p, make_space
+
+from dense_oracle import operator_series_error, w_apply
 
 
 def solve(n, p, s, L=40, signs=None):
@@ -118,7 +125,7 @@ def test_q_parity_metadata():
     assert build_radial_operator(3, 0, L_w=4).q_parity == set()
     op = build_radial_operator(4, 2, L_w=4)
     X = np.eye(op.taup.dim_v, dtype=complex)
-    assert np.linalg.norm(op.w_apply(1, X)) > 0  # odd orders genuinely nonzero
+    assert np.linalg.norm(w_apply(op, 1, X)) > 0  # odd orders genuinely nonzero
 
 
 # --------------------------------------------------------------- cover point
@@ -173,6 +180,62 @@ def test_cover_point_does_not_build_the_representation(monkeypatch):
     assert cp.e_values_pos == (2,)  # 4 * 5 - 3 * 6
     with pytest.raises(DomainError):
         cover_point(make_space(Field.REAL, 3), 4, 1.0)
+
+
+@pytest.mark.parametrize("n,p", [(3, 1), (5, 1), (4, 2), (6, 3), (5, 0), (5, 5)])
+def test_production_paths_never_build_the_representation(monkeypatch, capsys, n, p):
+    def fail(*args):
+        raise AssertionError("a production path built the dense representation")
+
+    monkeypatch.setattr(resolvent, "build_tau_p_action", fail)
+    monkeypatch.setattr(resolvent, "_exterior_matrix", fail)
+    assert not hasattr(resolvent, "_block_structure")
+    op = build_radial_operator(n, p)
+    kern = frobenius_solve(op, cover_point(make_space(Field.REAL, n), p, 0.8))
+    kernel_blocks(kern, 3.0)
+    assert kernel_eval(kern, 3.0).shape == (math.comb(n, p),) * 2
+    decay_check(kern, np.linspace(5, 15, 11))
+    psi_extract(op, kern)
+    for opts in (["--s", "0.8"], ["--scan", "0.6:1.2:4"]):
+        assert main(["resolvent", "--n", str(n), "--p", str(p), *opts]) == 0
+    capsys.readouterr()
+
+
+def test_expand_refuses_oversized_matrices_before_allocating():
+    # C(12,6)^2 = 853776 entries fit the cap of 2^20; C(13,6)^2 = 2944656 do not
+    op = build_radial_operator(12, 6, L_w=1)
+    assert op.expand(np.ones(1)).shape == (924, 924)
+    op = build_radial_operator(13, 6, L_w=1)
+    with pytest.raises(CombinatorialBlowup, match="2944656 entries"):
+        op.expand(np.ones(2))
+
+
+def test_block_pipeline_at_14_7_never_expands():
+    import scipy.integrate  # noqa: F401  (keep its import out of the traced peak)
+
+    tracemalloc.start()
+    try:
+        op = build_radial_operator(14, 7)
+        kern = frobenius_solve(op, cover_point(make_space(Field.REAL, 14), 7, 1.0))
+        f, _, _ = kernel_blocks(kern, 3.0)
+        rate = decay_check(kern, np.linspace(5, 15, 11))
+        expansions = [
+            lambda: op.expand(f),
+            lambda: kernel_eval(kern, 3.0),
+            lambda: kernel_derivatives(kern, 3.0),
+            lambda: kern.coeffs_a,
+            lambda: kern.coeffs_b,
+            lambda: kern.block_projectors,
+            lambda: psi_extract(op, kern),
+        ]
+        for expand in expansions:
+            with pytest.raises(CombinatorialBlowup, match="11778624 entries"):
+                expand()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rate == pytest.approx(6.5 + 1.0, abs=2e-2)
+    assert peak < 50 * 2 ** 20
 
 
 # ------------------------------------------------------------ frobenius solve
@@ -237,17 +300,25 @@ def test_decay_rate_off_sheet_tracks_h():
         assert rate == pytest.approx(rho + h, abs=2e-2)
 
 
-def test_p0_pipeline_matches_scalar_kernel():
-    sp3 = make_space(Field.REAL, 3)
-    sp5 = make_space(Field.REAL, 5)
-    for sp, s in [(sp3, 0.8), (sp5, 1.0)]:
-        _, kern = solve(sp.n, 0, s)
-        ratios = []
-        for t in np.linspace(2, 10, 9):
-            ratios.append(kernel_eval(kern, float(t))[0, 0] / green0_eval(sp, s, float(t)))
-        ratios = np.asarray(ratios)
-        mean = ratios.mean()
-        assert np.abs(ratios - mean).max() / abs(mean) < 1e-8
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    st.integers(3, 7),
+    st.one_of(
+        st.floats(0.3, 2.0),
+        st.builds(complex, st.floats(0.3, 2.0), st.floats(-1.0, 1.0)),
+    ),
+)
+@example(3, 0.8)
+@example(5, 1.0)
+def test_p0_pipeline_matches_scalar_kernel(n, s):
+    sp = make_space(Field.REAL, n)
+    _, kern = solve(n, 0, s)
+    ratios = []
+    for t in np.linspace(2, 10, 9):
+        ratios.append(kernel_eval(kern, float(t))[0, 0] / green0_eval(sp, s, float(t)))
+    ratios = np.asarray(ratios)
+    mean = ratios.mean()
+    assert np.abs(ratios - mean).max() / abs(mean) < 1e-8
 
 
 def test_kernel_leading_exponent_on_sigma_max_block():
