@@ -106,16 +106,25 @@ def test_block_constants_reproduce_dense_maps(deg, k):
         assert np.array_equal(w_apply(op, k, P), op.expand(op.w_series(past)))
 
 
-@pytest.mark.parametrize("n", range(2, 10))
-def test_block_constants_closed_form(n):
-    for p in range(n + 1):
-        op = build_radial_operator(n, p, L_w=1)
-        tp = op.taup
-        ref = block_structure(tp)
-        for name, value in ref.items():
-            assert np.array_equal(getattr(op, name), value), (n, p, name)
-        assert make_space(Field.REAL, n).rho ** 2 - op.alpha_p == tp.c_sigma_max
-        assert tp.omega_k_scalar == p * (n - p)  # the Casimir `apply_blocks` uses
+def test_block_constants_closed_form():
+    # blocks (e = 0: 0 not in I; e = n - 2p: 0 in I) carry a = -p and
+    # a = -(n-p); the sandwich swaps them: P_out -> -(n-p) P_in, P_in -> -p P_out
+    op = build_radial_operator(5, 1, L_w=1)
+    assert list(op.block_mult) == [4, 1]
+    assert list(op.block_a) == [-1, -4]
+    assert op.block_s.tolist() == [[0, -1], [-4, 0]]
+    op = build_radial_operator(4, 2, L_w=1)  # n = 2p: one block
+    assert list(op.block_mult) == [6] and op.block_s.tolist() == [[-2]]
+    # every degree up to n = 9 against the dense derivation
+    for n in range(2, 10):
+        for p in range(n + 1):
+            op = build_radial_operator(n, p, L_w=1)
+            tp = op.taup
+            ref = block_structure(tp)
+            for name, value in ref.items():
+                assert np.array_equal(getattr(op, name), value), (n, p, name)
+            assert make_space(Field.REAL, n).rho ** 2 - op.alpha_p == tp.c_sigma_max
+            assert tp.omega_k_scalar == p * (n - p)  # the Casimir `apply_blocks` uses
 
 
 @PROPERTY
