@@ -16,11 +16,11 @@ generating sets that do not generate freely.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _DEFAULT_WORD_CAP = 20_000_000
+_CHUNK = 1 << 16      # rows per block of orbit points turned into distances
 _FORM_TOL = 1e-10
 _TAIL_SHELLS = 4      # shell ratios averaged by the bisection estimator
 _ROOT_XTOL = 1e-14     # relative step at which the delta root is accepted
@@ -201,7 +202,12 @@ class GroupGenerators:
 
 @dataclass
 class OrbitSample:
-    """Distances of an orbit under all freely reduced words up to a cap."""
+    """Distances of an orbit under all freely reduced words up to a cap.
+
+    The sample holds one unsorted distance array per word length (the
+    shells, in enumeration order); counting and summing run shell by
+    shell, so no library path builds a copy of the whole sample.
+    """
 
     model: Model
     base_point: np.ndarray
@@ -209,22 +215,38 @@ class OrbitSample:
     dedup_policy: DedupPolicy
     distances_by_length: list[np.ndarray]
     n_words: int
-    _sorted: Optional[np.ndarray] = field(default=None, repr=False)
 
-    @property
+    @functools.cached_property
     def distances(self) -> np.ndarray:
-        if self._sorted is None:
-            self._sorted = np.sort(np.concatenate(self.distances_by_length))
-        return self._sorted
+        """All distances, sorted: a copy of the whole sample, built on
+        first access."""
+        return np.sort(np.concatenate(self.distances_by_length))
 
     def count_by_radius(self, R) -> np.ndarray:
-        """Orbit counting function N(R), vectorized in R."""
-        return np.searchsorted(self.distances, np.asarray(R, dtype=float), side="right")
+        """Orbit counting function N(R), vectorized in R.
+
+        Each shell's distances up to the largest R are binned against the
+        sorted radii and the bins are summed cumulatively: a distance d is
+        counted at every R >= d.
+        """
+        R = np.asarray(R, dtype=float)
+        order = np.argsort(R, axis=None)
+        radii = R.ravel()[order]
+        top = radii.max(initial=-np.inf)
+        hist = np.zeros(radii.size, dtype=np.intp)
+        for shell in self.distances_by_length:
+            hist += np.bincount(
+                np.searchsorted(radii, shell[shell <= top], side="left"),
+                minlength=radii.size,
+            )
+        counts = np.empty(radii.size, dtype=np.intp)
+        counts[order] = np.cumsum(hist)
+        return counts.reshape(R.shape)[()]  # a scalar for scalar R
 
 
-def _quantize_key(m: np.ndarray) -> bytes:
+def _quantize(mats: np.ndarray) -> np.ndarray:
     # +0.0 normalizes the sign of rounded zeros before hashing
-    return (np.round(m, 9) + 0.0).tobytes()
+    return np.round(mats, 9) + 0.0
 
 
 def _word_cap(max_words: Optional[int]) -> int:
@@ -234,21 +256,84 @@ def _word_cap(max_words: Optional[int]) -> int:
     return int(env) if env else _DEFAULT_WORD_CAP
 
 
+def _blocks(n: int):
+    """Row slices of at most _CHUNK rows, except that a one-row remainder
+    joins the block before it.  A one-row operand takes another BLAS path
+    (dot or gemv instead of gemv or gemm) with other rounding, so blocks
+    have two rows or more whenever the whole array does, and a blocked
+    product or distance equals the unblocked one bit for bit."""
+    start = 0
+    while start < n:
+        stop = start + _CHUNK
+        if stop >= n - 1:
+            stop = n
+        yield slice(start, stop)
+        start = stop
+
+
+def _runs(shells: list[np.ndarray]):
+    """The shells' distances, in order, in arrays of about _CHUNK values:
+    small shells are joined and large ones cut, so a pass with a fixed
+    cost per call pays it per block rather than per shell, and no copy
+    of the whole sample is made."""
+    parts, size = [], 0
+    for d in shells:
+        for rows in _blocks(len(d)):
+            parts.append(d[rows])
+            size += len(parts[-1])
+            if size >= _CHUNK:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+    if parts:
+        yield np.concatenate(parts)
+
+
+def _shell_distances(model: Model, pts: np.ndarray, base: np.ndarray, out: np.ndarray) -> None:
+    """Distances of pts from base, written into out block by block, so the
+    cosh and acosh temporaries stay at _CHUNK rows."""
+    for rows in _blocks(len(pts)):
+        out[rows] = _stable_acosh(model.batch_cosh_distance(pts[rows], base))
+
+
 def _extend_free(
-    letters: list[np.ndarray], prev_pts: np.ndarray, prev_letter: np.ndarray, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Next level under free reduction, written letter by letter into one
-    array of the known size (no per-letter parts to concatenate)."""
-    pts = np.empty((size, prev_pts.shape[1]), dtype=prev_pts.dtype)
-    last = np.empty(size, dtype=np.int8)
+    model: Model,
+    letters: list[np.ndarray],
+    prev_pts: np.ndarray,
+    base: np.ndarray,
+    size: int,
+    keep: bool,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Distances of the next level under free reduction, and its points
+    if keep is set.
+
+    Past the base point a level is m runs of equal length, one per last
+    letter, so the words that letter li may extend are the previous
+    level without the run of its inverse li ^ 1.  They are multiplied
+    block by block, in letter-major order, into a kept level's one
+    array of known size; otherwise each block's products become
+    distances at once and no point of the level is stored.
+    """
+    n = len(prev_pts)
+    run = n // len(letters)  # 0 at the base point: nothing to skip
+    dists = np.empty(size)
+    pts = np.empty((size, prev_pts.shape[1]), dtype=prev_pts.dtype) if keep else None
     off = 0
     for li, g in enumerate(letters):
-        mask = prev_letter != (li ^ 1)
-        cnt = int(np.count_nonzero(mask))
-        np.matmul(prev_pts[mask], g.T, out=pts[off:off + cnt])
-        last[off:off + cnt] = li
-        off += cnt
-    return pts, last
+        skip = (li ^ 1) * run
+        for rows in _blocks(n - run):
+            lo, hi = rows.start, rows.stop
+            block = np.concatenate(
+                (prev_pts[lo:min(hi, skip)], prev_pts[max(lo, skip) + run:hi + run])
+            )
+            out = slice(off + lo, off + hi)
+            if keep:
+                np.matmul(block, g.T, out=pts[out])
+            else:
+                dists[out] = _stable_acosh(model.batch_cosh_distance(block @ g.T, base))
+        off += n - run
+    if keep:
+        _shell_distances(model, pts, base, dists)
+    return dists, pts
 
 
 def _extend_hashed(
@@ -264,9 +349,10 @@ def _extend_hashed(
         if not mask.any():
             continue
         new_mats = np.einsum("ij,njk->nik", g, prev_mats[mask])
+        keys = _quantize(new_mats)
         keep = []
         for idx in range(new_mats.shape[0]):
-            key = _quantize_key(new_mats[idx])
+            key = keys[idx].tobytes()
             if key not in seen:
                 seen.add(key)
                 keep.append(idx)
@@ -289,14 +375,16 @@ def enumerate_orbit(
     """Apply all freely reduced words of length <= max_len to the base point.
 
     Enumeration is lexicographic in the alphabet (g1, g1^-1, g2, ...),
-    level by level; within the free-reduction policy only point orbits
-    are tracked, and each level is written into one array of its known
-    size, so the punctured-torus cap of ~10^7 words stays within a few
-    hundred MB.  Under free reduction level l has exactly m (m-1)^(l-1)
-    words for m letters, so the word cap is checked once, before
-    anything is built; under matrix hashing it is checked after each
-    level.  OrbitOverflow is raised at the first word length whose
-    distances are not finite.
+    level by level.  Within the free-reduction policy only point orbits
+    are tracked: each kept level is written into one array of its known
+    size, a final level larger than one block is never stored (each
+    block of its products becomes distances at once), and distances are
+    computed in blocks of _CHUNK rows.  At the punctured-torus cap of ~10^7 words
+    the peak is the second-to-last level's points plus the distances.
+    Under free reduction level l has exactly m (m-1)^(l-1) words for m
+    letters, so the word cap is checked once, before anything is built;
+    under matrix hashing it is checked after each level.  OrbitOverflow
+    is raised at the first word length whose distances are not finite.
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
@@ -329,9 +417,9 @@ def enumerate_orbit(
     total = 1
     if dedup:
         prev_mats = np.eye(model.ambient_dim, dtype=model.dtype)[None, :, :]
-        seen = {_quantize_key(prev_mats[0])}
+        seen = {_quantize(prev_mats)[0].tobytes()}
+        prev_letter = np.array([-1], dtype=np.int8)
     prev_pts = base_pt[None, :]
-    prev_letter = np.array([-1], dtype=np.int8)
 
     for level in range(1, max_len + 1):
         if dedup:
@@ -342,14 +430,18 @@ def enumerate_orbit(
             total += len(prev_letter)
             if total > cap:
                 raise blowup
+            d = np.empty(len(prev_letter))
+            _shell_distances(model, prev_pts, base_pt, d)
         else:
             if not sizes[level - 1]:
                 break  # no generators: the orbit is the base point
-            prev_pts, prev_letter = _extend_free(
-                letters, prev_pts, prev_letter, sizes[level - 1]
+            # a final level that fits in one block is kept as well, so its
+            # distances come from one pass over it, never from one-row blocks
+            d, prev_pts = _extend_free(
+                model, letters, prev_pts, base_pt, sizes[level - 1],
+                keep=level < max_len or sizes[level - 1] <= _CHUNK,
             )
-            total += len(prev_letter)
-        d = _stable_acosh(model.batch_cosh_distance(prev_pts, base_pt))
+            total += len(d)
         if not np.isfinite(d).all():
             raise OrbitOverflow(
                 f"orbit distances stop being finite at word length {level} "
@@ -382,20 +474,6 @@ class DeltaEstimate:
     growth_fit: float
     bisection: float
     spread: float
-
-
-def _has_three_distinct(d: np.ndarray, decimals: int = 12) -> bool:
-    """Whether sorted distances take at least three values after rounding.
-
-    Rounding is monotone, so on sorted input the values rounding like
-    d[0] form a prefix; a bisection finds its end without a pass over d.
-    """
-    def key(v):
-        return np.round(v, decimals)
-
-    first = key(d[0])
-    i = bisect.bisect_right(d, first, key=key)
-    return i < len(d) and key(d[i]) != key(d[-1])
 
 
 def _log_shell_sum(d: np.ndarray, d_min: float, s: float) -> tuple[float, float]:
@@ -457,13 +535,21 @@ def estimate_delta(
     by bisection, with the derivative -(<d>_last - <d>_(last-k)) from the
     same pass.  (The field keeps its name: it is the CLI's key.)
     """
-    d = sample.distances
-    if not _has_three_distinct(d):
+    shells = sample.distances_by_length
+    ends = np.array([(d.min(), d.max()) for d in shells])
+    rounded = np.round(ends, 12)
+    n_radii = len(np.unique(rounded))
+    if n_radii == 2:
+        # rounding is monotone, so a third radius can only lie strictly
+        # inside a shell whose ends round to the two radii found
+        first, last = rounded.min(), rounded.max()
+        inner = (np.round(d, 12) for d, (a, b) in zip(shells, rounded) if a != b)
+        n_radii += any(((r > first) & (r < last)).any() for r in inner)
+    if n_radii < 3:
         raise DegenerateFit("need at least three distinct radii")
-    last_shell = sample.distances_by_length[-1]
-    r_complete = float(last_shell.min()) if len(last_shell) else float(d[-1])
+    r_complete = float(ends[-1, 0])
     if r_complete <= 0:
-        r_complete = float(d[-1])
+        r_complete = float(ends.max())
     lo, hi = window[0] * r_complete, window[1] * r_complete
     grid = np.linspace(lo, hi, 64)
     counts = sample.count_by_radius(grid)
@@ -472,12 +558,11 @@ def estimate_delta(
         raise DegenerateFit("window too small for the growth fit")
     growth = float(np.polyfit(grid[good], np.log(counts[good]), 1)[0])
 
-    shells = sample.distances_by_length[1:]  # drop the identity shell
-    if len(shells) < 2:
+    if len(shells) < 3:  # the identity shell and two word-length shells
         raise DegenerateFit("need at least two word-length shells")
-    k = min(_TAIL_SHELLS, len(shells) - 1)
+    k = min(_TAIL_SHELLS, len(shells) - 2)
     top, bottom = shells[-1], shells[-1 - k]
-    top_min, bottom_min = float(top.min()), float(bottom.min())
+    top_min, bottom_min = float(ends[-1, 0]), float(ends[-1 - k, 0])
 
     def tail_log_ratio(s: float) -> tuple[float, float]:
         # k times the log of the tail ratio, and its derivative in s
@@ -507,7 +592,8 @@ def pullback_green_partial_sum(
     space: SpaceDescriptor, s: float, sample: OrbitSample
 ) -> float:
     """Partial sum of the scalar Green kernel over nonzero orbit distances,
-    evaluated in one array pass (green0_eval_many)."""
+    one array pass (green0_eval_many) per run of about _CHUNK distances
+    of consecutive shells."""
     if space.field is not sample.model.field or space.n != sample.model.n:
         raise DomainError(
             f"space {space} does not match the sample's model "
@@ -515,9 +601,12 @@ def pullback_green_partial_sum(
         )
     if s <= 0:
         raise DomainError("the comparison requires real s > 0")
-    d = sample.distances
-    d = d[d > 1e-12]
-    return float(green0_eval_many(space, s, d).real.sum())
+    total = 0.0
+    for d in _runs(sample.distances_by_length):
+        d = d[d > 1e-12]
+        if len(d):
+            total += float(green0_eval_many(space, s, d).real.sum())
+    return total
 
 
 # ---------------------------------------------------------------------------

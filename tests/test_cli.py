@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -261,3 +262,55 @@ def test_resolvent_dense_output_over_cap_is_refused(capsys):
     code, out = run(capsys, "resolvent", "--n", "14", "--p", "7", "--s", "1")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "CombinatorialBlowup"
+
+
+GROUPS = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
+
+
+@pytest.mark.parametrize(
+    "group, max_len, row, extra",
+    [
+        (
+            "schottky_l5.json", 9,
+            {"growth_fit": 0.24493526425114567, "bisection": 0.2427786576851491,
+             "spread": 0.0021566065659965605, "n_words": 39365, "max_word_length": 9,
+             "lambda00_at_estimate": 0.25},
+            {"shell_word_counts": [1, 4, 12, 36, 108, 324, 972, 2916, 8748, 26244],
+             "shell_sums_at_growth_fit": [
+                 1, 1.1754111953477884, 1.1639999687281908, 1.1527269908094966,
+                 1.141563198938629, 1.130507524821845, 1.1195589213694725,
+                 1.1087163516364031, 1.097978788720012, 1.0873452156628969]},
+        ),
+        (
+            "cyclic_h3.json", 40,
+            {"growth_fit": 0.011398796928633334, "bisection": 0,
+             "spread": 0.011398796928633334, "n_words": 81, "max_word_length": 40,
+             "lambda00_at_estimate": 1},
+            {"shell_word_counts": [1] + [2] * 40,
+             "shell_sums_at_growth_fit": [
+                 1, 1.93276339507775, 1.8677871706762355, 1.804995336639433,
+                 1.7443144574713685, 1.6856735664527829, 1.62900408264505,
+                 1.5742397306842812, 1.5213164632718172, 1.4701723862704563,
+                 1.4207476863188224, 1.3729845608792126, 1.3268271506371205,
+                 1.282221474173369, 1.2391153648324593, 1.1974584097132945,
+                 1.1572018907109352, 1.1182987275404295, 1.080703422676084,
+                 1.0443720081417864, 1.0092619940901435, 0.9753323191103028,
+                 0.9425433022063423, 0.910856596390062, 0.88023514383391,
+                 0.8506431325315897, 0.822045954415664, 0.7944101648831741,
+                 0.7677034436819393, 0.7418945571117928, 0.716953321496546,
+                 0.692850567883967, 0.6695581079324816, 0.6470487009447089,
+                 0.6252960220092717, 0.6042746312136258, 0.5839599438919014,
+                 0.564328201872962, 0.5453564456950539, 0.5270224877545534,
+                 0.5093048863574063]},
+        ),
+    ],
+)
+def test_delta_output_pinned(capsys, group, max_len, row, extra):
+    # exact values of the enumeration and both estimators: a change to how
+    # orbits are enumerated, counted or summed must not move a digit
+    code, out = run(capsys, "delta", "--group-file", str(GROUPS / group),
+                    "--max-len", str(max_len))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rows"] == [row]
+    assert doc["extra"] == extra

@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypspec import orbits
 from hypspec.errors import (
     CombinatorialBlowup,
     DegenerateFit,
@@ -120,6 +123,21 @@ def test_count_by_radius_monotone():
     assert counts[-1] == sample.n_words
 
 
+def test_count_by_radius_matches_sorted_search():
+    sample = enumerate_orbit(punctured_torus_group(), max_len=6)
+    flat = np.sort(np.concatenate(sample.distances_by_length))
+    rng = np.random.default_rng(11)
+    # exact orbit distances (each taken by several words) and radii between
+    R = np.concatenate([rng.choice(flat, 30), rng.uniform(-1.0, flat[-1] + 1.0, 30),
+                        [0.0, flat[-1]]])
+    rng.shuffle(R)
+    assert np.array_equal(sample.count_by_radius(R), np.searchsorted(flat, R, side="right"))
+    grid = R.reshape(2, 31)
+    assert np.array_equal(sample.count_by_radius(grid),
+                          np.searchsorted(flat, grid, side="right"))
+    assert sample.count_by_radius(float(flat[5])) == np.searchsorted(flat, flat[5], "right")
+
+
 def test_enumeration_deterministic():
     a = enumerate_orbit(punctured_torus_group(), max_len=6)
     b = enumerate_orbit(punctured_torus_group(), max_len=6)
@@ -175,7 +193,9 @@ def test_huge_max_len_raises_at_once():
 
 
 def test_enumeration_peak_memory():
-    # each level is written into one array of its known size
+    # kept levels are written into one array of their known size and the
+    # final level's points are never stored: the peak is the level-11
+    # points, the distances and one block of temporaries
     level_12_bytes = 4 * 3 ** 11 * 3 * 8
     tracemalloc.start()
     try:
@@ -184,7 +204,90 @@ def test_enumeration_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(sample.distances_by_length[-1]) == 4 * 3 ** 11
-    assert peak <= 3 * level_12_bytes
+    assert peak <= 1.25 * level_12_bytes
+
+
+def test_estimate_delta_peak_memory():
+    # counting and the tail sums run shell by shell: no sorted copy of
+    # the sample, at most one temporary the size of the last shell
+    sample = enumerate_orbit(punctured_torus_group(), max_len=12)
+    last_shell_bytes = sample.distances_by_length[-1].nbytes
+    tracemalloc.start()
+    try:
+        estimate_delta(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * last_shell_bytes
+
+
+def unchunked_distances(gens, max_len, base=None):
+    """Free-reduction enumeration as first written: each level's points in
+    one array, its distances in one pass over it, no blocks."""
+    model = gens.model
+    base_pt = model.normalize(
+        np.asarray(base, dtype=model.dtype) if base is not None else model.origin()
+    )
+    letters = [np.asarray(g, dtype=model.dtype)
+               for pair in zip(gens.matrices, gens.inverses()) for g in pair]
+    pts, last = base_pt[None, :], np.array([-1], dtype=np.int8)
+    dists = [np.zeros(1)]
+    for _ in range(max_len):
+        parts, last_parts = [], []
+        for li, g in enumerate(letters):
+            mask = last != (li ^ 1)
+            parts.append(pts[mask] @ g.T)
+            last_parts.append(np.full(np.count_nonzero(mask), li, dtype=np.int8))
+        pts, last = np.concatenate(parts), np.concatenate(last_parts)
+        dists.append(orbits._stable_acosh(model.batch_cosh_distance(pts, base_pt)))
+    return dists
+
+
+def complex_pair():
+    # a translation and a boost composed with a phase, in complex H^2
+    m = ComplexProjective(2)
+    g = np.eye(3, dtype=complex)
+    g[0, 0] = g[2, 2] = math.cosh(1.2)
+    g[0, 2] = g[2, 0] = math.sinh(1.2)
+    h = np.eye(3, dtype=complex)
+    h[1, 1] = h[2, 2] = math.cosh(0.9)
+    h[1, 2] = h[2, 1] = math.sinh(0.9)
+    h[0, 0] = np.exp(0.3j)
+    return GroupGenerators(m, (g, h), ("a", "b"))
+
+
+def dense_translation():
+    # one translation along a generic axis: no zero entries, so every
+    # product rounds, and each level has two points
+    m = RealHyperboloid(3)
+    c, s = math.cos(0.7), math.sin(0.7)
+    rot = np.eye(4)
+    rot[:2, :2] = [[c, -s], [s, c]]
+    h = rot @ boost_matrix(3, 0.9, axis=1) @ boost_matrix(3, 0.4)
+    return GroupGenerators(m, (h @ boost_matrix(3, 1.3) @ np.linalg.inv(h),), ("a",))
+
+
+@pytest.mark.parametrize("chunk", [7, orbits._CHUNK])
+@pytest.mark.parametrize(
+    "gens, max_len, base",
+    [
+        (punctured_torus_group(), 7, None),
+        (schottky_pair(4.0), 6, None),
+        (cyclic_group(3, 3.0), 20, None),
+        (cyclic_group(2, 3.0), 12, [0.5, 0.0, math.sqrt(1.25)]),
+        (dense_translation(), 12, [0.3, -0.2, 0.1, math.sqrt(1.14)]),
+        (complex_pair(), 6, None),
+    ],
+)
+def test_chunking_is_invisible(monkeypatch, chunk, gens, max_len, base):
+    # a small odd block size puts block edges inside every letter's run
+    monkeypatch.setattr(orbits, "_CHUNK", chunk)
+    sample = enumerate_orbit(gens, base=base, max_len=max_len)
+    ref = unchunked_distances(gens, max_len, base)
+    assert len(sample.distances_by_length) == len(ref)
+    for got, want in zip(sample.distances_by_length, ref):
+        assert np.array_equal(got, want)
+    assert sample.n_words == sum(len(d) for d in ref)
 
 
 def test_overflowing_orbit_structured_error():
@@ -332,6 +435,42 @@ def test_estimate_delta_matches_reference_bisection(gens, max_len):
     assert abs(est.bisection - reference_bisection(sample, est.growth_fit)) <= 1e-12
 
 
+def _conjugator(n, length, angle):
+    # a boost along the first axis followed by a rotation in the first plane
+    rot = np.eye(n + 1)
+    if n >= 2:
+        rot[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    return rot @ boost_matrix(n, length)
+
+
+_CONJUGATION_CASES = {
+    "torus": (punctured_torus_group(), 9),
+    "schottky": (schottky_pair(5.0), 8),
+    "cyclic": (cyclic_group(3, 3.0), 30),
+}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_CONJUGATION_CASES)),
+    length=st.floats(0.0, 2.0),
+    angle=st.floats(0.0, 2 * math.pi),
+)
+def test_estimate_delta_conjugation_invariant(case, length, angle):
+    # h Gamma h^-1 acting on h o has the orbit distances of Gamma on o;
+    # only roundoff differs, and it can move a point across a bin edge of
+    # the growth fit's 64 radii, but not the bisection root
+    gens, max_len = _CONJUGATION_CASES[case]
+    h = _conjugator(gens.model.n, length, angle)
+    h_inv = np.linalg.inv(h)
+    conj = GroupGenerators(gens.model, tuple(h @ g @ h_inv for g in gens.matrices),
+                           gens.labels)
+    ref = estimate_delta(enumerate_orbit(gens, max_len=max_len))
+    est = estimate_delta(enumerate_orbit(conj, base=h @ gens.model.origin(), max_len=max_len))
+    assert abs(est.bisection - ref.bisection) <= 1e-12
+    assert abs(est.growth_fit - ref.growth_fit) <= 5e-3
+
+
 def test_estimate_delta_degenerate():
     sample = enumerate_orbit(cyclic_group(2, 2.0), max_len=1)
     with pytest.raises(DegenerateFit):
@@ -469,7 +608,6 @@ def test_pullback_green_identity_only_sample():
     space = make_space(Field.REAL, 3)
     sample = enumerate_orbit(cyclic_group(3, 2.0), max_len=1)
     sample.distances_by_length = [np.zeros(1)]  # strip to the identity
-    sample._sorted = None
     assert pullback_green_partial_sum(space, 1.0, sample) == 0.0
 
 
