@@ -46,6 +46,7 @@ from .resolvent import (
     block_ode_residual,
     form_ode_residual,
     decay_check,
+    psi_coefficient,
     psi_extract,
 )
 from .orbits import (

@@ -44,7 +44,7 @@ from .resolvent import (
     frobenius_solve,
     kernel_blocks,
     kernel_eval,
-    psi_extract,
+    psi_coefficient,
 )
 from .spaces import Field, alpha_p, make_space
 
@@ -259,7 +259,7 @@ def _cmd_resolvent(args) -> OutputEnvelope:
     # decay is a far-field quantity; fit it past the subleading corrections
     fit = decay_check(kern, np.linspace(max(5.0, float(t_grid[0])), 15.0, 11))
     res_max = max(block_ode_residual(kern, float(t)) for t in t_grid)
-    psi, expo = psi_extract(op, kern)
+    psi, expo = psi_coefficient(op, kern)
     rows = [{
         "n": args.n,
         "p": args.p,
@@ -273,7 +273,7 @@ def _cmd_resolvent(args) -> OutputEnvelope:
         "resonance_margin": kern.resonance_margin,
         "has_log_terms": kern.has_log_terms,
         "psi_exponent": expo,
-        "psi_sigma_min": float(abs(psi[0, 0])),  # psi is a multiple of I
+        "psi_sigma_min": abs(psi),  # the psi matrix is psi I
     }]
     grid_rows = []
     for t in t_grid:
@@ -286,7 +286,7 @@ def _cmd_resolvent(args) -> OutputEnvelope:
     extra = {
         "e_values": list(op.e_values),
         "exponents": [complex(m) for m in kern.exponents],
-        "psi_matrix": [[complex(v) for v in row] for row in psi],
+        "psi": psi,
         "kernel_grid": grid_rows,
     }
     if args.p == 0:

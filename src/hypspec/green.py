@@ -33,6 +33,7 @@ from .errors import DegenerateFit, DomainError, PoleOfGamma
 from .hyper import (
     DEFAULT_CONFIG,
     GreenEvalConfig,
+    _INF_EDGE,
     _loggamma,
     _near_nonpositive_int,
     _series_many,
@@ -144,13 +145,13 @@ def green0_eval(
 def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
     """g0(s, r) at every distance in the array r, in one array pass.
 
-    Agrees with green0_eval point by point.  The normalization and the
-    2F1 parameters are computed once.  Points in the series disk
-    (|z| <= 0.9) and in the Pfaff disk (|z/(z-1)| <= 0.9, that is
-    r >~ 0.33) are summed by a masked series that stops each point where
-    the scalar series would; the remaining points (the z -> 1/z
-    connection) and all points when a, b or c is a non-positive integer
-    go through the scalar gauss_2f1.
+    Agrees with green0_eval point by point and takes the same 2F1 branch
+    at every point.  The normalization and the 2F1 parameters are
+    computed once.  Points with |z| < 3 (r >~ 0.55), where gauss_2f1
+    sums the Pfaff series at |z/(z-1)| <= 0.75, are summed by a masked
+    Pfaff series that stops each point where the scalar series would;
+    the remaining points (the z -> 1/z connection) and all points when
+    a, b or c is a non-positive integer go through the scalar gauss_2f1.
     """
     s = complex(s)
     r = np.asarray(r, dtype=float)
@@ -161,20 +162,17 @@ def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
     a, b, c = _hyper_params(space, s)
     L = math.log(2.0) + 2.0 * _log_sinh_many(r)
     z = -np.exp(-L + math.log(2.0))
-    pre = np.exp(_log_norm_constant(space, s) - a * L)
-    F = np.empty(r.shape, dtype=complex)
     if any(_near_nonpositive_int(x) for x in (a, b, c)):
-        scalar = np.ones(r.shape, dtype=bool)
+        pfaff = np.zeros(r.shape, dtype=bool)
     else:
-        thr = cfg.transformation_threshold
-        direct = np.abs(z) <= thr
-        w = z / (z - 1.0)
-        pfaff = ~direct & (np.abs(w) <= thr)
-        F[direct] = _series_many(a, b, c, z[direct], cfg)
-        F[pfaff] = np.exp(-a * np.log1p(-z[pfaff])) * _series_many(a, c - b, c, w[pfaff], cfg)
-        scalar = ~(direct | pfaff)
-    F[scalar] = [gauss_2f1(a, b, c, zi, cfg) for zi in z[scalar]]
-    return pre * F
+        pfaff = z > -_INF_EDGE
+    zp = z[pfaff]
+    F = np.empty(r.shape, dtype=complex)
+    F[pfaff] = _series_many(a, c - b, c, zp / (zp - 1.0), cfg)
+    F[~pfaff] = [gauss_2f1(a, b, c, zi, cfg) for zi in z[~pfaff]]
+    # the Pfaff factor (1 - z)^(-a) joins the prefactor's exponent
+    L[pfaff] += np.log1p(-zp)
+    return np.exp(_log_norm_constant(space, s) - a * L) * F
 
 
 def _log_sinh_many(r: np.ndarray) -> np.ndarray:

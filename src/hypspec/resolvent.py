@@ -50,8 +50,9 @@ new algorithmic content and are rejected):
     dim_v x dim_v matrices, `block_ode_residual` / `form_ode_residual`
     check the radial equation and `decay_check` fits the far-field decay.
 
-5.  `psi_extract` integrates the 2B-state system down to small t and
-    extracts the coefficient of the t^(2-n) singularity.  For p >= 1 the
+5.  `psi_coefficient` integrates the 2B-state system down to small t
+    and extracts the coefficient of the t^(2-n) singularity, one number
+    psi (`psi_extract` expands it to the matrix psi I).  For p >= 1 the
     kernel also carries *stronger* transverse singular sectors (up to
     t^-n); the delta-function normalizer lives in the spherically
     averaged sector ker T, T(X) = sum_r [Y_r, [Y_r, X]], the commutant of
@@ -104,6 +105,7 @@ __all__ = [
     "block_ode_residual",
     "form_ode_residual",
     "decay_check",
+    "psi_coefficient",
     "psi_extract",
 ]
 
@@ -656,21 +658,22 @@ def decay_check(kernel: FrobeniusKernel, t_grid: Sequence[float]) -> float:
     return decay_rate_fit(samples)
 
 
-def psi_extract(
+def psi_coefficient(
     op: RadialOperator,
     kernel: FrobeniusKernel,
     t0: float = 1e-3,
     T: float = 4.0,
     rtol: float = 1e-11,
-) -> tuple[np.ndarray, float]:
-    """Extract the t^(2-n) singularity coefficient of the kernel.
+) -> tuple[complex, float]:
+    """The t^(2-n) singularity coefficient of the kernel, as one number.
 
     Integrates the block system from T down to t0 with initial data from
     the series, projects onto the spherically averaged sector (ker T,
     the trace average), fits the power law, and extrapolates
     vol(S^(n-1)) t^(n-2) F(t) to t -> 0.
 
-    Returns (psi, fitted_singularity_exponent); psi is a multiple of I.
+    Returns (psi, fitted_singularity_exponent); the coefficient matrix
+    is psi times the identity.
     """
     # deferred: importing scipy.integrate takes longer than most CLI
     # calls, and this is the only function that integrates an ODE
@@ -704,4 +707,20 @@ def psi_extract(
     # two smallest t values, Richardson in t^2
     tA, tB = sol.t[-1], sol.t[-2]
     psi = (scaled[-1] * tB ** 2 - scaled[-2] * tA ** 2) / (tB ** 2 - tA ** 2)
-    return op.expand(np.full(B, psi)), float(-slope)
+    return complex(psi), float(-slope)
+
+
+def psi_extract(
+    op: RadialOperator,
+    kernel: FrobeniusKernel,
+    t0: float = 1e-3,
+    T: float = 4.0,
+    rtol: float = 1e-11,
+) -> tuple[np.ndarray, float]:
+    """psi_coefficient expanded to the dim_v x dim_v coefficient matrix,
+    a multiple of I (through RadialOperator.expand and its size guard).
+
+    Returns (psi, fitted_singularity_exponent).
+    """
+    psi, expo = psi_coefficient(op, kernel, t0, T, rtol)
+    return op.expand(np.full(len(op.block_mult), psi)), expo

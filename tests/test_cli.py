@@ -257,11 +257,18 @@ def test_resolvent_grid_rows_csv(capsys):
     assert len(lines) == 6
 
 
-def test_resolvent_dense_output_over_cap_is_refused(capsys):
-    # the psi matrix at (14, 7) would have C(14,7)^2 = 11778624 entries
+def test_resolvent_reports_psi_as_one_number_at_14_7(capsys):
+    # the psi matrix at (14, 7), psi I, would have C(14,7)^2 = 11778624 entries
     code, out = run(capsys, "resolvent", "--n", "14", "--p", "7", "--s", "1")
-    assert code == 3
-    assert json.loads(out)["error"]["type"] == "CombinatorialBlowup"
+    assert code == 0
+    assert len(out) < 10_000
+    doc = json.loads(out)
+    row = doc["rows"][0]
+    psi = doc["extra"]["psi"]
+    assert "psi_matrix" not in doc["extra"]
+    assert row["psi_exponent"] == pytest.approx(12.0, abs=0.02)
+    assert row["psi_sigma_min"] == pytest.approx(math.hypot(psi["re"], psi["im"]), rel=1e-15)
+    assert row["psi_sigma_min"] > 0
 
 
 GROUPS = Path(__file__).resolve().parents[1] / "perfbench" / "groups"

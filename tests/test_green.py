@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypspec.errors import DegenerateFit, DomainError
@@ -196,10 +196,11 @@ ARRAY_SPACES = [
                  (Field.COMPLEX, 2), (Field.COMPLEX, 3), (Field.QUATERNION, 2),
                  (Field.QUATERNION, 3), (Field.OCTONION, 2)]
 ]
-# straddling |z| = 0.9 (r ~ 0.95), the Pfaff threshold (r ~ 0.327) and
-# the large-r branch of log sinh (r = 20)
-EDGE_RADII = [0.02, 0.3, 0.3266, 0.3271, 0.33, 0.9, 0.9513, 0.9515, 1.0,
-              19.999, 20.0, 20.001, 25.0]
+# straddling |z| = 0.9 (r ~ 0.95), |z| = 3 where gauss_2f1 turns from
+# Pfaff to the 1/z connection (r ~ 0.5493), the old Pfaff threshold
+# |z| = 9 (r ~ 0.327) and the large-r branch of log sinh (r = 20)
+EDGE_RADII = [0.02, 0.3, 0.3266, 0.3271, 0.33, 0.5, 0.5492, 0.54930614, 0.5493062,
+              0.5494, 0.6, 0.9, 0.9513, 0.9515, 1.0, 19.999, 20.0, 20.001, 25.0]
 ARRAY_RTOL = 1e-13
 
 
@@ -228,6 +229,26 @@ def test_green_many_every_space_real_and_complex_s():
             assert_many_matches_scalar(space, s, radii)
 
 
+def test_green_many_takes_the_scalar_branch_rule(monkeypatch):
+    # the array path sums Pfaff exactly where gauss_2f1 would (|z| < 3)
+    # and hands every other point to gauss_2f1
+    from hypspec import green
+
+    seen = []
+    scalar = green.gauss_2f1
+
+    def recording(a, b, c, z, cfg):
+        seen.append(z)
+        return scalar(a, b, c, z, cfg)
+
+    monkeypatch.setattr(green, "gauss_2f1", recording)
+    radii = np.array(EDGE_RADII)
+    green0_eval_many(H3, 1.0, radii)
+    edge = math.asinh(3 ** -0.5)  # |z| = 3
+    assert np.allclose(seen, -1.0 / np.sinh(radii[radii < edge]) ** 2, rtol=1e-14, atol=0)
+    assert min(abs(z) for z in seen) >= 3.0
+
+
 def test_green_many_terminating_parameters():
     # R^5 at s = 1: b = (s + 1)/2 - (n - 1)/4 = 0, a terminating 2F1
     assert_many_matches_scalar(make_space(Field.REAL, 5), 1.0, np.geomspace(0.02, 25.0, 40))
@@ -239,3 +260,17 @@ def test_green_many_edge_inputs():
         green0_eval_many(H3, 1.0, np.array([1.0, 0.0]))
     with pytest.raises(DomainError):
         green0_eval_many(H3, -2.0, np.array([1.0]))
+
+
+# Worst residual over these examples: 1.2e-11, at O^2 with s = -0.98 + 1.47i
+# and r = 0.1; the same at the previous 2F1 dispatch.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(ARRAY_SPACES), st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(-2.0, 2.0), st.floats(0.1, 20.0))
+def test_ode_residual_random_s_in_holomorphy_half_plane(space, t, im, r):
+    # Re s spans (-m_alpha/2 + 0.05, 2.5]
+    lo = -space.m_alpha / 2 + 0.05
+    s = complex(lo + t * (2.5 - lo), im)
+    c = s + 1  # a pole of the 2F1 factor at non-positive integers
+    assume(abs(c - min(round(c.real), 0)) > 1e-3)
+    assert green0_ode_residual(space, s, r) <= 1e-8

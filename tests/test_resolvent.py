@@ -28,6 +28,7 @@ from hypspec.resolvent import (
     kernel_blocks,
     kernel_derivatives,
     kernel_eval,
+    psi_coefficient,
     psi_extract,
 )
 from hypspec.spaces import Field, alpha_p, make_space
@@ -231,10 +232,13 @@ def test_block_pipeline_at_14_7_never_expands():
         for expand in expansions:
             with pytest.raises(CombinatorialBlowup, match="11778624 entries"):
                 expand()
+        psi, expo = psi_coefficient(op, kern)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rate == pytest.approx(6.5 + 1.0, abs=2e-2)
+    assert expo == pytest.approx(12.0, abs=0.02)
+    assert abs(psi) > 0
     assert peak < 50 * 2 ** 20
 
 
@@ -370,6 +374,15 @@ def test_psi_extract_examples():
         assert expo == pytest.approx(n - 2, abs=0.02)
         svals = np.linalg.svd(psi, compute_uv=False)
         assert svals[-1] > 0
+
+
+def test_psi_extract_expands_psi_coefficient():
+    for n, p in [(4, 2), (5, 1)]:
+        op, kern = solve(n, p, 0.7 + 0.2j)
+        psi, expo = psi_coefficient(op, kern)
+        mat, expo_mat = psi_extract(op, kern)
+        assert expo_mat == expo
+        assert np.array_equal(mat, psi * np.eye(op.taup.dim_v))
 
 
 def test_psi_scalar_cross_check():
