@@ -37,6 +37,7 @@ from .hyper import (
     _loggamma,
     _near_nonpositive_int,
     _series_many,
+    _terminates,
     gauss_2f1,
 )
 from .spaces import SpaceDescriptor
@@ -162,7 +163,7 @@ def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
     a, b, c = _hyper_params(space, s)
     L = math.log(2.0) + 2.0 * _log_sinh_many(r)
     z = -np.exp(-L + math.log(2.0))
-    if any(_near_nonpositive_int(x) for x in (a, b, c)):
+    if _near_nonpositive_int(c) or _terminates(a, b):
         pfaff = np.zeros(r.shape, dtype=bool)
     else:
         pfaff = z > -_INF_EDGE

@@ -28,9 +28,15 @@ against mpmath is 1.3e-7 (gap 1.1e-8, |z| = 62).  In that band the
 connection is used only where neither the direct nor the Pfaff series
 converges.
 
-An a or b within 1e-8 of a non-positive integer is snapped onto the
-terminating polynomial before any of this, at a relative cost of about
-the gap (1e-8 measured at a = 5e-9).
+An a or b within 1e-15 of a non-positive integer, machine precision at
+these magnitudes, is summed as the terminating polynomial before any of
+this.  Farther off, the series does not terminate and the branches above
+take it: against mpmath, a within 3e-14 to 5e-9 of 0, -1, -2 or -3 with
+gaps b - a of 0.37, 0.5, 1 and 2 and z from -0.3 to -200 came within
+8.6e-15, and within 2.7e-12 with both a and b that near non-positive
+integers.  A wider snap truncates series that do not terminate: at
+1e-8 it put a = -2 + 5e-9, b = 5e-9, z = -200 off by 6.7e-5.  c keeps
+the 1e-8 guard: a c that close to a pole raises PoleOfGamma.
 
 Points that none of these three covers take the 1/z connection when
 |z| >= 1/threshold and the z -> 1-z connection when |1-z| <= threshold;
@@ -56,6 +62,8 @@ from .errors import DomainError, NoConvergence, PoleOfGamma
 __all__ = ["GreenEvalConfig", "gauss_2f1"]
 
 _INT_SNAP = 1e-8
+# a or b this close to a non-positive integer is summed as a polynomial
+_TERMINATING_SNAP = 1e-15
 # |z| from which the z -> 1/z connection competes with the power series
 _INF_EDGE = 3.0
 # a - b this close to an integer, but outside the snap, makes the generic
@@ -118,16 +126,22 @@ def _loggamma(z: complex):
     return _sp.loggamma(z)
 
 
-def _near_nonpositive_int(z: complex) -> bool:
+def _near_nonpositive_int(z: complex, tol: float = _INT_SNAP) -> bool:
     zr = round(z.real)
-    return zr <= 0 and abs(z - zr) < _INT_SNAP
+    return zr <= 0 and abs(z - zr) < tol
 
 
-def _near_int(z: complex) -> int | None:
+def _near_int(z: complex, tol: float = _INT_SNAP) -> int | None:
     zr = round(z.real)
-    if abs(z - zr) < _INT_SNAP:
+    if abs(z - zr) < tol:
         return zr
     return None
+
+
+def _terminates(a: complex, b: complex) -> bool:
+    """Whether gauss_2f1 sums 2F1(a, b; c; z) as a polynomial."""
+    return (_near_nonpositive_int(a, _TERMINATING_SNAP)
+            or _near_nonpositive_int(b, _TERMINATING_SNAP))
 
 
 def _in_near_int_band(d: complex) -> bool:
@@ -175,8 +189,8 @@ def _series_many(a: complex, b: complex, c: complex, z: np.ndarray, cfg: GreenEv
 
 def _terminating(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Polynomial case: a or b a non-positive integer."""
-    ma = _near_int(a)
-    mb = _near_int(b)
+    ma = _near_int(a, _TERMINATING_SNAP)
+    mb = _near_int(b, _TERMINATING_SNAP)
     if ma is not None and ma <= 0 and (mb is None or mb > 0 or ma >= mb):
         nmax = -ma
     else:
@@ -336,7 +350,7 @@ def gauss_2f1(
         raise PoleOfGamma(f"2F1 undefined: c={c} is a non-positive integer")
     if z == 0:
         return 1.0 + 0j
-    if _near_nonpositive_int(a) or _near_nonpositive_int(b):
+    if _terminates(a, b):
         return _terminating(a, b, c, z)
     if z.imag == 0 and z.real >= 1.0:
         raise DomainError(f"z={z} lies on the branch cut [1, inf)")

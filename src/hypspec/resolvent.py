@@ -42,7 +42,10 @@ new algorithmic content and are rejected):
     the E element.  When two exponents differ by an exact integer the
     plain series is obstructed and the logarithmic (t-linear) terms are
     switched on; near-integer gaps inside the resonance floor raise
-    ResonanceDetected instead of returning a poisoned series.
+    ResonanceDetected instead of returning a poisoned series.  All
+    divisors, resonance masks and the first (block, level) that must
+    raise are computed before the recursion, whose loop only forms the
+    W-series of a and b (one matrix product per level) and divides.
 
 4.  `kernel_blocks` evaluates the series and its exact derivatives on
     coefficients, with norms ||sum_j c_j P_j||_F = sqrt(sum_j m_j |c_j|^2)
@@ -50,9 +53,13 @@ new algorithmic content and are rejected):
     dim_v x dim_v matrices, `block_ode_residual` / `form_ode_residual`
     check the radial equation and `decay_check` fits the far-field decay.
 
-5.  `psi_coefficient` integrates the 2B-state system down to small t
-    and extracts the coefficient of the t^(2-n) singularity, one number
-    psi (`psi_extract` expands it to the matrix psi I).  For p >= 1 the
+5.  `psi_coefficient` integrates the 2B-state system
+    y' = sum_i u_i(t) K_i y (`RadialOperator.ode_matrices`, which
+    `apply_blocks` reads too) down to small t with DOP853, in scipy's
+    compiled dop853: its stepping loop runs in Fortran, where the Python
+    loop of `solve_ivp` cost more than the arithmetic.  It extracts the
+    coefficient of the t^(2-n) singularity, one number psi
+    (`psi_extract` expands it to the matrix psi I).  For p >= 1 the
     kernel also carries *stronger* transverse singular sectors (up to
     t^-n); the delta-function normalizer lives in the spherically
     averaged sector ker T, T(X) = sum_r [Y_r, [Y_r, X]], the commutant of
@@ -287,29 +294,61 @@ class RadialOperator:
         over the first axis of c."""
         return self.block_mult @ c / self.block_mult.sum()
 
+    @functools.cached_property
+    def _w_scale(self) -> np.ndarray:
+        """beta^2 - beta - 2a, the block factor of the even W_k."""
+        return float(self.beta ** 2 - self.beta) - 2.0 * self.block_a
+
+    def _w_rows(self, L: int) -> np.ndarray:
+        """Weights of x_m in sum_k W_k(x_(l-k)) for levels l <= L, as
+        rows[l, 0, m] = 2k (k = l - m even) and rows[l, 1, m] = 4k (k odd),
+        zero for m >= l; one table, grown to the largest L asked for."""
+        rows = self.__dict__.get("_w_table")
+        if rows is None or len(rows) <= L:
+            k = np.subtract.outer(np.arange(L + 1), np.arange(L + 1))
+            rows = np.stack([np.where((k > 0) & (k % 2 == 0), 2.0 * k, 0.0),
+                             np.where((k > 0) & (k % 2 == 1), 4.0 * k, 0.0)], axis=1)
+            self.__dict__["_w_table"] = rows  # a cache, beside the frozen fields
+        return rows[:L + 1, :, :L + 1]
+
     def w_series(self, past: np.ndarray) -> np.ndarray:
         """sum_k W_k(x_(l-k)) on coefficient vectors, past[k-1] = x_(l-k)."""
-        k = np.arange(1, len(past) + 1)
-        even = np.where(k % 2 == 0, 2.0 * k, 0.0) @ past
-        odd = np.where(k % 2 == 1, 4.0 * k, 0.0) @ past
-        return (float(self.beta ** 2 - self.beta) - 2.0 * self.block_a) * even + self.block_s @ odd
+        l = len(past)
+        even, odd = self._w_rows(l)[l, :, l - 1::-1] @ past
+        return self._w_scale * even + self.block_s @ odd
 
     @functools.cached_property
     def _shift(self) -> float:
         """alpha_p plus the SO(n) Casimir scalar p(n-p)."""
         return float(self.alpha_p) + self.p * (self.n - self.p)
 
-    def apply_blocks(self, s: complex, f, df, ddf, t: float) -> np.ndarray:
-        """`direct_apply` on block coefficients: the coefficients r_j of
-        (Delta_p - alpha_p + s^2) F(a_t) for F = sum_j f_j P_j."""
+    @staticmethod
+    def ode_coefficients(t: float) -> np.ndarray:
+        """u(t) = (1, coth^2 t + 1/sinh^2 t, 2 cosh t / sinh^2 t, coth t),
+        the weights of `ode_matrices`."""
         coth = 1.0 / math.tanh(t)
         sh2 = math.sinh(t) ** 2
-        return (
-            (s * s - self._shift - (coth * coth + 1.0 / sh2) * self.block_a) * f
-            + 2.0 * math.cosh(t) / sh2 * (self.block_s @ f)
-            - (self.n - 1) * coth * df
-            - ddf
-        )
+        return np.array([1.0, coth * coth + 1.0 / sh2, 2.0 * math.cosh(t) / sh2, coth])
+
+    def ode_matrices(self, s: complex) -> np.ndarray:
+        """The radial equation on blocks as y' = sum_i u_i(t) K_i y with
+        y = (f, f'): the constant 2B x 2B matrices K_i, stacked."""
+        B = len(self.block_mult)
+        eye = np.eye(B)
+        K = np.zeros((4, 2 * B, 2 * B), dtype=complex)
+        K[0, :B, B:] = eye
+        K[0, B:, :B] = (s * s - self._shift) * eye
+        K[1, B:, :B] = -np.diag(self.block_a)
+        K[2, B:, :B] = self.block_s
+        K[3, B:, B:] = -(self.n - 1) * eye
+        return K
+
+    def apply_blocks(self, s: complex, f, df, ddf, t: float) -> np.ndarray:
+        """`direct_apply` on block coefficients: the coefficients r_j of
+        (Delta_p - alpha_p + s^2) F(a_t) for F = sum_j f_j P_j, read off
+        the f'' rows of `ode_matrices`."""
+        y = self.ode_coefficients(t) @ (self.ode_matrices(s) @ np.concatenate([f, df]))
+        return y[len(self.block_mult):] - ddf
 
     def direct_apply(
         self, s: complex, F: np.ndarray, dF: np.ndarray, ddF: np.ndarray, t: float
@@ -507,48 +546,63 @@ def frobenius_solve(
     s = cover.s
     if resonance_floor is None:
         resonance_floor = 1e-8 * (1.0 + abs(s) ** 2)
-    e = np.asarray(op.e_values, dtype=float)
     mus = [cover.exponent_for(ev) for ev in op.e_values]
+    B = len(mus)
     snap_abs = snap_tol * (1.0 + max(abs(m) for m in mus)) ** 2
 
-    coef_a = np.zeros((len(mus), L + 1, len(mus)), dtype=complex)
-    coef_b = np.zeros_like(coef_a)
-    has_log = False
-    margin = math.inf
-    for j, mu in enumerate(mus):
-        a, b = coef_a[j], coef_b[j]
-        a[0, j] = 1.0
+    # every divisor [lam^2 - s^2 - E] of the recursion, d[j, l-1, i] for
+    # lam = mu_j + l, with its resonance masks and the first (block, level)
+    # that must raise; the squares are Python complex products, as the
+    # per-level statement of the recursion forms them
+    lams = [[mu + l for l in range(1, L + 1)] for mu in mus]
+    d = np.array([[lam * lam - s * s for lam in row] for row in lams]).reshape(B, L, 1)
+    d = d - np.asarray(op.e_values, dtype=float)
+    absd = np.abs(d)
+    res = absd <= snap_abs
+    near = ~res & (absd < resonance_floor)
+    double = res.any(axis=2) & (np.abs(lams) < resonance_floor)
+    bad = double | near.any(axis=2)
+    stop, error = (B, 0), None  # (block, level - 1) of the first error
+    if bad.any():
+        stop = j, k = divmod(int(bad.argmax()), L)
+        if double[j, k]:
+            error = f"double root at exponent {lams[j][k]} (level {k + 1} of block {j})"
+        else:
+            error = (f"recursion divisor {d[j, k][near[j, k]][0]:.3g} at level {k + 1} of block "
+                     f"{j} is inside the resonance floor {resonance_floor:.3g}")
+    # resonant entries divide to zero: a stays zero there (the freedom is
+    # a multiple of the other block's solution, fixed to the minimal
+    # choice) and b takes the log-term value below
+    divisor = np.where(res, np.inf, d)
+    has_res = res.any(axis=2).tolist()
+    rows, scale, s_t = op._w_rows(L), op._w_scale, op.block_s.T
+
+    # coef[j, l] = (a_(j,l), b_(j,l)); one matrix product per level forms
+    # the even and odd W-series of both
+    coef = np.zeros((B, L + 1, 2, B), dtype=complex)
+    for j in range(B):
+        x = coef[j]
+        xr = x.reshape(L + 1, 2 * B).view(float)
+        x[0, 0, j] = 1.0
         for l in range(1, L + 1):
-            lam = mu + l
-            rhs_a = op.w_series(a[l - 1::-1])
-            rhs_b = op.w_series(b[l - 1::-1])
-            # block-level solvability of [lam^2 - s^2 - E] X = rhs
-            dvec = (lam * lam - s * s) - e
-            res = np.abs(dvec) <= snap_abs
-            if res.any() and abs(lam) < resonance_floor:
-                raise ResonanceDetected(
-                    f"double root at exponent {lam} (level {l} of block {j})"
-                )
-            near = (~res) & (np.abs(dvec) < resonance_floor)
-            if near.any():
-                raise ResonanceDetected(
-                    f"recursion divisor {dvec[near][0]:.3g} at level {l} of block {j} "
-                    f"is inside the resonance floor {resonance_floor:.3g}"
-                )
-            ok = ~res
-            if ok.any():
-                margin = min(margin, float(np.abs(dvec[ok]).min()))
-            b[l, ok] = rhs_b[ok] / dvec[ok]
-            if res.any():
-                if np.abs(rhs_b[res]).max() > 1e-8 * max(1.0, np.abs(rhs_a).max()):
+            if (j, l - 1) == stop:
+                raise ResonanceDetected(error)
+            even, odd = (rows[l] @ xr).view(complex).reshape(2, 2, B)
+            rhs_a, rhs_b = scale * even + odd @ s_t
+            b = rhs_b / divisor[j, l - 1]
+            lam = lams[j][l - 1]
+            if has_res[j][l - 1]:
+                r = res[j, l - 1]
+                if np.abs(rhs_b[r]).max() > 1e-8 * max(1.0, np.abs(rhs_a).max()):
                     raise ResonanceDetected(
                         "repeated resonance in one block needs t^2 terms; not supported"
                     )
-                b[l, res] = -rhs_a[res] / (2.0 * lam)
-                has_log = True
-            # resonant entries of a stay zero: the freedom is a multiple of
-            # the other block's solution, fixed to the minimal choice
-            a[l, ok] = (rhs_a[ok] + 2.0 * lam * b[l, ok]) / dvec[ok]
+                b[r] = -rhs_a[r] / (2.0 * lam)
+            x[l, 1] = b
+            x[l, 0] = (rhs_a + 2.0 * lam * b) / divisor[j, l - 1]
+    coef_a, coef_b = coef.transpose(2, 0, 1, 3).copy()
+    margin = math.inf if res.all() else float(absd[~res].min())
+    has_log = bool(res.any())
 
     # effective geometric growth of the coefficients, smoothed over a dozen
     # levels (parity of the perturbation makes consecutive ratios oscillate)
@@ -658,6 +712,20 @@ def decay_check(kernel: FrobeniusKernel, t_grid: Sequence[float]) -> float:
     return decay_rate_fit(samples)
 
 
+# dop853 steps allowed between two output times before StiffIntegration
+_PSI_MAX_STEPS = 100_000
+
+
+def _real_form(K: np.ndarray) -> np.ndarray:
+    """Real matrices acting on the interleaved (re, im) view of a complex
+    vector as the complex matrices K (last two axes) act on the vector."""
+    R = np.empty(K.shape[:-2] + (2 * K.shape[-2], 2 * K.shape[-1]))
+    R[..., 0::2, 0::2] = R[..., 1::2, 1::2] = K.real
+    R[..., 0::2, 1::2] = -K.imag
+    R[..., 1::2, 0::2] = K.imag
+    return R
+
+
 def psi_coefficient(
     op: RadialOperator,
     kernel: FrobeniusKernel,
@@ -667,45 +735,59 @@ def psi_coefficient(
 ) -> tuple[complex, float]:
     """The t^(2-n) singularity coefficient of the kernel, as one number.
 
-    Integrates the block system from T down to t0 with initial data from
-    the series, projects onto the spherically averaged sector (ker T,
+    Integrates the block system y' = sum_i u_i(t) K_i y
+    (`RadialOperator.ode_matrices`) from T down to t0 with initial data
+    from the series, projects onto the spherically averaged sector (ker T,
     the trace average), fits the power law, and extrapolates
     vol(S^(n-1)) t^(n-2) F(t) to t -> 0.
+
+    The integrator is DOP853 (Hairer, Norsett and Wanner, Solving Ordinary
+    Differential Equations I), in scipy's compiled dop853
+    (`scipy.integrate.ode`) on the real view of the complex state: the
+    stepping runs in Fortran and each right-hand side is two small matrix
+    products, where `solve_ivp`'s Python stepping loop cost more than the
+    arithmetic.  A failed call raises StiffIntegration.
 
     Returns (psi, fitted_singularity_exponent); the coefficient matrix
     is psi times the identity.
     """
     # deferred: importing scipy.integrate takes longer than most CLI
     # calls, and this is the only function that integrates an ODE
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import ode
 
     if not 0 < t0 < T:
         raise DomainError("need 0 < t0 < T")
     n = op.n
     B = len(op.block_mult)
-    s = kernel.cover.s
     f0, df0, _ = kernel_blocks(kernel, T)
+    K = _real_form(op.ode_matrices(kernel.cover.s)).reshape(4 * 4 * B, 4 * B)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        f, df = y[:B], y[B:]
-        return np.concatenate([df, op.apply_blocks(s, f, df, 0.0, t)])
+        return op.ode_coefficients(t) @ (K @ y).reshape(4, 4 * B)
 
     t_eval = np.geomspace(t0, min(10 * t0, 0.8 * T), 8)[::-1]
-    sol = solve_ivp(rhs, (T, t0), np.concatenate([f0, df0]), method="DOP853",
-                    rtol=rtol, atol=1e-14, t_eval=t_eval)
-    if not sol.success:
-        raise StiffIntegration(f"downward integration failed: {sol.message}")
+    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-14, nsteps=_PSI_MAX_STEPS)
+    solver.set_initial_value(np.concatenate([f0, df0]).view(float), T)
+    y = np.empty((len(t_eval), 2 * B), dtype=complex)
+    with warnings.catch_warnings():
+        # dop853 reports a failed call as a UserWarning "dop853: <reason>"
+        warnings.filterwarnings("error", "dop853", UserWarning)
+        for i, t in enumerate(t_eval):
+            try:
+                y[i] = solver.integrate(t).view(complex)
+            except UserWarning as exc:
+                raise StiffIntegration(f"downward integration failed at t={t:.3g}: {exc}") from None
 
-    g = op.sphere_average(sol.y[:B])
-    scaled = g * vol_sphere(n) * sol.t ** (n - 2)
-    logt = np.log(sol.t)
+    g = op.sphere_average(y[:, :B].T)
+    scaled = g * vol_sphere(n) * t_eval ** (n - 2)
+    logt = np.log(t_eval)
     logn = np.log(np.abs(g))
     slope, intercept = np.polyfit(logt, logn, 1)
     fit_res = float(np.max(np.abs(logn - (slope * logt + intercept))))
     if fit_res > 0.05:
         raise FitFailure(f"power-law fit residual {fit_res:.3g} exceeds tolerance")
     # two smallest t values, Richardson in t^2
-    tA, tB = sol.t[-1], sol.t[-2]
+    tA, tB = t_eval[-1], t_eval[-2]
     psi = (scaled[-1] * tB ** 2 - scaled[-2] * tA ** 2) / (tB ** 2 - tA ** 2)
     return complex(psi), float(-slope)
 

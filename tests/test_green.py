@@ -249,9 +249,19 @@ def test_green_many_takes_the_scalar_branch_rule(monkeypatch):
     assert min(abs(z) for z in seen) >= 3.0
 
 
-def test_green_many_terminating_parameters():
+def test_green_many_terminating_parameters(monkeypatch):
+    from hypspec import green
+
     # R^5 at s = 1: b = (s + 1)/2 - (n - 1)/4 = 0, a terminating 2F1
-    assert_many_matches_scalar(make_space(Field.REAL, 5), 1.0, np.geomspace(0.02, 25.0, 40))
+    radii = np.geomspace(0.02, 25.0, 40)
+    assert_many_matches_scalar(make_space(Field.REAL, 5), 1.0, radii)
+    # 2e-9 off, b = 1e-9 is not snapped: the array path sums it itself
+    scalar_calls = []
+    monkeypatch.setattr(green, "gauss_2f1", lambda *args: scalar_calls.append(args) or 1.0)
+    green0_eval_many(make_space(Field.REAL, 5), 1.0 + 2e-9, radii[radii > 0.6])
+    assert scalar_calls == []
+    monkeypatch.undo()
+    assert_many_matches_scalar(make_space(Field.REAL, 5), 1.0 + 2e-9, radii)
 
 
 def test_green_many_edge_inputs():

@@ -174,6 +174,10 @@ cplx_c = st.builds(complex, st.floats(0.25, 3.0), st.floats(-1.5, 1.5))
 GREEN_SHAPES_RTOL = 6e-14
 INTEGER_GAP_RTOL = 4e-11
 NEAR_INTEGER_GAP_RTOL = 7e-7
+# a within 3e-14 to 5e-9 of 0, -1, -2 or -3, off the terminating snap:
+# worst 8.6e-15 (a = -3 + 5e-9, b = -2 + 5e-9, z = -0.3); 6.7e-5 when a
+# and b within 1e-8 of a non-positive integer were summed as polynomials
+NEAR_TERMINATING_RTOL = 5e-14
 
 
 @PROPERTY
@@ -188,8 +192,8 @@ def test_green_kernel_shapes_against_mpmath(space_s, r):
 @given(cplx_a, st.integers(-14, 14), cplx_c, neg_axis)
 def test_integer_and_half_integer_gaps_against_mpmath(a, twice_gap, c, z):
     b = a + twice_gap / 2
-    # a or b within 1e-8 of a non-positive integer snaps onto a polynomial
-    assume(min(pole_distance(a), pole_distance(b)) > 1e-6)
+    # a or b within 1e-15 of a non-positive integer snaps onto a polynomial
+    assume(min(pole_distance(a), pole_distance(b)) > 1e-15)
     assert mpmath_rel_err(a, b, c, z) <= INTEGER_GAP_RTOL
 
 
@@ -199,6 +203,24 @@ def test_integer_and_half_integer_gaps_against_mpmath(a, twice_gap, c, z):
 def test_near_integer_gaps_against_mpmath(a, m, log_gap, sign, c, z):
     # the generic 1/z connection cancels digits here (hyper module docstring)
     assert mpmath_rel_err(a, a + m + sign * 10.0 ** log_gap, c, z) <= 2e-7
+
+
+@pytest.mark.parametrize("m", [0, -1, -2, -3])
+@pytest.mark.parametrize("offset", [3e-14, -1e-10, 5e-9])
+def test_near_terminating_parameters_against_mpmath(m, offset):
+    a = m + offset
+    for gap in (0.37, 0.5, 1.0, 2.0):
+        for z in (-0.3, -5.0, -200.0):
+            assert mpmath_rel_err(a, a + gap, 1.3 + 0.2j, z) <= NEAR_TERMINATING_RTOL
+
+
+def test_terminating_snap_is_machine_precision():
+    # exactly terminating: the polynomial; 5e-9 off: the general branches
+    # (here the logarithmic 1/z series, a - b = -2), where the 1e-8 snap
+    # returned 1 with a relative error of 6.7e-5
+    assert gauss_2f1(-2.0, 0.5, 1.3, -200.0) == pytest.approx(
+        1 + 2 * 0.5 * 200 / 1.3 + 0.5 * 1.5 * 200 ** 2 / (1.3 * 2.3), rel=1e-14)
+    assert mpmath_rel_err(-2 + 5e-9, 5e-9, 1.3 + 0.2j, -200.0) <= INTEGER_GAP_RTOL
 
 
 def record_series_arguments(monkeypatch):
