@@ -20,7 +20,7 @@ from .bounds import (
     bochner_lower_bound,
     compare,
 )
-from .hyper import GreenEvalConfig, gauss_2f1
+from .hyper import gauss_2f1
 from .green import (
     vol_sphere,
     plancherel_prefactor,

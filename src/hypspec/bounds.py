@@ -74,6 +74,11 @@ def theorem_b_lower_bound(
     to that triviality.  In the middle degree an extra zero eigenvalue is
     possible; it is spectrally isolated while delta < rho + sqrt(alpha_p).
     """
+    return _theorem_b(space, p, delta)[1:]
+
+
+def _theorem_b(space: SpaceDescriptor, p: int, delta: Scalar) -> tuple[Scalar, Scalar, bool, bool]:
+    """(pre-clamp bound, bound, zero_possible, zero_isolated)."""
     _check_delta(space, delta)
     alpha = alpha_p(space, p)
     rho = space.rho
@@ -85,7 +90,7 @@ def theorem_b_lower_bound(
     zero_possible = 2 * p == space.dim
     gap = delta - rho
     zero_isolated = zero_possible and (gap < 0 or gap * gap < alpha)
-    return bound, zero_possible, zero_isolated
+    return raw, bound, zero_possible, zero_isolated
 
 
 def bochner_lower_bound(space: SpaceDescriptor, p: int, delta: Scalar) -> Scalar:
@@ -97,16 +102,9 @@ def bochner_lower_bound(space: SpaceDescriptor, p: int, delta: Scalar) -> Scalar
     return sullivan_corlette(space, delta) + curvature_term_min(space, p)
 
 
-def _theorem_b_raw(space: SpaceDescriptor, p: int, delta: Scalar) -> Scalar:
-    alpha = alpha_p(space, p)
-    rho = space.rho
-    return alpha if delta <= rho else alpha - (delta - rho) ** 2
-
-
 def compare(space: SpaceDescriptor, p: int, delta: Scalar) -> BoundsReport:
     """Both bounds side by side, with their pre-clamp difference."""
-    bound, zero_possible, zero_isolated = theorem_b_lower_bound(space, p, delta)
-    raw = _theorem_b_raw(space, p, delta)
+    raw, bound, zero_possible, zero_isolated = _theorem_b(space, p, delta)
     sc = sullivan_corlette(space, delta)
     try:
         bochner = bochner_lower_bound(space, p, delta)

@@ -65,6 +65,11 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# backslash, quote and the control characters U+0000-U+001F, which JSON
+# strings may not hold unescaped
+_JSON_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _json_render(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
@@ -73,7 +78,7 @@ def _json_render(obj, out: list[str]) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append('"' + obj.translate(_JSON_ESCAPES) + '"')
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -246,6 +251,8 @@ def _cmd_resolvent(args) -> OutputEnvelope:
     space = make_space(Field.REAL, args.n)
     signs = None
     if args.signs:
+        if set(args.signs) - {"+", "-"}:
+            raise DomainError(f"--signs takes only '+' and '-', got {args.signs!r}")
         signs = [1 if ch == "+" else -1 for ch in args.signs]
     op = build_radial_operator(args.n, args.p, L_w=args.order)
     if args.scan:
@@ -435,22 +442,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         envelope = args.fn(args)
-    except NumericalError as exc:
+    except (HypspecError, FileNotFoundError, ValueError) as exc:
         sys.stdout.write(
             to_json({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
         )
-        return EXIT_NUMERICAL
-    except (DomainError, UnknownConstant, FileNotFoundError, ValueError) as exc:
-        sys.stdout.write(
-            to_json({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
-        )
-        return EXIT_DOMAIN
-    except HypspecError as exc:
-        sys.stdout.write(
-            to_json({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
-        )
-        return EXIT_DOMAIN
-    envelope.format = args.format
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_DOMAIN
     sys.stdout.write(envelope.render())
     return EXIT_OK
 

@@ -31,8 +31,6 @@ import numpy as np
 
 from .errors import DegenerateFit, DomainError, PoleOfGamma
 from .hyper import (
-    DEFAULT_CONFIG,
-    GreenEvalConfig,
     _INF_EDGE,
     _loggamma,
     _near_nonpositive_int,
@@ -54,6 +52,8 @@ __all__ = [
 ]
 
 _MIN_RESIDUAL_R = 0.01
+# the two radii small_r_constant extrapolates from
+_SMALL_R_RADII = (1e-3, 1e-4)
 
 
 def vol_sphere(m: int) -> float:
@@ -133,14 +133,9 @@ def _check_s_domain(space: SpaceDescriptor, s: complex) -> None:
         )
 
 
-def green0_eval(
-    space: SpaceDescriptor,
-    s: complex,
-    r: float,
-    config: GreenEvalConfig | None = None,
-) -> complex:
+def green0_eval(space: SpaceDescriptor, s: complex, r: float) -> complex:
     """Green kernel g0(s, r) at geodesic distance r > 0."""
-    return _green0_core(space, complex(s), float(r), config or DEFAULT_CONFIG, 0)[0]
+    return _green0_core(space, complex(s), float(r), 0)[0]
 
 
 def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
@@ -159,7 +154,6 @@ def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
     if np.any(r <= 0):
         raise DomainError(f"geodesic distance must be positive, got r={r[r <= 0][0]}")
     _check_s_domain(space, s)
-    cfg = DEFAULT_CONFIG
     a, b, c = _hyper_params(space, s)
     L = math.log(2.0) + 2.0 * _log_sinh_many(r)
     z = -np.exp(-L + math.log(2.0))
@@ -169,8 +163,8 @@ def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
         pfaff = z > -_INF_EDGE
     zp = z[pfaff]
     F = np.empty(r.shape, dtype=complex)
-    F[pfaff] = _series_many(a, c - b, c, zp / (zp - 1.0), cfg)
-    F[~pfaff] = [gauss_2f1(a, b, c, zi, cfg) for zi in z[~pfaff]]
+    F[pfaff] = _series_many(a, c - b, c, zp / (zp - 1.0))
+    F[~pfaff] = [gauss_2f1(a, b, c, zi) for zi in z[~pfaff]]
     # the Pfaff factor (1 - z)^(-a) joins the prefactor's exponent
     L[pfaff] += np.log1p(-zp)
     return np.exp(_log_norm_constant(space, s) - a * L) * F
@@ -185,22 +179,19 @@ def _log_sinh_many(r: np.ndarray) -> np.ndarray:
 
 
 def green0_derivatives(
-    space: SpaceDescriptor,
-    s: complex,
-    r: float,
-    config: GreenEvalConfig | None = None,
+    space: SpaceDescriptor, s: complex, r: float
 ) -> tuple[complex, complex, complex]:
     """The kernel and its first two radial derivatives, in closed form."""
-    return _green0_core(space, complex(s), float(r), config or DEFAULT_CONFIG, 2)
+    return _green0_core(space, complex(s), float(r), 2)
 
 
 def _green0_core(
     space: SpaceDescriptor,
     s: complex,
     r: float,
-    cfg: GreenEvalConfig,
     order: int,
 ) -> tuple[complex, complex, complex]:
+    """g0 at order 0; g0 and its first two derivatives at order 2."""
     if r <= 0:
         raise DomainError(f"geodesic distance must be positive, got r={r}")
     _check_s_domain(space, s)
@@ -209,7 +200,7 @@ def _green0_core(
     L = math.log(2.0) + 2.0 * ls          # log(2 sinh^2 r)
     z = -math.exp(-L + math.log(2.0))     # -1/sinh^2 r, underflow-safe
     pre = cmath.exp(_log_norm_constant(space, s) - a * L)
-    F0 = gauss_2f1(a, b, c, z, cfg)
+    F0 = gauss_2f1(a, b, c, z)
     g = pre * F0
     if order == 0:
         return g, 0j, 0j
@@ -218,11 +209,9 @@ def _green0_core(
     Lpp = -2.0 / math.sinh(r) ** 2         # L''(r)
     zp = -Lp * z
     zpp = (Lp * Lp - Lpp) * z
-    F1 = a * b / c * gauss_2f1(a + 1, b + 1, c + 1, z, cfg)
+    F1 = a * b / c * gauss_2f1(a + 1, b + 1, c + 1, z)
     dg = pre * (-a * Lp * F0 + zp * F1)
-    if order == 1:
-        return g, dg, 0j
-    F2 = a * (a + 1) * b * (b + 1) / (c * (c + 1)) * gauss_2f1(a + 2, b + 2, c + 2, z, cfg)
+    F2 = a * (a + 1) * b * (b + 1) / (c * (c + 1)) * gauss_2f1(a + 2, b + 2, c + 2, z)
     ddg = pre * (
         (a * Lp) ** 2 * F0
         - a * Lpp * F0
@@ -233,12 +222,7 @@ def _green0_core(
     return g, dg, ddg
 
 
-def green0_ode_residual(
-    space: SpaceDescriptor,
-    s: complex,
-    r: float,
-    config: GreenEvalConfig | None = None,
-) -> float:
+def green0_ode_residual(space: SpaceDescriptor, s: complex, r: float) -> float:
     """Absolute residual of the radial equation, normalized by |g0|.
 
     The kernel solves
@@ -250,7 +234,7 @@ def green0_ode_residual(
         raise DomainError(
             f"residual normalization degenerates for r < {_MIN_RESIDUAL_R}, got {r}"
         )
-    g, dg, ddg = green0_derivatives(space, s, r, config)
+    g, dg, ddg = green0_derivatives(space, s, r)
     d, n = space.d, space.n
     rho = float(space.rho)
     coeff = (d * n - 1) / math.tanh(r) + (d - 1) * math.tanh(r)
@@ -276,30 +260,24 @@ def decay_rate_fit(samples: Sequence[tuple[float, float]]) -> float:
     return float(slope)
 
 
-def small_r_constant(
-    space: SpaceDescriptor,
-    s: complex,
-    radii: tuple[float, float] = (1e-3, 1e-4),
-    config: GreenEvalConfig | None = None,
-) -> float:
+def small_r_constant(space: SpaceDescriptor, s: complex) -> float:
     """Extrapolated short-distance constant; equals 1 when the kernel
     satisfies  g0 ~ r^(2-dn)/vol(S^(dn-1))  (or the log law for dn = 2).
 
-    Two radii are combined by linear extrapolation in the leading
-    correction variable: r^min(dn-2, 2) in general, 1/log(1/r) for dn=2.
+    The radii 1e-3 and 1e-4 are combined by linear extrapolation in the
+    leading correction variable: r^min(dn-2, 2) in general, 1/log(1/r)
+    for dn=2.
     """
-    r1, r2 = radii
-    if not 0 < r2 < r1:
-        raise DomainError("radii must satisfy 0 < r2 < r1")
+    r1, r2 = _SMALL_R_RADII
     dn = space.dim
     if dn > 2:
         vol = vol_sphere(dn)
-        v1 = (green0_eval(space, s, r1, config) * r1 ** (dn - 2) * vol).real
-        v2 = (green0_eval(space, s, r2, config) * r2 ** (dn - 2) * vol).real
+        v1 = (green0_eval(space, s, r1) * r1 ** (dn - 2) * vol).real
+        v2 = (green0_eval(space, s, r2) * r2 ** (dn - 2) * vol).real
         kap = min(dn - 2, 2)
         w1, w2 = r1 ** kap, r2 ** kap
         return (v2 * w1 - v1 * w2) / (w1 - w2)
-    u1 = (green0_eval(space, s, r1, config) * 2.0 * math.pi / (-math.log(r1))).real
-    u2 = (green0_eval(space, s, r2, config) * 2.0 * math.pi / (-math.log(r2))).real
+    u1 = (green0_eval(space, s, r1) * 2.0 * math.pi / (-math.log(r1))).real
+    u2 = (green0_eval(space, s, r2) * 2.0 * math.pi / (-math.log(r2))).real
     L1, L2 = -math.log(r1), -math.log(r2)
     return (u2 * L2 - u1 * L1) / (L2 - L1)

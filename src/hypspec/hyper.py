@@ -4,8 +4,7 @@ Each point is summed at the smallest convergent argument.  The
 candidates are z itself (the defining power series), z/(z-1) (the Pfaff
 map) and 1/z (the z -> 1/z connection); the one with the smallest
 modulus wins, ties going to the direct series.  A series argument is
-convergent when its modulus is at most the configured threshold (0.9 by
-default).
+convergent when its modulus is at most 0.9 (_THRESHOLD).
 
 The 1/z connection is a candidate only for |z| >= 3 (_INF_EDGE).  Below
 that edge the Pfaff series is the more accurate choice: on 1500 random
@@ -39,7 +38,7 @@ integers.  A wider snap truncates series that do not terminate: at
 the 1e-8 guard: a c that close to a pole raises PoleOfGamma.
 
 Points that none of these three covers take the 1/z connection when
-|z| >= 1/threshold and the z -> 1-z connection when |1-z| <= threshold;
+|z| >= 1/0.9 and the z -> 1-z connection when |1-z| <= 0.9;
 elsewhere (around exp(+-i pi/3)) NoConvergence is raised.  The 1-z
 connection perturbs c when c - a - b is near an integer, which this
 library's own callers never hit; its documented accuracy is ~1e-8.
@@ -53,14 +52,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, PoleOfGamma
 
-__all__ = ["GreenEvalConfig", "gauss_2f1"]
+__all__ = ["gauss_2f1"]
 
+# every series stops at the first term below _SERIES_TOL relative to its
+# partial sum, or raises NoConvergence after _MAX_TERMS terms
+_SERIES_TOL = 1e-14
+_MAX_TERMS = 10000
+# largest |argument| at which a series is summed
+_THRESHOLD = 0.9
 _INT_SNAP = 1e-8
 # a or b this close to a non-positive integer is summed as a polynomial
 _TERMINATING_SNAP = 1e-15
@@ -69,24 +73,6 @@ _INF_EDGE = 3.0
 # a - b this close to an integer, but outside the snap, makes the generic
 # 1/z connection cancel digits
 _NEAR_INT_BAND = 1e-2
-
-
-@dataclass(frozen=True)
-class GreenEvalConfig:
-    """Tolerances shared by the hypergeometric and Green-kernel evaluators."""
-
-    series_tolerance: float = 1e-14
-    max_terms: int = 10000
-    transformation_threshold: float = 0.9
-
-    def __post_init__(self) -> None:
-        if self.series_tolerance <= 0:
-            raise DomainError("series_tolerance must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-
-
-DEFAULT_CONFIG = GreenEvalConfig()
 
 
 class _DeferredSpecial:
@@ -148,21 +134,21 @@ def _in_near_int_band(d: complex) -> bool:
     return _INT_SNAP <= abs(d - round(d.real)) < _NEAR_INT_BAND
 
 
-def _series(a: complex, b: complex, c: complex, z: complex, cfg: GreenEvalConfig) -> complex:
+def _series(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Defining power series; caller guarantees convergence region."""
     term = 1.0 + 0j
     total = 1.0 + 0j
-    for k in range(cfg.max_terms):
+    for k in range(_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
-        if abs(term) <= cfg.series_tolerance * max(1.0, abs(total)):
+        if abs(term) <= _SERIES_TOL * max(1.0, abs(total)):
             return total
     raise NoConvergence(
-        f"2F1 series did not converge within {cfg.max_terms} terms at z={z}"
+        f"2F1 series did not converge within {_MAX_TERMS} terms at z={z}"
     )
 
 
-def _series_many(a: complex, b: complex, c: complex, z: np.ndarray, cfg: GreenEvalConfig) -> np.ndarray:
+def _series_many(a: complex, b: complex, c: complex, z: np.ndarray) -> np.ndarray:
     """_series at every point of the 1-d array z, with the same term
     recurrence and stopping test: each point leaves the sum at the term
     where the scalar series would stop."""
@@ -170,19 +156,19 @@ def _series_many(a: complex, b: complex, c: complex, z: np.ndarray, cfg: GreenEv
     active = np.arange(len(z))
     term = np.ones(len(z), dtype=complex)
     total = np.ones(len(z), dtype=complex)
-    for k in range(cfg.max_terms):
+    for k in range(_MAX_TERMS):
         if not active.size:
             break
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
-        done = np.abs(term) <= cfg.series_tolerance * np.maximum(1.0, np.abs(total))
+        done = np.abs(term) <= _SERIES_TOL * np.maximum(1.0, np.abs(total))
         if done.any():
             out[active[done]] = total[done]
             keep = ~done
             active, z, term, total = active[keep], z[keep], term[keep], total[keep]
     if active.size:
         raise NoConvergence(
-            f"2F1 series did not converge within {cfg.max_terms} terms at z={z[0]}"
+            f"2F1 series did not converge within {_MAX_TERMS} terms at z={z[0]}"
         )
     return out
 
@@ -203,38 +189,32 @@ def _terminating(a: complex, b: complex, c: complex, z: complex) -> complex:
     return total
 
 
-def _inf_connection_generic(
-    a: complex, b: complex, c: complex, z: complex, cfg: GreenEvalConfig
-) -> complex:
+def _inf_connection_generic(a: complex, b: complex, c: complex, z: complex) -> complex:
     """z -> 1/z connection, valid when a - b is not an integer."""
     t1 = (
         _gamma(c) * _gamma(b - a) * _rgamma(b) * _rgamma(c - a)
         * (-z) ** (-a)
-        * _series(a, a - c + 1, a - b + 1, 1 / z, cfg)
+        * _series(a, a - c + 1, a - b + 1, 1 / z)
     )
     t2 = (
         _gamma(c) * _gamma(a - b) * _rgamma(a) * _rgamma(c - b)
         * (-z) ** (-b)
-        * _series(b, b - c + 1, b - a + 1, 1 / z, cfg)
+        * _series(b, b - c + 1, b - a + 1, 1 / z)
     )
     return t1 + t2
 
 
-def _inf_connection(
-    a: complex, b: complex, c: complex, z: complex, cfg: GreenEvalConfig
-) -> complex:
+def _inf_connection(a: complex, b: complex, c: complex, z: complex) -> complex:
     """z -> 1/z connection: the logarithmic series when a - b snaps to an
     integer, the generic formula otherwise."""
     hi, lo = (b, a) if (b - a).real >= 0 else (a, b)
     m = _near_int(hi - lo)
     if m is not None:
-        return _inf_connection_integer(lo, m, c, z, cfg)
-    return _inf_connection_generic(a, b, c, z, cfg)
+        return _inf_connection_integer(lo, m, c, z)
+    return _inf_connection_generic(a, b, c, z)
 
 
-def _inf_connection_integer(
-    a: complex, m: int, c: complex, z: complex, cfg: GreenEvalConfig
-) -> complex:
+def _inf_connection_integer(a: complex, m: int, c: complex, z: complex) -> complex:
     """z -> 1/z connection for b = a + m, m a non-negative integer.
 
     Limit form of the generic connection: a finite sum of powers plus a
@@ -264,7 +244,7 @@ def _inf_connection_integer(
     x = c - a - m
     j0 = _near_int(x)
     if j0 is None:
-        pole_from = cfg.max_terms
+        pole_from = _MAX_TERMS
     else:
         x = complex(j0)
         pole_from = max(j0, 0)
@@ -280,13 +260,13 @@ def _inf_connection_integer(
         psi_b = _digamma(a + m)       # psi(a+m+k)
         psi_x = _digamma(x)           # psi(x)
     total = 0.0 + 0j
-    for k in range(cfg.max_terms):
+    for k in range(_MAX_TERMS):
         if k < pole_from:
             term = prod * (L + psi_k + psi_mk - psi_b - psi_x)
         else:
             term = prod
         total += term
-        if k > 1 and abs(term) <= cfg.series_tolerance * max(abs(total), 1e-300):
+        if k > 1 and abs(term) <= _SERIES_TOL * max(abs(total), 1e-300):
             return fin + pre * total
         y = a + m + k
         prod *= -y / ((m + k + 1.0) * (k + 1.0) * z)
@@ -301,50 +281,39 @@ def _inf_connection_integer(
     raise NoConvergence(f"logarithmic 1/z series did not converge at z={z}")
 
 
-def _one_minus_connection(
-    a: complex, b: complex, c: complex, z: complex, cfg: GreenEvalConfig
-) -> complex:
+def _one_minus_connection(a: complex, b: complex, c: complex, z: complex) -> complex:
     """z -> 1-z connection; perturbs c when c - a - b is near an integer."""
     if _near_int(c - a - b) is not None:
         # documented fallback: ~1e-8 accuracy from the symmetric perturbation
         eps = 1e-6
         return 0.5 * (
-            _one_minus_generic(a, b, c + eps, z, cfg)
-            + _one_minus_generic(a, b, c - eps, z, cfg)
+            _one_minus_generic(a, b, c + eps, z)
+            + _one_minus_generic(a, b, c - eps, z)
         )
-    return _one_minus_generic(a, b, c, z, cfg)
+    return _one_minus_generic(a, b, c, z)
 
 
-def _one_minus_generic(
-    a: complex, b: complex, c: complex, z: complex, cfg: GreenEvalConfig
-) -> complex:
+def _one_minus_generic(a: complex, b: complex, c: complex, z: complex) -> complex:
     w = 1.0 - z
     t1 = (
         _gamma(c) * _gamma(c - a - b) * _rgamma(c - a) * _rgamma(c - b)
-        * _series(a, b, a + b - c + 1, w, cfg)
+        * _series(a, b, a + b - c + 1, w)
     )
     t2 = (
         _gamma(c) * _gamma(a + b - c) * _rgamma(a) * _rgamma(b)
         * w ** (c - a - b)
-        * _series(c - a, c - b, c - a - b + 1, w, cfg)
+        * _series(c - a, c - b, c - a - b + 1, w)
     )
     return t1 + t2
 
 
-def gauss_2f1(
-    a: complex,
-    b: complex,
-    c: complex,
-    z: complex,
-    config: GreenEvalConfig | None = None,
-) -> complex:
+def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric function 2F1(a, b; c; z).
 
     Supports complex parameters and complex argument off the branch cut
     [1, inf).  Raises PoleOfGamma when c is a non-positive integer and
     DomainError on the cut.
     """
-    cfg = config or DEFAULT_CONFIG
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if _near_nonpositive_int(c):
         raise PoleOfGamma(f"2F1 undefined: c={c} is a non-positive integer")
@@ -355,21 +324,20 @@ def gauss_2f1(
     if z.imag == 0 and z.real >= 1.0:
         raise DomainError(f"z={z} lies on the branch cut [1, inf)")
 
-    thr = cfg.transformation_threshold
     az = abs(z)
     w = z / (z - 1.0)
     aw = abs(w)
     # 1/z beats the direct and Pfaff arguments everywhere past the edge
-    if az >= max(_INF_EDGE, 1.0 / thr) and (aw > thr or not _in_near_int_band(a - b)):
-        return _inf_connection(a, b, c, z, cfg)
-    if min(az, aw) <= thr:
+    if az >= _INF_EDGE and (aw > _THRESHOLD or not _in_near_int_band(a - b)):
+        return _inf_connection(a, b, c, z)
+    if min(az, aw) <= _THRESHOLD:
         if az <= aw:
-            return _series(a, b, c, z, cfg)
-        return (1.0 - z) ** (-a) * _series(a, c - b, c, w, cfg)
-    if az >= 1.0 / thr:
-        return _inf_connection(a, b, c, z, cfg)
-    if abs(1.0 - z) <= thr:
-        return _one_minus_connection(a, b, c, z, cfg)
+            return _series(a, b, c, z)
+        return (1.0 - z) ** (-a) * _series(a, c - b, c, w)
+    if az >= 1.0 / _THRESHOLD:
+        return _inf_connection(a, b, c, z)
+    if abs(1.0 - z) <= _THRESHOLD:
+        return _one_minus_connection(a, b, c, z)
     raise NoConvergence(
         f"no convergent transformation for z={z} (near the unit-circle crossing points)"
     )

@@ -54,6 +54,7 @@ __all__ = [
 _DEFAULT_WORD_CAP = 20_000_000
 _CHUNK = 1 << 16      # rows per block of orbit points turned into distances
 _FORM_TOL = 1e-10
+_FIT_WINDOW = (0.5, 1.0)  # growth-fit radii, as fractions of the completeness radius
 _TAIL_SHELLS = 4      # shell ratios averaged by the bisection estimator
 _ROOT_XTOL = 1e-14     # relative step at which the delta root is accepted
 
@@ -180,7 +181,6 @@ class GroupGenerators:
     model: Model
     matrices: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
-    free: bool = True   # caller's assertion; recorded, not verified
 
     def __post_init__(self) -> None:
         J = self.model.form_matrix()
@@ -511,10 +511,7 @@ def _safeguarded_newton(fn, lo: float, hi: float, x: float) -> float:
     return x
 
 
-def estimate_delta(
-    sample: OrbitSample,
-    window: tuple[float, float] = (0.5, 1.0),
-) -> DeltaEstimate:
+def estimate_delta(sample: OrbitSample) -> DeltaEstimate:
     """Two truncation-biased estimators of the critical exponent.
 
     growth_fit: least-squares slope of log N(R) over a window of the
@@ -522,9 +519,9 @@ def estimate_delta(
     every orbit point out to roughly the smallest distance reached by
     the final word-length shell (beyond it, longer words would still
     contribute: severe for groups with parabolic elements), so the fit
-    window is taken as fractions of that completeness radius.  The
-    default (0.5, 1.0) keeps the outer half of it, away from small-R
-    transients; both endpoints are tunable.
+    window is taken as fractions of that completeness radius:
+    _FIT_WINDOW = (0.5, 1.0) keeps the outer half of it, away from
+    small-R transients.
     bisection: abscissa where the geometric-tail model of the partial
     sums switches between convergence and divergence.  The last
     word-length shells T_l(s) = sum exp(-s d) are modelled as a
@@ -550,7 +547,7 @@ def estimate_delta(
     r_complete = float(ends[-1, 0])
     if r_complete <= 0:
         r_complete = float(ends.max())
-    lo, hi = window[0] * r_complete, window[1] * r_complete
+    lo, hi = _FIT_WINDOW[0] * r_complete, _FIT_WINDOW[1] * r_complete
     grid = np.linspace(lo, hi, 64)
     counts = sample.count_by_radius(grid)
     good = counts > 0

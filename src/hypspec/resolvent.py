@@ -264,7 +264,6 @@ class RadialOperator:
     beta: Fraction              # (n-1)/2
     alpha_p: Fraction
     L_w: int
-    q_parity: frozenset[str]    # which parities of q-powers carry nonzero maps
     e_values: tuple[int, ...]
     block_of: np.ndarray
     block_mult: np.ndarray
@@ -409,14 +408,9 @@ def build_radial_operator(n: int, p: int, L_w: int = 40) -> RadialOperator:
         raise AssemblyMismatch(
             f"rho^2 - c(sigma_max) = {alpha_machine} != table value {alpha_table}"
         )
-    parities = set()
-    if beta != 1 or p not in (0, n):
-        parities.add("even")
-    if 0 < p < n:
-        parities.add("odd")  # the two-sided sandwich maps sit at odd orders
     return RadialOperator(
-        n=n, p=p, beta=beta, alpha_p=alpha_table, L_w=L_w, q_parity=frozenset(parities),
-        e_values=e_values, **_block_constants(n, p, len(e_values)),
+        n=n, p=p, beta=beta, alpha_p=alpha_table, L_w=L_w, e_values=e_values,
+        **_block_constants(n, p, len(e_values)),
     )
 
 
@@ -482,6 +476,15 @@ def cover_point(
     )
 
 
+# frobenius_solve: a divisor within _SNAP_TOL (1 + max |mu|)^2 of zero is a
+# resonance, absorbed by t-linear terms; one farther off but within
+# _RESONANCE_FLOOR (1 + |s|^2) raises ResonanceDetected
+_SNAP_TOL = 1e-10
+_RESONANCE_FLOOR = 1e-8
+# largest truncated-tail estimate, relative to the kernel, that kernel_blocks accepts
+_TAIL_RTOL = 1e-6
+
+
 @dataclass
 class FrobeniusKernel:
     """Truncated series solution decaying at infinity.
@@ -500,15 +503,14 @@ class FrobeniusKernel:
     resonance_margin: float
     has_log_terms: bool
     growth_ratio: float = field(default=1.0)
-    tail_rtol: float = field(default=1e-6)
 
     @property
     def t_min(self) -> float:
         """Advisory smallest t at which the truncated tail stays below
-        tail_rtol; evaluation re-checks the bound pointwise."""
+        _TAIL_RTOL; evaluation re-checks the bound pointwise."""
         return max(
             math.log(max(self.growth_ratio, 1.0))
-            - math.log(self.tail_rtol) / max(self.truncation, 1),
+            - math.log(_TAIL_RTOL) / max(self.truncation, 1),
             0.02,
         )
 
@@ -528,27 +530,20 @@ class FrobeniusKernel:
         return self._expand(self.coef_b)
 
 
-def frobenius_solve(
-    op: RadialOperator,
-    cover: CoverPoint,
-    L: int = 40,
-    resonance_floor: Optional[float] = None,
-    snap_tol: float = 1e-10,
-) -> FrobeniusKernel:
+def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> FrobeniusKernel:
     """Solve the block recursion for the decaying solution.
 
-    Exponent gaps that are integers to within snap_tol are absorbed with
+    Exponent gaps that are integers to within _SNAP_TOL are absorbed with
     t-linear (logarithmic in q) terms; gaps inside the resonance floor
     but not exactly integer raise ResonanceDetected.  A ratio test on
     the last coefficients emits TruncationWarning when the tail fails to
     decay.
     """
     s = cover.s
-    if resonance_floor is None:
-        resonance_floor = 1e-8 * (1.0 + abs(s) ** 2)
+    resonance_floor = _RESONANCE_FLOOR * (1.0 + abs(s) ** 2)
     mus = [cover.exponent_for(ev) for ev in op.e_values]
     B = len(mus)
-    snap_abs = snap_tol * (1.0 + max(abs(m) for m in mus)) ** 2
+    snap_abs = _SNAP_TOL * (1.0 + max(abs(m) for m in mus)) ** 2
 
     # every divisor [lam^2 - s^2 - E] of the recursion, d[j, l-1, i] for
     # lam = mu_j + l, with its resonance masks and the first (block, level)
@@ -651,9 +646,9 @@ def kernel_blocks(
     ddv = np.einsum("jl,jli->i", E, lam * lam * term - 2.0 * lam * b)
     tail = op.block_norm(a[:, -1]) @ np.exp(-(mu.real + kernel.truncation) * t) / (1.0 - ratio)
     vnorm = float(op.block_norm(v))
-    if vnorm > 0 and tail > kernel.tail_rtol * vnorm:
+    if vnorm > 0 and tail > _TAIL_RTOL * vnorm:
         raise TailBoundExceeded(
-            f"truncated tail estimate {tail:.3g} exceeds {kernel.tail_rtol:.1g} "
+            f"truncated tail estimate {tail:.3g} exceeds {_TAIL_RTOL:.1g} "
             f"of the kernel at t={t} (threshold t ~ {kernel.t_min:.3f})"
         )
     coth = 1.0 / math.tanh(t)
@@ -712,7 +707,12 @@ def decay_check(kernel: FrobeniusKernel, t_grid: Sequence[float]) -> float:
     return decay_rate_fit(samples)
 
 
-# dop853 steps allowed between two output times before StiffIntegration
+# psi_coefficient integrates from _PSI_T down to _PSI_T0 with relative
+# tolerance _PSI_RTOL, allowing _PSI_MAX_STEPS dop853 steps between two
+# output times before StiffIntegration
+_PSI_T0 = 1e-3
+_PSI_T = 4.0
+_PSI_RTOL = 1e-11
 _PSI_MAX_STEPS = 100_000
 
 
@@ -726,17 +726,11 @@ def _real_form(K: np.ndarray) -> np.ndarray:
     return R
 
 
-def psi_coefficient(
-    op: RadialOperator,
-    kernel: FrobeniusKernel,
-    t0: float = 1e-3,
-    T: float = 4.0,
-    rtol: float = 1e-11,
-) -> tuple[complex, float]:
+def psi_coefficient(op: RadialOperator, kernel: FrobeniusKernel) -> tuple[complex, float]:
     """The t^(2-n) singularity coefficient of the kernel, as one number.
 
     Integrates the block system y' = sum_i u_i(t) K_i y
-    (`RadialOperator.ode_matrices`) from T down to t0 with initial data
+    (`RadialOperator.ode_matrices`) from t = 4 down to 1e-3 with initial data
     from the series, projects onto the spherically averaged sector (ker T,
     the trace average), fits the power law, and extrapolates
     vol(S^(n-1)) t^(n-2) F(t) to t -> 0.
@@ -755,19 +749,17 @@ def psi_coefficient(
     # calls, and this is the only function that integrates an ODE
     from scipy.integrate import ode
 
-    if not 0 < t0 < T:
-        raise DomainError("need 0 < t0 < T")
     n = op.n
     B = len(op.block_mult)
-    f0, df0, _ = kernel_blocks(kernel, T)
+    f0, df0, _ = kernel_blocks(kernel, _PSI_T)
     K = _real_form(op.ode_matrices(kernel.cover.s)).reshape(4 * 4 * B, 4 * B)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return op.ode_coefficients(t) @ (K @ y).reshape(4, 4 * B)
 
-    t_eval = np.geomspace(t0, min(10 * t0, 0.8 * T), 8)[::-1]
-    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-14, nsteps=_PSI_MAX_STEPS)
-    solver.set_initial_value(np.concatenate([f0, df0]).view(float), T)
+    t_eval = np.geomspace(_PSI_T0, min(10 * _PSI_T0, 0.8 * _PSI_T), 8)[::-1]
+    solver = ode(rhs).set_integrator("dop853", rtol=_PSI_RTOL, atol=1e-14, nsteps=_PSI_MAX_STEPS)
+    solver.set_initial_value(np.concatenate([f0, df0]).view(float), _PSI_T)
     y = np.empty((len(t_eval), 2 * B), dtype=complex)
     with warnings.catch_warnings():
         # dop853 reports a failed call as a UserWarning "dop853: <reason>"
@@ -792,17 +784,11 @@ def psi_coefficient(
     return complex(psi), float(-slope)
 
 
-def psi_extract(
-    op: RadialOperator,
-    kernel: FrobeniusKernel,
-    t0: float = 1e-3,
-    T: float = 4.0,
-    rtol: float = 1e-11,
-) -> tuple[np.ndarray, float]:
+def psi_extract(op: RadialOperator, kernel: FrobeniusKernel) -> tuple[np.ndarray, float]:
     """psi_coefficient expanded to the dim_v x dim_v coefficient matrix,
     a multiple of I (through RadialOperator.expand and its size guard).
 
     Returns (psi, fitted_singularity_exponent).
     """
-    psi, expo = psi_coefficient(op, kernel, t0, T, rtol)
+    psi, expo = psi_coefficient(op, kernel)
     return op.expand(np.full(len(op.block_mult), psi)), expo

@@ -21,8 +21,6 @@ from .errors import CurvatureUnavailable, DomainError, UnknownConstant
 __all__ = [
     "Field",
     "SpaceDescriptor",
-    "ExteriorPower",
-    "LefschetzType",
     "make_space",
     "alpha_p",
     "casimir_m_exterior",
@@ -75,29 +73,6 @@ def make_space(field: Field | str, n: int) -> SpaceDescriptor:
         m_2alpha=d - 1,
         rho=rho,
     )
-
-
-@dataclass(frozen=True)
-class ExteriorPower:
-    """Label for the q-th exterior power of the vector representation of SO(n-1)."""
-
-    q: int
-
-    def validate(self, n: int) -> None:
-        if not 0 <= self.q <= n - 1:
-            raise DomainError(f"exterior power q={self.q} out of range for SO({n - 1})")
-
-
-@dataclass(frozen=True)
-class LefschetzType:
-    """Label (r, s) for a primitive-form type in the complex case."""
-
-    r: int
-    s: int
-
-    def validate(self, n: int) -> None:
-        if self.r < 0 or self.s < 0 or self.r + self.s > n:
-            raise DomainError(f"Lefschetz label ({self.r},{self.s}) out of range for n={n}")
 
 
 def _hodge_reflect(space: SpaceDescriptor, p: int) -> int:

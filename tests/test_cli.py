@@ -196,6 +196,21 @@ def test_float_serialization_17_digits():
     assert to_json({"x": 2.0 + 0.25j}) == '{"x": {"re": 2, "im": 0.25}}'
 
 
+def test_json_escapes_control_characters(capsys):
+    assert to_json('a"b\\c\n\x00\x1f\x7f') == '"a\\"b\\\\c\\u000a\\u0000\\u001f\x7f"'
+    code, out = run(capsys, "green", "--field", "R", "--n", "3", "--s", "1",
+                    "--r-grid", "0.5:1:2\n")
+    assert code == 0
+    assert json.loads(out)["parameters"]["r_grid"] == "0.5:1:2\n"
+
+
+def test_resolvent_rejects_unknown_sign_characters(capsys):
+    # only + and - name a branch sign
+    code, out = run(capsys, "resolvent", "--n", "5", "--p", "1", "--s", "1", "--signs", "x")
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_seed_flag_removed(capsys):
     # --seed was a reserved no-op (no command samples); it is now unknown
     with pytest.raises(SystemExit) as exc:
@@ -321,3 +336,17 @@ def test_delta_output_pinned(capsys, group, max_len, row, extra):
     doc = json.loads(out)
     assert doc["rows"] == [row]
     assert doc["extra"] == extra
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["delta", "--group-file", str(GROUPS / "schottky_l5.json"), "--max-len", "20"],
+     "CombinatorialBlowup"),
+    (["bounds", "--field", "O", "--n", "2", "--p", "2", "--delta", "5"], "UnknownConstant"),
+])
+def test_library_errors_exit_3(monkeypatch, capsys, argv, error):
+    monkeypatch.delenv("HYPSPEC_MAX_WORDS", raising=False)
+    code, out = run(capsys, *argv)
+    assert code == 3
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert doc["error"]["type"] == error and doc["error"]["message"]

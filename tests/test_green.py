@@ -237,9 +237,9 @@ def test_green_many_takes_the_scalar_branch_rule(monkeypatch):
     seen = []
     scalar = green.gauss_2f1
 
-    def recording(a, b, c, z, cfg):
+    def recording(a, b, c, z):
         seen.append(z)
-        return scalar(a, b, c, z, cfg)
+        return scalar(a, b, c, z)
 
     monkeypatch.setattr(green, "gauss_2f1", recording)
     radii = np.array(EDGE_RADII)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypspec import hyper
 from hypspec.errors import DomainError, NoConvergence, PoleOfGamma
 from hypspec.green import green0_derivatives
-from hypspec.hyper import DEFAULT_CONFIG, GreenEvalConfig, _inf_connection_integer, gauss_2f1
+from hypspec.hyper import _inf_connection_integer, gauss_2f1
 from hypspec.spaces import make_space
 
 mpmath.mp.dps = 30
@@ -105,17 +105,10 @@ def test_branch_cut_rejected():
         gauss_2f1(0.5, 0.7, 1.3, 1.5)
 
 
-def test_no_convergence_budget():
-    cfg = GreenEvalConfig(series_tolerance=1e-14, max_terms=3)
+def test_no_convergence_budget(monkeypatch):
+    monkeypatch.setattr(hyper, "_MAX_TERMS", 3)
     with pytest.raises(NoConvergence):
-        gauss_2f1(0.5, 1.7, 1.1, 0.89, cfg)
-
-
-def test_config_validation():
-    with pytest.raises(DomainError):
-        GreenEvalConfig(series_tolerance=0.0)
-    with pytest.raises(DomainError):
-        GreenEvalConfig(max_terms=0)
+        gauss_2f1(0.5, 1.7, 1.1, 0.89)
 
 
 def test_green_kernel_parameter_shapes():
@@ -227,9 +220,9 @@ def record_series_arguments(monkeypatch):
     seen = []
     series = hyper._series
 
-    def recording(a, b, c, z, cfg):
+    def recording(a, b, c, z):
         seen.append(abs(z))
-        return series(a, b, c, z, cfg)
+        return series(a, b, c, z)
 
     monkeypatch.setattr(hyper, "_series", recording)
     return seen
@@ -266,12 +259,14 @@ def test_near_integer_band_keeps_pfaff_where_it_converges(monkeypatch):
         (3.0, 4, 7.0),
     ],
 )
-def test_log_series_past_the_gamma_overflow(a, m, c):
+def test_log_series_past_the_gamma_overflow(monkeypatch, a, m, c):
     # at |z| = 1.25 these need more than 170 terms, where 1/Gamma(x) and
     # the pole limits (-1)^i i! pass 1e308 on their own
     z = -1.25
-    with pytest.raises(NoConvergence):
-        _inf_connection_integer(a, m, c, z, GreenEvalConfig(max_terms=170))
+    with monkeypatch.context() as mp:
+        mp.setattr(hyper, "_MAX_TERMS", 170)
+        with pytest.raises(NoConvergence):
+            _inf_connection_integer(a, m, c, z)
     ref = complex(mpmath.hyp2f1(a, a + m, c, z))
-    val = _inf_connection_integer(a, m, c, z, DEFAULT_CONFIG)
+    val = _inf_connection_integer(a, m, c, z)
     assert val == pytest.approx(ref, rel=5e-13)

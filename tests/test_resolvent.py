@@ -33,7 +33,7 @@ from hypspec.resolvent import (
 )
 from hypspec.spaces import Field, alpha_p, make_space
 
-from dense_oracle import operator_series_error, w_apply
+from dense_oracle import operator_series_error
 
 
 def solve(n, p, s, L=40, signs=None):
@@ -114,19 +114,6 @@ def test_operator_series_matches_direct_evaluation():
         op = build_radial_operator(n, p, L_w=30)
         for t in [2.0, 3.0]:
             assert operator_series_error(op, 1.0 + 0.2j, t) < 1e-10
-
-
-def test_q_parity_metadata():
-    # two-sided sandwich maps sit at odd orders whenever 0 < p < n, so
-    # both parities occur there; the scalar cases are even-only (or
-    # empty for n = 3 where the conjugation potential cancels exactly)
-    assert build_radial_operator(4, 2, L_w=4).q_parity == {"even", "odd"}
-    assert build_radial_operator(5, 1, L_w=4).q_parity == {"even", "odd"}
-    assert build_radial_operator(5, 0, L_w=4).q_parity == {"even"}
-    assert build_radial_operator(3, 0, L_w=4).q_parity == set()
-    op = build_radial_operator(4, 2, L_w=4)
-    X = np.eye(op.taup.dim_v, dtype=complex)
-    assert np.linalg.norm(w_apply(op, 1, X)) > 0  # odd orders genuinely nonzero
 
 
 # --------------------------------------------------------------- cover point
@@ -393,12 +380,6 @@ def test_psi_scalar_cross_check():
     ratio = kernel_eval(kern, 6.0)[0, 0] / green0_eval(sp, 1.0, 6.0)
     assert expo == pytest.approx(1.0, abs=0.02)
     assert abs(psi[0, 0] - ratio) / abs(ratio) < 0.01
-
-
-def test_psi_extract_rejects_bad_window():
-    op, kern = solve(4, 1, 1.0)
-    with pytest.raises(DomainError):
-        psi_extract(op, kern, t0=5.0, T=4.0)
 
 
 def test_d_spectrum_all_small_dimensions():

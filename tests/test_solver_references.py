@@ -73,13 +73,13 @@ def outcome(fn):
         return FitFailure, None
 
 
-def check_recursion(n, p, s, signs=None, snap_tol=1e-10):
+def check_recursion(n, p, s, signs=None):
     op = build_radial_operator(n, p, L_w=1)
     cp = cover_point(make_space(Field.REAL, n), p, s, signs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)  # the reference does not test growth
-        got = outcome(lambda: frobenius_solve(op, cp, L=40, snap_tol=snap_tol))
-    want = outcome(lambda: recursion_reference(op, cp, L=40, snap_tol=snap_tol))
+        got = outcome(lambda: frobenius_solve(op, cp, L=40))
+    want = outcome(lambda: recursion_reference(op, cp, L=40, snap_tol=resolvent._SNAP_TOL))
     if want[0] is ResonanceDetected:
         assert got == want
         return want
@@ -106,7 +106,7 @@ def test_recursion_matches_reference_at_resonances(nps):
     check_recursion(*nps)
 
 
-def test_recursion_reference_cases():
+def test_recursion_reference_cases(monkeypatch):
     assert check_recursion(5, 1, 1.0) is True
     assert check_recursion(4, 1, 0.5) is True
     assert check_recursion(5, 1, 1.0 + 3e-9)[1].startswith("recursion divisor")
@@ -116,8 +116,10 @@ def test_recursion_reference_cases():
     assert check_recursion(5, 1, 1.0, [-1]) is True
     # 1e-5 off, with a snap wide enough to treat those levels as resonant,
     # the obstruction at level 3 is not zero
-    assert check_recursion(5, 1, 1.0 + 1e-5, [-1], snap_tol=1e-3) == (
-        ResonanceDetected, "repeated resonance in one block needs t^2 terms; not supported")
+    with monkeypatch.context() as mp:
+        mp.setattr(resolvent, "_SNAP_TOL", 1e-3)
+        assert check_recursion(5, 1, 1.0 + 1e-5, [-1]) == (
+            ResonanceDetected, "repeated resonance in one block needs t^2 terms; not supported")
     # mu_1 = -sqrt(s^2 + 4) = -2 at s = 0: lam = mu_1 + 2 = 0 is resonant with block 0
     assert check_recursion(6, 1, 0.0, [-1]) == (
         ResonanceDetected, "double root at exponent 0j (level 2 of block 1)")
@@ -193,17 +195,17 @@ def test_step_cap_raises_stiff_integration(monkeypatch):
         psi_coefficient(op, kern)
 
 
-def test_window_without_power_law_raises_fit_failure():
+def test_window_without_power_law_raises_fit_failure(monkeypatch):
     op, kern = solve_5_1()
     # on [0.5, 3.2] the kernel decays exponentially, not as a power of t
+    monkeypatch.setattr(resolvent, "_PSI_T0", 0.5)
     with pytest.raises(FitFailure, match="power-law fit residual"):
-        psi_coefficient(op, kern, t0=0.5)
+        psi_coefficient(op, kern)
 
 
 @pytest.mark.parametrize("patch,error", [
     (lambda mp: mp.setattr(resolvent, "_PSI_MAX_STEPS", 10), "StiffIntegration"),
-    (lambda mp: mp.setattr(resolvent.psi_coefficient, "__defaults__", (0.5, 4.0, 1e-11)),
-     "FitFailure"),
+    (lambda mp: mp.setattr(resolvent, "_PSI_T0", 0.5), "FitFailure"),
 ])
 def test_cli_psi_failures_exit_4(monkeypatch, capsys, patch, error):
     patch(monkeypatch)

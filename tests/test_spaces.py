@@ -172,16 +172,3 @@ def test_everything_is_exact_rational():
         assert isinstance(sp.rho, Fraction)
         for p in range(sp.dim + 1):
             assert isinstance(alpha_p(sp, p), Fraction)
-
-
-def test_mtype_labels_validate():
-    from hypspec.spaces import ExteriorPower, LefschetzType
-
-    ExteriorPower(2).validate(5)
-    with pytest.raises(DomainError):
-        ExteriorPower(5).validate(5)  # q range is [0, n-1]
-    LefschetzType(1, 1).validate(3)
-    with pytest.raises(DomainError):
-        LefschetzType(2, 2).validate(3)
-    with pytest.raises(DomainError):
-        LefschetzType(-1, 0).validate(3)
