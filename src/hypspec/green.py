@@ -15,15 +15,19 @@ prefactor f(s) through the Legendre duplication identity
 
     C(s) = max(dn-2, 1) * f(s) * 2^(-(s+rho)/2).
 
-Derivatives for the equation residual are computed in closed form via
-the contiguous relation d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z),
-so the residual measures only formula and series error, with no
-finite-difference noise floor.
+Derivatives for the equation residual come from one 2F1 pass per point:
+the order-2 entry of `hyper` differentiates each series term by term
+(the termwise form of d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z)),
+never through the hypergeometric equation, so the residual measures
+only formula and series error, with no finite-difference noise floor.
+The 2F1 parameters and log C(s) are computed once per (d, n, s) and
+kept in an LRU cache (hyper._CACHE_SIZE entries).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Sequence
 
@@ -31,7 +35,9 @@ import numpy as np
 
 from .errors import DegenerateFit, DomainError, PoleOfGamma
 from .hyper import (
+    _CACHE_SIZE,
     _INF_EDGE,
+    _gauss_2f1_core,
     _loggamma,
     _near_nonpositive_int,
     _series_many,
@@ -93,29 +99,38 @@ def plancherel_prefactor(space: SpaceDescriptor, s: complex) -> complex:
     return complex(cmath.exp(logf))
 
 
-def _hyper_params(space: SpaceDescriptor, s: complex) -> tuple[complex, complex, complex]:
-    rho = float(space.rho)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _kernel_constants(d: int, n: int, s: complex) -> tuple[complex, complex, complex, complex]:
+    """The 2F1 parameters (a, b, c) and log C(s) of the kernel on the space
+    with base-field dimension d and rank-one dimension n.
+
+    Keyed on (d, n, s) rather than on the SpaceDescriptor, whose Fraction
+    is slow to hash.  Raises DomainError at or below the holomorphy
+    boundary and PoleOfGamma where C(s) has a pole.
+    """
+    m_alpha, m_2alpha = d * (n - 1), d - 1
+    if s.real <= -m_alpha / 2.0:
+        raise DomainError(
+            f"spectral parameter Re s = {s.real} at or below the holomorphy "
+            f"boundary -{m_alpha / 2}"
+        )
+    rho = m_alpha / 2.0 + m_2alpha
     a = (s + rho) / 2.0
-    b = (s + 1.0) / 2.0 - space.d * (space.n - 1) / 4.0
+    b = (s + 1.0) / 2.0 - m_alpha / 4.0
     c = s + 1.0
-    return a, b, c
-
-
-def _log_norm_constant(space: SpaceDescriptor, s: complex) -> complex:
-    """log C(s), with C fixed by the short-distance law."""
-    a, b, c = _hyper_params(space, s)
-    dn = space.dim
     _check_gamma_args(a, c - b)
-    kappa = max(dn - 2, 1)
-    return (
+    # C(s) is fixed by the short-distance law
+    dn = d * n
+    log_c = (
         a * math.log(2.0)
-        + math.log(kappa)
+        + math.log(max(dn - 2, 1))
         + _loggamma(a)
         + _loggamma(c - b)
         - math.log(4.0)
         - (dn / 2.0) * math.log(math.pi)
         - _loggamma(c)
     )
+    return a, b, c, log_c
 
 
 def _log_sinh(r: float) -> float:
@@ -123,14 +138,6 @@ def _log_sinh(r: float) -> float:
     if r > 20.0:
         return r - math.log(2.0) + math.log1p(-math.exp(-2.0 * r))
     return math.log(math.sinh(r))
-
-
-def _check_s_domain(space: SpaceDescriptor, s: complex) -> None:
-    if s.real <= -space.m_alpha / 2.0:
-        raise DomainError(
-            f"spectral parameter Re s = {s.real} at or below the holomorphy "
-            f"boundary -{space.m_alpha / 2}"
-        )
 
 
 def green0_eval(space: SpaceDescriptor, s: complex, r: float) -> complex:
@@ -153,8 +160,7 @@ def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DomainError(f"geodesic distance must be positive, got r={r[r <= 0][0]}")
-    _check_s_domain(space, s)
-    a, b, c = _hyper_params(space, s)
+    a, b, c, log_c = _kernel_constants(space.d, space.n, s)
     L = math.log(2.0) + 2.0 * _log_sinh_many(r)
     z = -np.exp(-L + math.log(2.0))
     if _near_nonpositive_int(c) or _terminates(a, b):
@@ -167,7 +173,7 @@ def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
     F[~pfaff] = [gauss_2f1(a, b, c, zi) for zi in z[~pfaff]]
     # the Pfaff factor (1 - z)^(-a) joins the prefactor's exponent
     L[pfaff] += np.log1p(-zp)
-    return np.exp(_log_norm_constant(space, s) - a * L) * F
+    return np.exp(log_c - a * L) * F
 
 
 def _log_sinh_many(r: np.ndarray) -> np.ndarray:
@@ -194,24 +200,22 @@ def _green0_core(
     """g0 at order 0; g0 and its first two derivatives at order 2."""
     if r <= 0:
         raise DomainError(f"geodesic distance must be positive, got r={r}")
-    _check_s_domain(space, s)
-    a, b, c = _hyper_params(space, s)
+    a, b, c, log_c = _kernel_constants(space.d, space.n, s)
     ls = _log_sinh(r)
     L = math.log(2.0) + 2.0 * ls          # log(2 sinh^2 r)
     z = -math.exp(-L + math.log(2.0))     # -1/sinh^2 r, underflow-safe
-    pre = cmath.exp(_log_norm_constant(space, s) - a * L)
-    F0 = gauss_2f1(a, b, c, z)
-    g = pre * F0
+    pre = cmath.exp(log_c - a * L)
     if order == 0:
-        return g, 0j, 0j
+        return pre * gauss_2f1(a, b, c, z), 0j, 0j
+    # F and its first two z-derivatives from one pass over each series
+    F0, F1, F2 = _gauss_2f1_core(a, b, c, complex(z), 2)
+    g = pre * F0
     coth = 1.0 / math.tanh(r)
     Lp = 2.0 * coth                        # L'(r)
     Lpp = -2.0 / math.sinh(r) ** 2         # L''(r)
     zp = -Lp * z
     zpp = (Lp * Lp - Lpp) * z
-    F1 = a * b / c * gauss_2f1(a + 1, b + 1, c + 1, z)
     dg = pre * (-a * Lp * F0 + zp * F1)
-    F2 = a * (a + 1) * b * (b + 1) / (c * (c + 1)) * gauss_2f1(a + 2, b + 2, c + 2, z)
     ddg = pre * (
         (a * Lp) ** 2 * F0
         - a * Lpp * F0
@@ -235,9 +239,8 @@ def green0_ode_residual(space: SpaceDescriptor, s: complex, r: float) -> float:
             f"residual normalization degenerates for r < {_MIN_RESIDUAL_R}, got {r}"
         )
     g, dg, ddg = green0_derivatives(space, s, r)
-    d, n = space.d, space.n
-    rho = float(space.rho)
-    coeff = (d * n - 1) / math.tanh(r) + (d - 1) * math.tanh(r)
+    rho = space.m_alpha / 2.0 + space.m_2alpha
+    coeff = (space.dim - 1) / math.tanh(r) + space.m_2alpha * math.tanh(r)
     res = ddg + coeff * dg + (rho * rho - s * s) * g
     return abs(res) / abs(g)
 

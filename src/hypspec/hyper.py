@@ -43,6 +43,26 @@ elsewhere (around exp(+-i pi/3)) NoConvergence is raised.  The 1-z
 connection perturbs c when c - a - b is near an integer, which this
 library's own callers never hit; its documented accuracy is ~1e-8.
 
+The first two z-derivatives come from the same pass (_gauss_2f1_core at
+order 2, the entry the Green kernel's derivatives use), term by term:
+the termwise form of d/dz 2F1(a, b; c; z) = (ab/c) 2F1(a+1, b+1; c+1; z),
+never the hypergeometric equation.  Next to each partial sum the loop
+carries weighted sums of the same terms t_k: k t_k and k(k-1) t_k (z F'
+and z^2 F'') for the direct series and the 1/z connections, whose
+powers (-z)^(-e-k) are differentiated in closed form; t_k (a+k)/(c+k)
+and its next factor for the Pfaff series, which the same Pfaff map
+takes to F' and F''; and, for the logarithmic series, its terms with
+psi(a+m+k) raised to psi(a+m+k+1) and psi(a+m+k+2), which absorb the
+derivative of the logarithm.  A series stops only when all three sums
+have converged.  The 1-z connection alone sums the shifted functions.
+
+Whatever does not depend on z is computed once per parameter triple and
+kept in small LRU caches (_CACHE_SIZE entries each): the pole,
+terminating and near-integer-band tests, the integer gap, the Gamma
+products of the generic 1/z connection and the finite part, prefactor
+and starting digamma and reciprocal-Gamma values of the logarithmic
+series.
+
 scipy.special is imported on the first Gamma-function call, not at
 import time: the exact-arithmetic parts of the package never need it.
 This module is the one place hypspec binds it.
@@ -51,6 +71,7 @@ This module is the one place hypspec binds it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -73,6 +94,8 @@ _INF_EDGE = 3.0
 # a - b this close to an integer, but outside the snap, makes the generic
 # 1/z connection cancel digits
 _NEAR_INT_BAND = 1e-2
+# parameter triples each constants cache keeps
+_CACHE_SIZE = 256
 
 
 class _DeferredSpecial:
@@ -134,6 +157,29 @@ def _in_near_int_band(d: complex) -> bool:
     return _INT_SNAP <= abs(d - round(d.real)) < _NEAR_INT_BAND
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _params(
+    a: complex, b: complex, c: complex
+) -> tuple[bool, int | None, bool, tuple[complex, int] | None]:
+    """What the branch rule reads of (a, b, c) alone: whether c sits at a
+    pole of Gamma, the degree of the terminating polynomial (None when
+    the series does not terminate), whether a - b lies in the
+    near-integer band, and (lower parameter, integer gap) when a - b
+    snaps to an integer (the logarithmic series; else None)."""
+    degree = None
+    if _terminates(a, b):
+        ma = _near_int(a, _TERMINATING_SNAP)
+        mb = _near_int(b, _TERMINATING_SNAP)
+        if ma is not None and ma <= 0 and (mb is None or mb > 0 or ma >= mb):
+            degree = -ma
+        else:
+            degree = -mb  # type: ignore[operator]
+    hi, lo = (b, a) if (b - a).real >= 0 else (a, b)
+    m = _near_int(hi - lo)
+    gap = None if m is None else (lo, m)
+    return _near_nonpositive_int(c), degree, _in_near_int_band(a - b), gap
+
+
 def _series(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Defining power series; caller guarantees convergence region."""
     term = 1.0 + 0j
@@ -143,6 +189,58 @@ def _series(a: complex, b: complex, c: complex, z: complex) -> complex:
         total += term
         if abs(term) <= _SERIES_TOL * max(1.0, abs(total)):
             return total
+    raise NoConvergence(
+        f"2F1 series did not converge within {_MAX_TERMS} terms at z={z}"
+    )
+
+
+def _series_d2(
+    a: complex, b: complex, c: complex, z: complex
+) -> tuple[complex, complex, complex]:
+    """The defining power series with its termwise derivatives: the sums
+    of t_k, k t_k and k(k-1) t_k over its terms t_k, which are F, z F'
+    and z^2 F''.  Stops where all three sums have converged."""
+    term = 1.0 + 0j
+    s0 = 1.0 + 0j
+    s1 = s2 = 0j
+    for k in range(_MAX_TERMS):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+        t1 = (k + 1) * term
+        s0 += term
+        s1 += t1
+        s2 += k * t1
+        if (abs(term) <= _SERIES_TOL * max(1.0, abs(s0))
+                and abs(t1) <= _SERIES_TOL * abs(s1)
+                and abs(k * t1) <= _SERIES_TOL * abs(s2)):
+            return s0, s1, s2
+    raise NoConvergence(
+        f"2F1 series did not converge within {_MAX_TERMS} terms at z={z}"
+    )
+
+
+def _series_raised(
+    a: complex, b: complex, c: complex, z: complex
+) -> tuple[complex, complex, complex]:
+    """The defining power series with its terms t_k also weighted by
+    q_k = (a+k)/(c+k) and by q_k q_(k+1): the three sums are 2F1(a, b; c; z),
+    (a/c) 2F1(a+1, b; c+1; z) and (a(a+1)/(c(c+1))) 2F1(a+2, b; c+2; z).
+    Stops where all three sums have converged."""
+    term = 1.0 + 0j
+    q = a / c
+    s0 = s1 = s2 = 0j
+    for k in range(_MAX_TERMS):
+        q_next = (a + k + 1) / (c + k + 1)
+        t1 = term * q
+        t2 = t1 * q_next
+        s0 += term
+        s1 += t1
+        s2 += t2
+        if (abs(term) <= _SERIES_TOL * max(1.0, abs(s0))
+                and abs(t1) <= _SERIES_TOL * abs(s1)
+                and abs(t2) <= _SERIES_TOL * abs(s2)):
+            return s0, s1, s2
+        term *= q * (b + k) / (k + 1) * z
+        q = q_next
     raise NoConvergence(
         f"2F1 series did not converge within {_MAX_TERMS} terms at z={z}"
     )
@@ -173,48 +271,125 @@ def _series_many(a: complex, b: complex, c: complex, z: np.ndarray) -> np.ndarra
     return out
 
 
-def _terminating(a: complex, b: complex, c: complex, z: complex) -> complex:
+def _direct(
+    a: complex, b: complex, c: complex, z: complex, order: int
+) -> tuple[complex, complex, complex]:
+    """The defining series at z."""
+    if order == 0:
+        return _series(a, b, c, z), 0j, 0j
+    s0, s1, s2 = _series_d2(a, b, c, z)
+    return s0, s1 / z, s2 / (z * z)
+
+
+def _pfaff(
+    a: complex, b: complex, c: complex, z: complex, w: complex, order: int
+) -> tuple[complex, complex, complex]:
+    """Pfaff map: 2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; w), w = z/(z-1).
+
+    The same map takes (ab/c) 2F1(a+1, b+1; c+1; z) to b (1-z)^(-a-1)
+    times the series at w with its k-th term weighted by (a+k)/(c+k),
+    and the second derivative likewise, so both come from the terms of
+    the one series.  (Differentiating the series in w by the chain rule
+    instead cancels digits near |z| = 3: 3.9e-12 relative in F'' at
+    a = 5.76, |w| = 0.75.)
+    """
+    P = (1.0 - z) ** (-a)
+    if order == 0:
+        return P * _series(a, c - b, c, w), 0j, 0j
+    s0, s1, s2 = _series_raised(a, c - b, c, w)
+    u = 1.0 / (1.0 - z)
+    return P * s0, b * P * u * s1, b * (b + 1) * P * u * u * s2
+
+
+def _terminating(
+    a: complex, b: complex, c: complex, z: complex, degree: int, order: int
+) -> tuple[complex, complex, complex]:
     """Polynomial case: a or b a non-positive integer."""
-    ma = _near_int(a, _TERMINATING_SNAP)
-    mb = _near_int(b, _TERMINATING_SNAP)
-    if ma is not None and ma <= 0 and (mb is None or mb > 0 or ma >= mb):
-        nmax = -ma
-    else:
-        nmax = -mb  # type: ignore[operator]
     term = 1.0 + 0j
-    total = 1.0 + 0j
-    for k in range(nmax):
+    s0 = 1.0 + 0j
+    s1 = s2 = 0j
+    for k in range(degree):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total += term
-    return total
+        s0 += term
+        if order:
+            t1 = (k + 1) * term
+            s1 += t1
+            s2 += k * t1
+    if order == 0:
+        return s0, 0j, 0j
+    return s0, s1 / z, s2 / (z * z)
 
 
-def _inf_connection_generic(a: complex, b: complex, c: complex, z: complex) -> complex:
-    """z -> 1/z connection, valid when a - b is not an integer."""
-    t1 = (
-        _gamma(c) * _gamma(b - a) * _rgamma(b) * _rgamma(c - a)
-        * (-z) ** (-a)
-        * _series(a, a - c + 1, a - b + 1, 1 / z)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _generic_constants(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
+    """Gamma products of the two terms of the generic 1/z connection."""
+    return (
+        _gamma(c) * _gamma(b - a) * _rgamma(b) * _rgamma(c - a),
+        _gamma(c) * _gamma(a - b) * _rgamma(a) * _rgamma(c - b),
     )
-    t2 = (
-        _gamma(c) * _gamma(a - b) * _rgamma(a) * _rgamma(c - b)
-        * (-z) ** (-b)
-        * _series(b, b - c + 1, b - a + 1, 1 / z)
-    )
-    return t1 + t2
 
 
-def _inf_connection(a: complex, b: complex, c: complex, z: complex) -> complex:
-    """z -> 1/z connection: the logarithmic series when a - b snaps to an
-    integer, the generic formula otherwise."""
-    hi, lo = (b, a) if (b - a).real >= 0 else (a, b)
-    m = _near_int(hi - lo)
-    if m is not None:
-        return _inf_connection_integer(lo, m, c, z)
-    return _inf_connection_generic(a, b, c, z)
+def _inf_connection_generic(
+    a: complex, b: complex, c: complex, z: complex, order: int
+) -> tuple[complex, complex, complex]:
+    """z -> 1/z connection, valid when a - b is not an integer.
+
+    Each term is a power series in 1/z times (-z)^(-e), e = a or b, so its
+    k-th term is a multiple of (-z)^(-e-k), whose z-derivatives are
+    -(e+k)/z and (e+k)(e+k+1)/z^2 times itself.
+    """
+    x = 1 / z
+    F = dF = ddF = 0j
+    for g, e, f, h in zip(_generic_constants(a, b, c), (a, b),
+                          (a - c + 1, b - c + 1), (a - b + 1, b - a + 1)):
+        pre = g * (-z) ** (-e)
+        if order == 0:
+            F += pre * _series(e, f, h, x)
+            continue
+        s0, s1, s2 = _series_d2(e, f, h, x)
+        F += pre * s0
+        dF -= pre * (e * s0 + s1) * x
+        ddF += pre * (e * (e + 1) * s0 + 2.0 * (e + 1) * s1 + s2) * x * x
+    return F, dF, ddF
 
 
-def _inf_connection_integer(a: complex, m: int, c: complex, z: complex) -> complex:
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _log_constants(a: complex, m: int, c: complex):
+    """What the logarithmic series for b = a + m needs of (a, m, c) alone.
+
+    Returns the coefficients of the finite part, the prefactor of the
+    logarithmic part, the snapped pole index j0 (None when x = c - a - m
+    is off the integers) with x itself, the first coefficient and the
+    starting digamma values psi(1), psi(m+1), psi(a+m), psi(a+m+1),
+    psi(a+m+2), psi(x) (None when the poles start at k = 0).
+    """
+    # finite part: Gamma(c)/Gamma(a+m) sum_{n<m} (a)_n (m-n-1)! / (n! Gamma(c-a-n)) z^{-n}
+    scale = _gamma(c) * _rgamma(a + m)
+    fin = []
+    poch = 1.0 + 0j  # (a)_n / n!
+    rgam = _rgamma(c - a)  # 1/Gamma(c-a-n)
+    for n in range(m):
+        fin.append(scale * poch * math.factorial(m - n - 1) * rgam)
+        poch *= (a + n) / (n + 1.0)
+        rgam *= c - a - n - 1.0
+    pre = _gamma(c) * (-1) ** m * _rgamma(a)
+    x = c - a - m
+    j0 = _near_int(x)
+    if j0 is not None:
+        x = complex(j0)
+    # (a+m)_k (-1)^k z^{-k} / ((m+k)! k!), times 1/Gamma(x) before the
+    # poles and times the limit (-1)^i i! at the pole x = -i
+    prod = 1.0 / math.factorial(m)
+    if j0 is not None and j0 <= 0:
+        return tuple(fin), pre, j0, x, prod * (-1) ** j0 * math.factorial(-j0), None
+    psi = (_digamma(1.0), _digamma(m + 1.0), _digamma(a + m), _digamma(a + m + 1.0),
+           _digamma(a + m + 2.0), _digamma(x))
+    return tuple(fin), pre, j0, x, prod * _rgamma(x), psi
+
+
+def _inf_connection_integer(
+    a: complex, m: int, c: complex, z: complex, order: int
+) -> tuple[complex, complex, complex]:
     """z -> 1/z connection for b = a + m, m a non-negative integer.
 
     Limit form of the generic connection: a finite sum of powers plus a
@@ -228,47 +403,45 @@ def _inf_connection_integer(a: complex, m: int, c: complex, z: complex) -> compl
     1/y (psi(x) backwards, since x falls by one), and the coefficient is
     carried together with 1/Gamma(x) as one product, which stays bounded
     where 1/Gamma(x) alone overflows (k ~ 170).
+
+    Before the poles the k-th term of the logarithmic series is p_k (L +
+    psi(k+1) + psi(m+k+1) - psi(e) - psi(x)) (-z)^(-e) up to a constant,
+    with L = log(-z) and e = a + m + k.  Its z-derivatives are -e/z and
+    e(e+1)/z^2 times the same expression with psi(e) raised to psi(e+1)
+    and psi(e+2): psi(e+1) = psi(e) + 1/e absorbs the derivative of L
+    exactly, so nothing cancels as a or b nears a non-positive integer.
+    From the poles on the terms are powers alone, and so are those of the
+    finite part, (-z)^(-a-n), which differentiate like the generic
+    connection's.
     """
+    fin, pre, j0, x, prod, psi = _log_constants(a, m, c)
+    pole_from = _MAX_TERMS if j0 is None else max(j0, 0)
+    if psi is not None:
+        # psi(k+1), psi(m+k+1), psi(y), psi(y+1), psi(y+2), psi(x), y = a+m+k
+        psi_k, psi_mk, psi_b, psi_b1, psi_b2, psi_x = psi
     L = cmath.log(-z)
-    # finite part: sum_{n<m} (a)_n (m-n-1)! / (n! Gamma(c-a-n)) z^{-n}
-    fin = 0.0 + 0j
-    poch = 1.0 + 0j  # (a)_n / n! * z^{-n}
-    rgam = _rgamma(c - a)  # 1/Gamma(c-a-n)
-    for n in range(m):
-        fin += poch * math.factorial(m - n - 1) * rgam
-        poch *= (a + n) / (n + 1.0) / z
-        rgam *= c - a - n - 1.0
-    fin *= _gamma(c) * _rgamma(a + m) * (-z) ** (-a)
-    # logarithmic part
-    pre = _gamma(c) * (-1) ** m * _rgamma(a) * (-z) ** (-a - m)
-    x = c - a - m
-    j0 = _near_int(x)
-    if j0 is None:
-        pole_from = _MAX_TERMS
-    else:
-        x = complex(j0)
-        pole_from = max(j0, 0)
-    # (a+m)_k (-1)^k z^{-k} / ((m+k)! k!), times 1/Gamma(x) before the
-    # poles and times the limit (-1)^i i! at the pole x = -i
-    prod = 1.0 / math.factorial(m)
-    if pole_from == 0:
-        prod *= (-1) ** j0 * math.factorial(-j0)
-    else:
-        prod *= _rgamma(x)
-        psi_k = _digamma(1.0)         # psi(k+1)
-        psi_mk = _digamma(m + 1.0)    # psi(m+k+1)
-        psi_b = _digamma(a + m)       # psi(a+m+k)
-        psi_x = _digamma(x)           # psi(x)
-    total = 0.0 + 0j
+    # sums of the terms and of their derivative factors
+    t0 = t1 = t2 = 0j
     for k in range(_MAX_TERMS):
+        y = a + m + k
         if k < pole_from:
             term = prod * (L + psi_k + psi_mk - psi_b - psi_x)
+            if order:
+                d1 = prod * y * (L + psi_k + psi_mk - psi_b1 - psi_x)
+                d2 = prod * y * (y + 1) * (L + psi_k + psi_mk - psi_b2 - psi_x)
         else:
             term = prod
-        total += term
-        if k > 1 and abs(term) <= _SERIES_TOL * max(abs(total), 1e-300):
-            return fin + pre * total
-        y = a + m + k
+            if order:
+                d1 = prod * y
+                d2 = d1 * (y + 1)
+        t0 += term
+        if order:
+            t1 += d1
+            t2 += d2
+        if (k > 1 and abs(term) <= _SERIES_TOL * max(abs(t0), 1e-300)
+                and (order == 0 or (abs(d1) <= _SERIES_TOL * abs(t1)
+                                    and abs(d2) <= _SERIES_TOL * abs(t2)))):
+            break
         prod *= -y / ((m + k + 1.0) * (k + 1.0) * z)
         x -= 1.0
         if k + 1 != pole_from:  # at x = 0 the limit is 1 = 1/Gamma(1)
@@ -278,7 +451,38 @@ def _inf_connection_integer(a: complex, m: int, c: complex, z: complex) -> compl
             psi_mk += 1.0 / (m + k + 1.0)
             psi_b += 1.0 / y
             psi_x -= 1.0 / x
-    raise NoConvergence(f"logarithmic 1/z series did not converge at z={z}")
+            if order:
+                psi_b1 += 1.0 / (y + 1.0)
+                psi_b2 += 1.0 / (y + 2.0)
+    else:
+        raise NoConvergence(f"logarithmic 1/z series did not converge at z={z}")
+    u = 1 / z
+    f0 = f1 = f2 = 0j
+    un = 1.0 + 0j
+    for n, coef in enumerate(fin):
+        t = coef * un
+        f0 += t
+        if order:
+            e = a + n
+            f1 += e * t
+            f2 += e * (e + 1) * t
+        un *= u
+    Q = (-z) ** (-a)
+    P = pre * (-z) ** (-a - m)
+    F = Q * f0 + P * t0
+    if order == 0:
+        return F, 0j, 0j
+    return F, -(Q * f1 + P * t1) * u, (Q * f2 + P * t2) * u * u
+
+
+def _inf_connection(
+    a: complex, b: complex, c: complex, z: complex, gap, order: int
+) -> tuple[complex, complex, complex]:
+    """z -> 1/z connection: the logarithmic series when a - b snaps to an
+    integer (gap = (lower parameter, gap)), the generic formula otherwise."""
+    if gap is not None:
+        return _inf_connection_integer(gap[0], gap[1], c, z, order)
+    return _inf_connection_generic(a, b, c, z, order)
 
 
 def _one_minus_connection(a: complex, b: complex, c: complex, z: complex) -> complex:
@@ -314,13 +518,23 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     [1, inf).  Raises PoleOfGamma when c is a non-positive integer and
     DomainError on the cut.
     """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    if _near_nonpositive_int(c):
+    return _gauss_2f1_core(complex(a), complex(b), complex(c), complex(z), 0)[0]
+
+
+def _gauss_2f1_core(
+    a: complex, b: complex, c: complex, z: complex, order: int
+) -> tuple[complex, complex, complex]:
+    """(F, dF/dz, d2F/dz2) of 2F1(a, b; c; z) at order 2, (F, 0, 0) at
+    order 0, for complex arguments; the branch rule of gauss_2f1."""
+    pole, degree, band, gap = _params(a, b, c)
+    if pole:
         raise PoleOfGamma(f"2F1 undefined: c={c} is a non-positive integer")
     if z == 0:
-        return 1.0 + 0j
-    if _terminates(a, b):
-        return _terminating(a, b, c, z)
+        if order == 0:
+            return 1.0 + 0j, 0j, 0j
+        return 1.0 + 0j, a * b / c, a * (a + 1) * b * (b + 1) / (c * (c + 1))
+    if degree is not None:
+        return _terminating(a, b, c, z, degree, order)
     if z.imag == 0 and z.real >= 1.0:
         raise DomainError(f"z={z} lies on the branch cut [1, inf)")
 
@@ -328,16 +542,25 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     w = z / (z - 1.0)
     aw = abs(w)
     # 1/z beats the direct and Pfaff arguments everywhere past the edge
-    if az >= _INF_EDGE and (aw > _THRESHOLD or not _in_near_int_band(a - b)):
-        return _inf_connection(a, b, c, z)
+    if az >= _INF_EDGE and (aw > _THRESHOLD or not band):
+        return _inf_connection(a, b, c, z, gap, order)
     if min(az, aw) <= _THRESHOLD:
         if az <= aw:
-            return _series(a, b, c, z)
-        return (1.0 - z) ** (-a) * _series(a, c - b, c, w)
+            return _direct(a, b, c, z, order)
+        return _pfaff(a, b, c, z, w, order)
     if az >= 1.0 / _THRESHOLD:
-        return _inf_connection(a, b, c, z)
+        return _inf_connection(a, b, c, z, gap, order)
     if abs(1.0 - z) <= _THRESHOLD:
-        return _one_minus_connection(a, b, c, z)
+        F = _one_minus_connection(a, b, c, z)
+        if order == 0:
+            return F, 0j, 0j
+        # the one branch without termwise derivatives: the shifted functions
+        return (
+            F,
+            a * b / c * _one_minus_connection(a + 1, b + 1, c + 1, z),
+            a * (a + 1) * b * (b + 1) / (c * (c + 1))
+            * _one_minus_connection(a + 2, b + 2, c + 2, z),
+        )
     raise NoConvergence(
         f"no convergent transformation for z={z} (near the unit-circle crossing points)"
     )

@@ -658,7 +658,14 @@ def sl2_to_so21(g: np.ndarray) -> np.ndarray:
 
 
 def punctured_torus_group() -> GroupGenerators:
-    """Free rank-2 lattice (finite covolume, one cusp) in SO(2,1)."""
+    """The free rank-2 lattice Gamma(2) in SO(2,1), generated by the
+    images of [[1, 2], [0, 1]] and [[1, 0], [2, 1]].
+
+    Despite the name, the quotient surface is the thrice-punctured
+    sphere: finite covolume, three cusps, critical exponent delta = 1.
+    It shares the free fundamental group of rank 2 with the once-punctured
+    torus, whose name the function keeps.
+    """
     A = sl2_to_so21(np.array([[1.0, 2.0], [0.0, 1.0]]))
     B = sl2_to_so21(np.array([[1.0, 0.0], [2.0, 1.0]]))
     return GroupGenerators(RealHyperboloid(2), (A, B), ("a", "b"))

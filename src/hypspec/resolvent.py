@@ -648,8 +648,8 @@ def kernel_blocks(
     vnorm = float(op.block_norm(v))
     if vnorm > 0 and tail > _TAIL_RTOL * vnorm:
         raise TailBoundExceeded(
-            f"truncated tail estimate {tail:.3g} exceeds {_TAIL_RTOL:.1g} "
-            f"of the kernel at t={t} (threshold t ~ {kernel.t_min:.3f})"
+            f"truncated tail estimate {tail / vnorm:.3g} of the kernel exceeds "
+            f"{_TAIL_RTOL:.1g} at t={t} (threshold t ~ {kernel.t_min:.3f})"
         )
     coth = 1.0 / math.tanh(t)
     sig = math.sinh(t) ** (-beta)

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from hypspec.errors import DomainError, FitFailure, ResonanceDetected, StiffIntegration
+from hypspec import resolvent
+from hypspec.errors import FitFailure, ResonanceDetected, StiffIntegration
 from hypspec.green import vol_sphere
 from hypspec.resolvent import kernel_blocks
 
@@ -68,19 +69,19 @@ def block_structure(tp):
     return {"block_of": block_of, "block_mult": mult, "block_a": a, "block_s": S}
 
 
-def recursion_reference(op, cover, L=40, resonance_floor=None, snap_tol=1e-10):
+def recursion_reference(op, cover, L=40):
     """The block recursion of `frobenius_solve`, one (block, level) at a
-    time through `RadialOperator.w_series`, with every check in the loop.
+    time through `RadialOperator.w_series`, with every check in the loop
+    and the library's resonance floor and snap (read at call time).
 
     Returns (coef_a, coef_b, resonance_margin, has_log_terms) and raises
     what `frobenius_solve` raises, with the same messages.
     """
     s = cover.s
-    if resonance_floor is None:
-        resonance_floor = 1e-8 * (1.0 + abs(s) ** 2)
+    resonance_floor = resolvent._RESONANCE_FLOOR * (1.0 + abs(s) ** 2)
     e = np.asarray(op.e_values, dtype=float)
     mus = [cover.exponent_for(ev) for ev in op.e_values]
-    snap_abs = snap_tol * (1.0 + max(abs(m) for m in mus)) ** 2
+    snap_abs = resolvent._SNAP_TOL * (1.0 + max(abs(m) for m in mus)) ** 2
 
     coef_a = np.zeros((len(mus), L + 1, len(mus)), dtype=complex)
     coef_b = np.zeros_like(coef_a)
@@ -120,14 +121,14 @@ def recursion_reference(op, cover, L=40, resonance_floor=None, snap_tol=1e-10):
     return coef_a, coef_b, margin, has_log
 
 
-def psi_reference(op, kernel, t0=1e-3, T=4.0, rtol=1e-11):
+def psi_reference(op, kernel):
     """`psi_coefficient` through scipy's `solve_ivp` (its DOP853 stepped
     in Python) on the complex state, with the right-hand side from
-    `RadialOperator.apply_blocks` and the same window, fit and errors."""
+    `RadialOperator.apply_blocks` and the same window (the library's
+    constants, read at call time), tolerance, fit and errors."""
     from scipy.integrate import solve_ivp
 
-    if not 0 < t0 < T:
-        raise DomainError("need 0 < t0 < T")
+    t0, T, rtol = resolvent._PSI_T0, resolvent._PSI_T, resolvent._PSI_RTOL
     n = op.n
     B = len(op.block_mult)
     s = kernel.cover.s

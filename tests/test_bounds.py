@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypspec.bounds import (
     bochner_lower_bound,
@@ -124,6 +126,18 @@ def test_compare_identity_exact_over_grid():
                 delta = lo + (hi - lo) * F(k, 20)
                 rep = compare(sp, p, delta)
                 assert rep.difference == p * (p + 2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from([Field.REAL, Field.COMPLEX]), st.integers(2, 8), st.data())
+def test_compare_difference_is_delta_independent_at_random_rational_delta(field, n, data):
+    # p (real) or p(p+2) (complex) at every degree up to the middle, for
+    # any admissible delta in [0, 2 rho]
+    sp = make_space(field, n)
+    p = data.draw(st.integers(0, n // 2 if field is Field.REAL else n - 1))
+    delta = data.draw(st.fractions(0, 2 * sp.rho, max_denominator=1000))
+    want = p if field is Field.REAL else p * (p + 2)
+    assert compare(sp, p, delta).difference == want
 
 
 def test_compare_quaternion_has_no_bochner():

@@ -121,6 +121,16 @@ def test_resolvent_resonance_structured_error(capsys):
     assert doc["error"]["type"] == "ResonanceDetected"
 
 
+def test_resolvent_tail_bound_error_states_the_relative_tail(capsys):
+    # the check is tail > 1e-6 |kernel|: the message prints tail / |kernel|
+    code, out = run(capsys, "resolvent", "--n", "5", "--p", "1", "--s", "1", "--order", "1")
+    assert code == 4
+    assert json.loads(out) == {"error": {
+        "type": "TailBoundExceeded",
+        "message": "truncated tail estimate 2.28e-05 of the kernel exceeds 1e-06 at t=5.0 "
+                   "(threshold t ~ 13.816)"}}
+
+
 def test_complex_s_parsing(capsys):
     code, out = run(capsys, "resolvent", "--n", "4", "--p", "1", "--s", "1+0.5i")
     assert code == 0

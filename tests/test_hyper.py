@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hypspec import hyper
 from hypspec.errors import DomainError, NoConvergence, PoleOfGamma
-from hypspec.green import green0_derivatives
+from hypspec.green import green0_derivatives, green0_eval
 from hypspec.hyper import _inf_connection_integer, gauss_2f1
 from hypspec.spaces import make_space
 
@@ -216,27 +216,159 @@ def test_terminating_snap_is_machine_precision():
     assert mpmath_rel_err(-2 + 5e-9, 5e-9, 1.3 + 0.2j, -200.0) <= INTEGER_GAP_RTOL
 
 
+# ---------------------------------------------- one-pass derivatives
+
+# Worst errors over these examples of (F, F', F'') against mpmath, on the
+# scales of derivative_scales, with those of three shifted gauss_2f1 calls
+# on the same draws in brackets: Pfaff 4.9e-14, 1.3e-14, 1.2e-14 (2.3e-13,
+# 1.5e-13, 9.6e-14); generic 1/z 8.0e-15, 5.2e-14, 5.1e-14 (6.6e-14,
+# 1.7e-14, 2.8e-14); log 1/z 2.3e-13, 1.0e-12, 3.9e-12 (2.3e-13, 7.6e-15,
+# 1.3e-14); terminating 7.0e-16, 6.5e-16, 4.9e-16 (7.0e-16, 5.9e-16,
+# 4.4e-16).  The log 1/z worst is one nearly terminating draw (a = 1e-6,
+# b = -5.999999, |z| = 4), where F itself is off by 2.3e-13 on either
+# path; the next worst log draw is at 4.2e-14 relative.  Each tolerance
+# is about 5x its branch's worst.
+DERIVATIVE_RTOL = {"pfaff": 2.5e-13, "generic": 3e-13, "log": 2e-11, "terminating": 5e-15}
+# the value of green0_derivatives against green0_eval, which stops its
+# series without waiting for the derivative sums
+GREEN_VALUE_RTOL = 1e-13
+
+pfaff_axis = st.floats(0.01, 2.99).map(lambda x: -x)     # |z| < 3
+inf_axis = st.floats(3.0, 1e4).map(lambda x: -x)         # |z| >= 3
+
+
+def mp_hyp2f1(a, b, c, z):
+    try:
+        return mpmath.hyp2f1(a, b, c, z)
+    except TypeError:
+        # mpmath orders its parameters to find removable poles and cannot
+        # with complex ones (c - a - m an integer here); 2F1 is analytic in
+        # c there, so move c off by 1e-40 and keep 40 digits
+        with mpmath.workdps(80):
+            return mpmath.hyp2f1(a, b, mpmath.mpc(c) + mpmath.mpf("1e-40"), z)
+
+
+def shifted_reference(a, b, c, z):
+    """F, F' = (ab/c) 2F1(a+1, b+1; c+1; z) and F'' = the next shift, by mpmath."""
+    return (
+        complex(mp_hyp2f1(a, b, c, z)),
+        complex(a * b / c * mp_hyp2f1(a + 1, b + 1, c + 1, z)),
+        complex(a * (a + 1) * b * (b + 1) / (c * (c + 1)) * mp_hyp2f1(a + 2, b + 2, c + 2, z)),
+    )
+
+
+def derivative_scales(a, b, c, z):
+    """The mpmath (F, F', F'') and the scale each is checked on.
+
+    A relative error e in F that varies with z like F itself moves F' by
+    about e |F/z| and F'' by about e |F/z^2|.  That is what termwise
+    derivatives inherit where F's terms cancel, as for a nearly
+    terminating 2F1 (a = 1e-6, b = -5.999999: F' is 1.9e-3 F)."""
+    F, dF, ddF = ref = shifted_reference(a, b, c, z)
+    return ref, (abs(F), abs(dF) + abs(F / z), abs(ddF) + abs(dF / z) + abs(F / (z * z)))
+
+
+def check_derivatives(branch, a, b, c, z):
+    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    _, degree, _, gap = hyper._params(a, b, c)
+    assert (degree is not None) == (branch == "terminating")
+    if branch in ("generic", "log"):
+        assert (gap is not None) == (branch == "log")
+    got = hyper._gauss_2f1_core(a, b, c, z, 2)
+    for val, ref, scale in zip(got, *derivative_scales(a, b, c, z)):
+        assert abs(val - ref) <= DERIVATIVE_RTOL[branch] * scale
+
+
+@PROPERTY
+@given(cplx_a, cplx_a, cplx_c, pfaff_axis)
+def test_pfaff_derivatives_against_mpmath(a, b, c, z):
+    assume(min(pole_distance(a), pole_distance(b)) > 1e-15)
+    check_derivatives("pfaff", a, b, c, z)
+
+
+@PROPERTY
+@given(cplx_a, st.integers(-6, 5), st.floats(0.05, 0.95), cplx_c, inf_axis)
+def test_generic_inf_derivatives_against_mpmath(a, m, frac, c, z):
+    b = a + m + frac
+    assume(min(pole_distance(a), pole_distance(b)) > 1e-15)
+    check_derivatives("generic", a, b, c, z)
+
+
+@PROPERTY
+@given(cplx_a, st.integers(-6, 6), cplx_c, inf_axis)
+def test_log_inf_derivatives_against_mpmath(a, m, c, z):
+    b = a + m
+    assume(min(pole_distance(a), pole_distance(b)) > 1e-15)
+    check_derivatives("log", a, b, c, z)
+
+
+@PROPERTY
+@given(st.integers(0, 8), cplx_a, cplx_c, st.floats(0.01, 1e4).map(lambda x: -x))
+def test_terminating_derivatives_against_mpmath(k, b, c, z):
+    # b within the snap of a non-positive integer would set the degree
+    assume(pole_distance(b) > 1e-15)
+    check_derivatives("terminating", -k, b, c, z)
+
+
+@pytest.mark.parametrize("a", [1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize("b,c,z", [(0.7 + 0.2j, 1.3, -2.5), (-0.4, 0.6 + 0.5j, -1.0)])
+def test_pfaff_derivatives_near_a_zero(a, b, c, z):
+    # F' and F'' are O(a), far below the scales of derivative_scales, so
+    # they are checked relative to themselves (worst 2.1e-14): stopping
+    # on the value's sum alone leaves them 1e-5 off at a = 1e-9
+    got = hyper._gauss_2f1_core(complex(a), complex(b), complex(c), complex(z), 2)
+    for val, ref in zip(got, shifted_reference(a, b, c, z)):
+        assert abs(val - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("z", [0.5, 0.3 + 0.5j, 0.6 - 0.2j, 0.95, 0.97 + 0.01j])
+def test_direct_and_one_minus_derivatives_against_mpmath(z):
+    # the branches off the negative axis: the direct series (termwise
+    # derivatives; worst 1.3e-14, in F'') and, from |z| = 0.95, the 1-z
+    # connection (shifted functions; worst 3.7e-15)
+    for a, b, c in [(0.3, 0.7, 2.25), (0.5 + 0.1j, 1.1, 2.3)]:
+        got = hyper._gauss_2f1_core(complex(a), complex(b), complex(c), complex(z), 2)
+        for val, ref in zip(got, shifted_reference(a, b, c, z)):
+            assert abs(val - ref) <= 5e-14 * abs(ref)
+
+
+@PROPERTY
+@given(holomorphic_s(), st.floats(0.02, 25.0))
+def test_green_derivatives_value_matches_green0_eval(space_s, r):
+    space, s = space_s
+    g = green0_derivatives(space, s, r)[0]
+    ref = green0_eval(space, s, r)
+    assert abs(g - ref) <= GREEN_VALUE_RTOL * abs(ref)
+
+
 def record_series_arguments(monkeypatch):
+    """Record |argument| of every power series summed, with or without
+    its termwise derivatives."""
     seen = []
-    series = hyper._series
+    for name in ("_series", "_series_d2", "_series_raised"):
+        def recording(a, b, c, z, series=getattr(hyper, name)):
+            seen.append(abs(z))
+            return series(a, b, c, z)
 
-    def recording(a, b, c, z):
-        seen.append(abs(z))
-        return series(a, b, c, z)
-
-    monkeypatch.setattr(hyper, "_series", recording)
+        monkeypatch.setattr(hyper, name, recording)
     return seen
 
 
 def test_negative_axis_series_arguments_stay_within_three_quarters(monkeypatch):
-    # the green-sweep grids: 100 radii from 0.02 to 20, value and both
-    # derivatives (2F1 at a, a+1 and a+2)
+    # the green-sweep grids: 100 radii from 0.02 to 20, the value alone
+    # and with both derivatives
     seen = record_series_arguments(monkeypatch)
-    for space in GREEN_SPACES:
-        for s in [0.5, 1.5, 1.0 + 0.5j, 1.0 - 1.0j]:
-            for r in np.geomspace(0.02, 20.0, 100):
-                green0_derivatives(space, s, float(r))
-    assert len(seen) > 5000
+    grid = [(space, s, float(r)) for space in GREEN_SPACES
+            for s in [0.5, 1.5, 1.0 + 0.5j, 1.0 - 1.0j] for r in np.geomspace(0.02, 20.0, 100)]
+    for point in grid:
+        green0_eval(*point)
+    # one per Pfaff point, two per generic 1/z point, none for the log series
+    value_series = len(seen)
+    assert value_series > 2000
+    for point in grid:
+        green0_derivatives(*point)
+    # the derivatives come from the same series, one pass each
+    assert len(seen) == 2 * value_series
     assert max(seen) <= 0.75
 
 
@@ -266,7 +398,7 @@ def test_log_series_past_the_gamma_overflow(monkeypatch, a, m, c):
     with monkeypatch.context() as mp:
         mp.setattr(hyper, "_MAX_TERMS", 170)
         with pytest.raises(NoConvergence):
-            _inf_connection_integer(a, m, c, z)
+            _inf_connection_integer(a, m, c, z, 0)
     ref = complex(mpmath.hyp2f1(a, a + m, c, z))
-    val = _inf_connection_integer(a, m, c, z)
+    val = _inf_connection_integer(a, m, c, z, 0)[0]
     assert val == pytest.approx(ref, rel=5e-13)

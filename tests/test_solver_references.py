@@ -79,7 +79,7 @@ def check_recursion(n, p, s, signs=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)  # the reference does not test growth
         got = outcome(lambda: frobenius_solve(op, cp, L=40))
-    want = outcome(lambda: recursion_reference(op, cp, L=40, snap_tol=resolvent._SNAP_TOL))
+    want = outcome(lambda: recursion_reference(op, cp, L=40))
     if want[0] is ResonanceDetected:
         assert got == want
         return want

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypspec.errors import CurvatureUnavailable, DomainError, UnknownConstant
 from hypspec.spaces import (
@@ -97,6 +99,25 @@ def test_alpha_hodge_symmetry():
             sp = make_space(field, n)
             for p in range(sp.dim + 1):
                 assert alpha_p(sp, p) == alpha_p(sp, sp.dim - p)
+
+
+def alpha_or_unknown(space, p):
+    try:
+        return alpha_p(space, p)
+    except UnknownConstant:
+        return UnknownConstant
+
+
+HODGE_SPACES = [make_space(f, n) for f in (Field.REAL, Field.COMPLEX, Field.QUATERNION)
+                for n in range(2, 9)] + [make_space(Field.OCTONION, 2)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(HODGE_SPACES), st.data())
+def test_alpha_hodge_symmetry_random_degrees(space, data):
+    # alpha_p(p) = alpha_p(dim - p), unknown octonionic degrees included
+    p = data.draw(st.integers(0, space.dim))
+    assert alpha_or_unknown(space, p) == alpha_or_unknown(space, space.dim - p)
 
 
 def test_alpha_vanishes_only_for_real_adjacent_middle():
