@@ -47,12 +47,14 @@ The first two z-derivatives come from the same pass (_gauss_2f1_core at
 order 2, the entry the Green kernel's derivatives use), term by term:
 the termwise form of d/dz 2F1(a, b; c; z) = (ab/c) 2F1(a+1, b+1; c+1; z),
 never the hypergeometric equation.  Next to each partial sum the loop
-carries weighted sums of the same terms t_k: k t_k and k(k-1) t_k (z F'
-and z^2 F'') for the direct series and the 1/z connections, whose
-powers (-z)^(-e-k) are differentiated in closed form; t_k (a+k)/(c+k)
-and its next factor for the Pfaff series, which the same Pfaff map
-takes to F' and F''; and, for the logarithmic series, its terms with
-psi(a+m+k) raised to psi(a+m+k+1) and psi(a+m+k+2), which absorb the
+carries the sums of related terms.  For the direct series (also the
+terminating polynomial and the series in 1/z of the generic connection)
+these are the terms k t_k / z and k(k-1) t_k / z^2 of F' and F'', by a
+recurrence that never divides by z.  The 1/z connections differentiate
+their powers (-z)^(-e-k) in closed form, which multiplies by 1/z.  The
+Pfaff series weights t_k by (a+k)/(c+k) and by its next factor, which
+the same Pfaff map takes to F' and F''.  The logarithmic series raises
+psi(a+m+k) to psi(a+m+k+1) and psi(a+m+k+2), which absorbs the
 derivative of the logarithm.  A series stops only when all three sums
 have converged.  The 1-z connection alone sums the shifted functions.
 
@@ -94,8 +96,11 @@ _INF_EDGE = 3.0
 # a - b this close to an integer, but outside the snap, makes the generic
 # 1/z connection cancel digits
 _NEAR_INT_BAND = 1e-2
-# parameter triples each constants cache keeps
-_CACHE_SIZE = 256
+# parameter triples each constants cache keeps.  A kernel table uses one
+# key per cache for all its radii; the most distinct keys measured over a
+# whole benchmark run are 6 (orbit-delta's kernels), so 16 holds every
+# working set seen with room for interleaved callers.
+_CACHE_SIZE = 16
 
 
 class _DeferredSpecial:
@@ -195,27 +200,36 @@ def _series(a: complex, b: complex, c: complex, z: complex) -> complex:
 
 
 def _series_d2(
-    a: complex, b: complex, c: complex, z: complex
+    a: complex, b: complex, c: complex, z: complex, degree: int | None = None
 ) -> tuple[complex, complex, complex]:
-    """The defining power series with its termwise derivatives: the sums
-    of t_k, k t_k and k(k-1) t_k over its terms t_k, which are F, z F'
-    and z^2 F''.  Stops where all three sums have converged."""
+    """The defining power series with its first two derivatives, summed
+    term by term.  The terms of F' and F'' are k t_k / z and
+    k(k-1) t_k / z^2; with g_k = (a+k)(b+k)/(c+k) they follow the
+    recurrences u_(k+1) = t_k g_k and v_(k+1) = u_k g_k, so nothing is
+    divided by z, which underflows far out on the negative axis.  Stops
+    where all three sums have converged, or after the z^degree term when
+    a degree is given (the terminating polynomial)."""
     term = 1.0 + 0j
+    u = 0j
     s0 = 1.0 + 0j
     s1 = s2 = 0j
-    for k in range(_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        t1 = (k + 1) * term
+    for k in range(_MAX_TERMS if degree is None else degree):
+        g = (a + k) * (b + k) / (c + k)
+        v = u * g
+        u = term * g
+        term = u * z / (k + 1)
         s0 += term
-        s1 += t1
-        s2 += k * t1
-        if (abs(term) <= _SERIES_TOL * max(1.0, abs(s0))
-                and abs(t1) <= _SERIES_TOL * abs(s1)
-                and abs(k * t1) <= _SERIES_TOL * abs(s2)):
+        s1 += u
+        s2 += v
+        if (degree is None and abs(term) <= _SERIES_TOL * max(1.0, abs(s0))
+                and abs(u) <= _SERIES_TOL * abs(s1)
+                and abs(v) <= _SERIES_TOL * abs(s2)):
             return s0, s1, s2
-    raise NoConvergence(
-        f"2F1 series did not converge within {_MAX_TERMS} terms at z={z}"
-    )
+    if degree is None:
+        raise NoConvergence(
+            f"2F1 series did not converge within {_MAX_TERMS} terms at z={z}"
+        )
+    return s0, s1, s2
 
 
 def _series_raised(
@@ -277,8 +291,7 @@ def _direct(
     """The defining series at z."""
     if order == 0:
         return _series(a, b, c, z), 0j, 0j
-    s0, s1, s2 = _series_d2(a, b, c, z)
-    return s0, s1 / z, s2 / (z * z)
+    return _series_d2(a, b, c, z)
 
 
 def _pfaff(
@@ -299,25 +312,6 @@ def _pfaff(
     s0, s1, s2 = _series_raised(a, c - b, c, w)
     u = 1.0 / (1.0 - z)
     return P * s0, b * P * u * s1, b * (b + 1) * P * u * u * s2
-
-
-def _terminating(
-    a: complex, b: complex, c: complex, z: complex, degree: int, order: int
-) -> tuple[complex, complex, complex]:
-    """Polynomial case: a or b a non-positive integer."""
-    term = 1.0 + 0j
-    s0 = 1.0 + 0j
-    s1 = s2 = 0j
-    for k in range(degree):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        s0 += term
-        if order:
-            t1 = (k + 1) * term
-            s1 += t1
-            s2 += k * t1
-    if order == 0:
-        return s0, 0j, 0j
-    return s0, s1 / z, s2 / (z * z)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -348,8 +342,8 @@ def _inf_connection_generic(
             continue
         s0, s1, s2 = _series_d2(e, f, h, x)
         F += pre * s0
-        dF -= pre * (e * s0 + s1) * x
-        ddF += pre * (e * (e + 1) * s0 + 2.0 * (e + 1) * s1 + s2) * x * x
+        dF -= pre * (e * s0 + x * s1) * x
+        ddF += pre * (e * (e + 1) * s0 + x * (2.0 * (e + 1) * s1 + x * s2)) * x * x
     return F, dF, ddF
 
 
@@ -524,8 +518,10 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
 def _gauss_2f1_core(
     a: complex, b: complex, c: complex, z: complex, order: int
 ) -> tuple[complex, complex, complex]:
-    """(F, dF/dz, d2F/dz2) of 2F1(a, b; c; z) at order 2, (F, 0, 0) at
-    order 0, for complex arguments; the branch rule of gauss_2f1."""
+    """(F, dF/dz, d2F/dz2) of 2F1(a, b; c; z) at order 2, for complex
+    arguments; the branch rule of gauss_2f1.  At order 0 only F is
+    computed and the derivative slots hold 0 (the terminating polynomial
+    fills them anyway)."""
     pole, degree, band, gap = _params(a, b, c)
     if pole:
         raise PoleOfGamma(f"2F1 undefined: c={c} is a non-positive integer")
@@ -534,7 +530,8 @@ def _gauss_2f1_core(
             return 1.0 + 0j, 0j, 0j
         return 1.0 + 0j, a * b / c, a * (a + 1) * b * (b + 1) / (c * (c + 1))
     if degree is not None:
-        return _terminating(a, b, c, z, degree, order)
+        # the polynomial, whatever the order: its derivatives cost nothing
+        return _series_d2(a, b, c, z, degree)
     if z.imag == 0 and z.real >= 1.0:
         raise DomainError(f"z={z} lies on the branch cut [1, inf)")
 

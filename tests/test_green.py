@@ -139,6 +139,22 @@ def test_ode_residual_rejects_tiny_r():
         green0_ode_residual(H3, 1.0, 1e-3)
 
 
+def test_derivatives_far_out_where_z_squared_underflows():
+    # from r ~ 187 on, z = -1/sinh^2 r is nonzero but z^2 underflows: the
+    # termwise derivatives must not divide by z (R^4 at s = 0.5 sums the
+    # terminating polynomial)
+    s = 1.0
+    for r in [200.0, 300.0]:
+        g, dg, ddg = green0_derivatives(H3, s, r)
+        ref = h3_oracle(s, r)
+        coth = 1.0 / math.tanh(r)
+        assert g == pytest.approx(ref, rel=1e-12)
+        assert dg == pytest.approx(ref * (-s - coth), rel=1e-11)
+        assert ddg == pytest.approx(ref * ((s + coth) ** 2 + 1 / math.sinh(r) ** 2), rel=1e-10)
+        assert green0_ode_residual(H3, s, r) < 1e-8
+        assert green0_ode_residual(make_space(Field.REAL, 4), 0.5, r) < 1e-8
+
+
 def test_small_r_law():
     for field, n in [(Field.REAL, 3), (Field.REAL, 4), (Field.COMPLEX, 2),
                      (Field.QUATERNION, 2)]:
