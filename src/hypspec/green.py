@@ -142,7 +142,8 @@ def _log_sinh(r: float) -> float:
 
 def green0_eval(space: SpaceDescriptor, s: complex, r: float) -> complex:
     """Green kernel g0(s, r) at geodesic distance r > 0."""
-    return _green0_core(space, complex(s), float(r), 0)[0]
+    a, b, c, log_pre, z = _green0_point(space, complex(s), float(r))
+    return cmath.exp(log_pre) * gauss_2f1(a, b, c, z)
 
 
 def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
@@ -188,42 +189,45 @@ def green0_derivatives(
     space: SpaceDescriptor, s: complex, r: float
 ) -> tuple[complex, complex, complex]:
     """The kernel and its first two radial derivatives, in closed form."""
-    return _green0_core(space, complex(s), float(r), 2)
+    log_pre, (g, dg, ddg) = _green0_shape(space, complex(s), float(r))
+    pre = cmath.exp(log_pre)
+    return pre * g, pre * dg, pre * ddg
 
 
-def _green0_core(
-    space: SpaceDescriptor,
-    s: complex,
-    r: float,
-    order: int,
-) -> tuple[complex, complex, complex]:
-    """g0 at order 0; g0 and its first two derivatives at order 2."""
+def _green0_point(
+    space: SpaceDescriptor, s: complex, r: float
+) -> tuple[complex, complex, complex, complex, float]:
+    """The 2F1 parameters (a, b, c), the log of the prefactor
+    C(s) (2 sinh^2 r)^(-a) and the 2F1 argument z = -1/sinh^2 r at r."""
     if r <= 0:
         raise DomainError(f"geodesic distance must be positive, got r={r}")
     a, b, c, log_c = _kernel_constants(space.d, space.n, s)
-    ls = _log_sinh(r)
-    L = math.log(2.0) + 2.0 * ls          # log(2 sinh^2 r)
-    z = -math.exp(-L + math.log(2.0))     # -1/sinh^2 r, underflow-safe
-    pre = cmath.exp(log_c - a * L)
-    if order == 0:
-        return pre * gauss_2f1(a, b, c, z), 0j, 0j
+    L = math.log(2.0) + 2.0 * _log_sinh(r)  # log(2 sinh^2 r)
+    z = -math.exp(-L + math.log(2.0))        # -1/sinh^2 r, underflow-safe
+    return a, b, c, log_c - a * L, z
+
+
+def _green0_shape(
+    space: SpaceDescriptor, s: complex, r: float
+) -> tuple[complex, tuple[complex, complex, complex]]:
+    """log of the prefactor of g0, and g0, g0' and g0'' divided by the
+    prefactor, which stay finite where the prefactor underflows."""
+    a, b, c, log_pre, z = _green0_point(space, s, r)
     # F and its first two z-derivatives from one pass over each series
     F0, F1, F2 = _gauss_2f1_core(a, b, c, complex(z), 2)
-    g = pre * F0
-    coth = 1.0 / math.tanh(r)
-    Lp = 2.0 * coth                        # L'(r)
-    Lpp = -2.0 / math.sinh(r) ** 2         # L''(r)
+    Lp = 2.0 / math.tanh(r)                 # L'(r), with L = log(2 sinh^2 r)
+    Lpp = 2.0 * z                          # L''(r) = -2/sinh^2 r
     zp = -Lp * z
     zpp = (Lp * Lp - Lpp) * z
-    dg = pre * (-a * Lp * F0 + zp * F1)
-    ddg = pre * (
+    dg = -a * Lp * F0 + zp * F1
+    ddg = (
         (a * Lp) ** 2 * F0
         - a * Lpp * F0
         - 2.0 * a * Lp * zp * F1
         + zpp * F1
         + zp * zp * F2
     )
-    return g, dg, ddg
+    return log_pre, (F0, dg, ddg)
 
 
 def green0_ode_residual(space: SpaceDescriptor, s: complex, r: float) -> float:
@@ -232,13 +236,15 @@ def green0_ode_residual(space: SpaceDescriptor, s: complex, r: float) -> float:
     The kernel solves
         g'' + [(dn-1) coth r + (d-1) tanh r] g' + (rho^2 - s^2) g = 0.
     Normalization by |g0| degenerates as r -> 0 (the coefficients blow
-    up like 1/r), so small radii are rejected.
+    up like 1/r), so small radii are rejected.  The prefactor of g0
+    multiplies g, g' and g'' alike and cancels in the ratio, so it is
+    left out: the residual stays finite where g0 underflows.
     """
     if r < _MIN_RESIDUAL_R:
         raise DomainError(
             f"residual normalization degenerates for r < {_MIN_RESIDUAL_R}, got {r}"
         )
-    g, dg, ddg = green0_derivatives(space, s, r)
+    g, dg, ddg = _green0_shape(space, complex(s), float(r))[1]
     rho = space.m_alpha / 2.0 + space.m_2alpha
     coeff = (space.dim - 1) / math.tanh(r) + space.m_2alpha * math.tanh(r)
     res = ddg + coeff * dg + (rho * rho - s * s) * g

@@ -152,10 +152,15 @@ Model = Union[RealHyperboloid, ComplexProjective]
 
 
 def _stable_acosh(c: np.ndarray) -> np.ndarray:
-    delta = np.maximum(np.asarray(c, dtype=float) - 1.0, 0.0)
-    # log1p(delta + sqrt(delta (delta + 2))) with the root split, so it stays
-    # finite wherever cosh does; in place, so no more temporaries than before
-    root = np.sqrt(delta + 2.0)
+    """arccosh of an array of cosh values that the caller gives up: a
+    float64 array is overwritten with max(c - 1, 0)."""
+    # log1p(delta + sqrt(delta + 2) sqrt(delta)), the root split so it stays
+    # finite wherever cosh does; the steps run in place, in this order
+    delta = np.asarray(c, dtype=float)
+    np.subtract(delta, 1.0, out=delta)
+    np.maximum(delta, 0.0, out=delta)
+    root = np.add(delta, 2.0)
+    np.sqrt(root, out=root)
     root *= np.sqrt(delta)
     root += delta
     return np.log1p(root, out=root)
@@ -297,7 +302,7 @@ def _shell_distances(model: Model, pts: np.ndarray, base: np.ndarray, out: np.nd
 
 def _extend_free(
     model: Model,
-    letters: list[np.ndarray],
+    letters_t: list[np.ndarray],
     prev_pts: np.ndarray,
     base: np.ndarray,
     size: int,
@@ -311,25 +316,31 @@ def _extend_free(
     level without the run of its inverse li ^ 1.  They are multiplied
     block by block, in letter-major order, into a kept level's one
     array of known size; otherwise each block's products become
-    distances at once and no point of the level is stored.
+    distances at once and no point of the level is stored.  letters_t
+    holds the letters' transposes as contiguous arrays, so each block
+    product is one BLAS gemm; a block that lies on one side of the
+    skipped run is a view of the previous level, not a copy.
     """
     n = len(prev_pts)
-    run = n // len(letters)  # 0 at the base point: nothing to skip
+    run = n // len(letters_t)  # 0 at the base point: nothing to skip
     dists = np.empty(size)
     pts = np.empty((size, prev_pts.shape[1]), dtype=prev_pts.dtype) if keep else None
     off = 0
-    for li, g in enumerate(letters):
+    for li, g_t in enumerate(letters_t):
         skip = (li ^ 1) * run
         for rows in _blocks(n - run):
             lo, hi = rows.start, rows.stop
-            block = np.concatenate(
-                (prev_pts[lo:min(hi, skip)], prev_pts[max(lo, skip) + run:hi + run])
-            )
+            if hi <= skip:
+                block = prev_pts[lo:hi]
+            elif lo >= skip:
+                block = prev_pts[lo + run:hi + run]
+            else:
+                block = np.concatenate((prev_pts[lo:skip], prev_pts[skip + run:hi + run]))
             out = slice(off + lo, off + hi)
             if keep:
-                np.matmul(block, g.T, out=pts[out])
+                np.matmul(block, g_t, out=pts[out])
             else:
-                dists[out] = _stable_acosh(model.batch_cosh_distance(block @ g.T, base))
+                dists[out] = _stable_acosh(model.batch_cosh_distance(block @ g_t, base))
         off += n - run
     if keep:
         _shell_distances(model, pts, base, dists)
@@ -379,8 +390,10 @@ def enumerate_orbit(
     are tracked: each kept level is written into one array of its known
     size, a final level larger than one block is never stored (each
     block of its products becomes distances at once), and distances are
-    computed in blocks of _CHUNK rows.  At the punctured-torus cap of ~10^7 words
-    the peak is the second-to-last level's points plus the distances.
+    computed in blocks of _CHUNK rows, each block multiplied by a
+    letter's contiguous transpose in one BLAS gemm.  At the
+    punctured-torus cap of ~10^7 words the peak is the second-to-last
+    level's points plus the distances.
     Under free reduction level l has exactly m (m-1)^(l-1) words for m
     letters, so the word cap is checked once, before anything is built;
     under matrix hashing it is checked after each level.  OrbitOverflow
@@ -396,6 +409,7 @@ def enumerate_orbit(
     for g, ginv in zip(gens.matrices, gens.inverses()):
         letters.append(np.asarray(g, dtype=model.dtype))
         letters.append(np.asarray(ginv, dtype=model.dtype))
+    letters_t = [np.ascontiguousarray(g.T) for g in letters]
     cap = _word_cap(max_words)
     blowup = CombinatorialBlowup(
         f"orbit enumeration exceeds the cap of {cap} words "
@@ -438,7 +452,7 @@ def enumerate_orbit(
             # a final level that fits in one block is kept as well, so its
             # distances come from one pass over it, never from one-row blocks
             d, prev_pts = _extend_free(
-                model, letters, prev_pts, base_pt, sizes[level - 1],
+                model, letters_t, prev_pts, base_pt, sizes[level - 1],
                 keep=level < max_len or sizes[level - 1] <= _CHUNK,
             )
             total += len(d)
@@ -459,14 +473,34 @@ def enumerate_orbit(
     )
 
 
+def _shell_sum(d: np.ndarray, shift: float, s: float) -> tuple[float, float]:
+    """sum exp(-s (d - shift)) over one shell and the same terms' dot
+    with d, in one pass per block of _blocks(len(d)) through one reused
+    buffer, so no temporary the size of the shell is made.  Each block
+    is subtracted, scaled, exponentiated, summed and dotted in that
+    order, so a shell of one block gives the bits of the same steps on
+    the whole array."""
+    buf = np.empty(min(len(d), _CHUNK + 1))
+    total = dot = 0.0
+    for rows in _blocks(len(d)):
+        part = d[rows]
+        w = buf[:len(part)]
+        np.subtract(part, shift, out=w)
+        w *= -s
+        np.exp(w, out=w)
+        total += float(w.sum())
+        dot += float(w @ part)
+    return total, dot
+
+
 def poincare_partial_sum(sample: OrbitSample, s: float) -> float:
     """Partial sum of exp(-s d) over the recorded orbit (identity included)."""
-    return float(sum(np.exp(-s * d).sum() for d in sample.distances_by_length))
+    return float(sum(_shell_sum(d, 0.0, s)[0] for d in sample.distances_by_length))
 
 
 def shell_sums(sample: OrbitSample, s: float) -> np.ndarray:
     """Partial sums per word length, for tail-ratio diagnostics."""
-    return np.asarray([np.exp(-s * d).sum() for d in sample.distances_by_length])
+    return np.asarray([_shell_sum(d, 0.0, s)[0] for d in sample.distances_by_length])
 
 
 @dataclass(frozen=True)
@@ -480,11 +514,8 @@ def _log_shell_sum(d: np.ndarray, d_min: float, s: float) -> tuple[float, float]
     """log sum exp(-s d) over one shell, and the exp(-s d)-weighted mean
     distance, which is minus its derivative in s.  Shifted by the shell's
     smallest distance, so no term overflows or underflows to zero."""
-    w = np.subtract(d, d_min)
-    w *= -s
-    np.exp(w, out=w)
-    total = float(w.sum())
-    return -s * d_min + math.log(total), float(w @ d) / total
+    total, dot = _shell_sum(d, d_min, s)
+    return -s * d_min + math.log(total), dot / total
 
 
 def _safeguarded_newton(fn, lo: float, hi: float, x: float) -> float:
@@ -531,6 +562,13 @@ def estimate_delta(sample: OrbitSample) -> DeltaEstimate:
     is bracketed as before and found by a Newton iteration safeguarded
     by bisection, with the derivative -(<d>_last - <d>_(last-k)) from the
     same pass.  (The field keeps its name: it is the CLI's key.)
+    Each pass streams a shell through blocks of at most _CHUNK + 1
+    distances in one reused buffer (_shell_sum), so beyond the sample
+    the sums hold about half a megabyte, whatever the shell's size.  At
+    s = 0 every term is 1 and log T_last - log T_(last-k) is
+    log N_last - log N_(last-k) exactly; that end of the bracket takes
+    no pass unless the two shells have equal size and the sign of the
+    derivative decides.
     """
     shells = sample.distances_by_length
     ends = np.array([(d.min(), d.max()) for d in shells])
@@ -568,8 +606,9 @@ def estimate_delta(sample: OrbitSample) -> DeltaEstimate:
         return log_top - log_bottom, mean_bottom - mean_top
 
     s_lo, s_hi = 0.0, max(1.0, 2.0 * abs(growth))
-    f_lo, df_lo = tail_log_ratio(s_lo)
-    if f_lo < 0.0 or (f_lo == 0.0 and df_lo < 0.0):
+    # every term is 1 at s = 0: the pass would return these bits exactly
+    f_lo = math.log(len(top)) - math.log(len(bottom))
+    if f_lo < 0.0 or (f_lo == 0.0 and tail_log_ratio(s_lo)[1] < 0.0):
         bisection = 0.0  # the tail already converges at s = 0, or turns there
     else:
         while tail_log_ratio(s_hi)[0] >= 0.0:

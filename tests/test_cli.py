@@ -76,6 +76,20 @@ def test_green_h3_matches_oracle(capsys):
         assert row["residual"] < 1e-8
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--field", "H", "--n", "2", "--s", "1+0.5i", "--r-grid", "150:250:3"),
+     ("--field", "R", "--n", "3", "--s", "1", "--r-grid", "300:400:3")],
+)
+def test_green_far_field_grid_reports_residuals(capsys, argv):
+    # the kernel underflows to 0 and sinh^2 r overflows on these grids
+    code, out = run(capsys, "green", *argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 3
+    assert all(row["residual"] <= 1e-8 for row in rows)
+
+
 def test_green_grid_parsing(capsys):
     code, out = run(capsys, "green", "--field", "R", "--n", "2", "--s", "0.5",
                     "--r-grid", "0.1:10:100", "--log")

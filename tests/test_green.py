@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -153,6 +154,21 @@ def test_derivatives_far_out_where_z_squared_underflows():
         assert ddg == pytest.approx(ref * ((s + coth) ** 2 + 1 / math.sinh(r) ** 2), rel=1e-10)
         assert green0_ode_residual(H3, s, r) < 1e-8
         assert green0_ode_residual(make_space(Field.REAL, 4), 0.5, r) < 1e-8
+
+
+@pytest.mark.parametrize("r", [200.0, 350.0, 400.0, 700.0])
+@pytest.mark.parametrize(
+    "field, n, s",
+    [(Field.REAL, 3, 1.0), (Field.QUATERNION, 2, 1.0 + 0.5j), (Field.COMPLEX, 2, 0.3)],
+)
+def test_far_field_residual_where_the_kernel_underflows(field, n, s, r):
+    # g0 underflows to 0 (H^2 from r = 200, C^2 by r = 350) and sinh^2 r
+    # overflows from r ~ 356: the residual leaves out the prefactor, and
+    # L'' = -2/sinh^2 r is taken as 2 z
+    space = make_space(field, n)
+    res = green0_ode_residual(space, s, r)
+    assert math.isfinite(res) and res <= 1e-8
+    assert all(cmath.isfinite(v) for v in green0_derivatives(space, s, r))
 
 
 def test_small_r_law():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from hypspec import orbits
 from hypspec.errors import (
@@ -208,8 +209,8 @@ def test_enumeration_peak_memory():
 
 
 def test_estimate_delta_peak_memory():
-    # counting and the tail sums run shell by shell: no sorted copy of
-    # the sample, at most one temporary the size of the last shell
+    # counting runs shell by shell and the tail sums block by block: no
+    # sorted copy of the sample and no temporary the size of the last shell
     sample = enumerate_orbit(punctured_torus_group(), max_len=12)
     last_shell_bytes = sample.distances_by_length[-1].nbytes
     tracemalloc.start()
@@ -218,12 +219,15 @@ def test_estimate_delta_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * last_shell_bytes
+    assert peak <= 0.5 * last_shell_bytes
 
 
 def unchunked_distances(gens, max_len, base=None):
     """Free-reduction enumeration as first written: each level's points in
-    one array, its distances in one pass over it, no blocks."""
+    one array, its distances in one pass over it, no blocks.  Products
+    are taken with contiguous transposes (BLAS gemm), as enumerate_orbit
+    takes them: on a transposed view numpy runs another loop, whose
+    rounding differs by an ulp for generators without zero entries."""
     model = gens.model
     base_pt = model.normalize(
         np.asarray(base, dtype=model.dtype) if base is not None else model.origin()
@@ -236,7 +240,7 @@ def unchunked_distances(gens, max_len, base=None):
         parts, last_parts = [], []
         for li, g in enumerate(letters):
             mask = last != (li ^ 1)
-            parts.append(pts[mask] @ g.T)
+            parts.append(pts[mask] @ np.ascontiguousarray(g.T))
             last_parts.append(np.full(np.count_nonzero(mask), li, dtype=np.int8))
         pts, last = np.concatenate(parts), np.concatenate(last_parts)
         dists.append(orbits._stable_acosh(model.batch_cosh_distance(pts, base_pt)))
@@ -371,10 +375,12 @@ def test_estimate_delta_cyclic_small():
 
 
 def test_estimate_delta_punctured_torus():
-    sample = enumerate_orbit(punctured_torus_group(), max_len=12)
+    # Gamma(2) has delta = 1; at L = 14 the tail sums of the 6.4e6-distance
+    # top shell run over about 100 blocks
+    sample = enumerate_orbit(punctured_torus_group(), max_len=14)
     est = estimate_delta(sample)
-    assert est.growth_fit == pytest.approx(1.0, abs=0.15)
-    assert est.bisection == pytest.approx(1.0, abs=0.15)
+    assert abs(est.bisection - 1.0) <= 0.03
+    assert abs(est.growth_fit - 1.0) <= 0.02
 
 
 def test_estimate_delta_schottky_separation():
@@ -423,16 +429,89 @@ def reference_bisection(sample, growth):
     return 0.5 * (s_lo + s_hi)
 
 
-@pytest.mark.parametrize(
-    "gens, max_len",
+_REFERENCE_CASES = (
     [(punctured_torus_group(), 10)]
     + [(schottky_pair(ell), 9) for ell in (4.0, 6.0, 8.0)]
-    + [(cyclic_group(n, 3.0), 40) for n in (2, 3, 4)],
+    + [(cyclic_group(n, 3.0), 40) for n in (2, 3, 4)]
 )
+
+
+@pytest.mark.parametrize("gens, max_len", _REFERENCE_CASES)
 def test_estimate_delta_matches_reference_bisection(gens, max_len):
     sample = enumerate_orbit(gens, max_len=max_len)
     est = estimate_delta(sample)
     assert abs(est.bisection - reference_bisection(sample, est.growth_fit)) <= 1e-12
+
+
+@pytest.mark.parametrize("gens, max_len", _REFERENCE_CASES)
+def test_blocked_tail_sums_match_reference_bisection(monkeypatch, gens, max_len):
+    # at a block size of 7 every shell of more than 8 distances is summed
+    # in several blocks (a cyclic group's shells of two stay whole)
+    sample = enumerate_orbit(gens, max_len=max_len)
+    monkeypatch.setattr(orbits, "_CHUNK", 7)
+    est = estimate_delta(sample)
+    monkeypatch.undo()
+    assert abs(est.bisection - reference_bisection(sample, est.growth_fit)) <= 1e-12
+
+
+def test_blocked_shell_sum_matches_one_pass(monkeypatch):
+    # the weighted dot is read only as a Newton slope, so check it here
+    d = enumerate_orbit(punctured_torus_group(), max_len=6).distances_by_length[-1]
+    shift, s = float(d.min()), 0.8
+    w = np.exp(-s * (d - shift))
+    monkeypatch.setattr(orbits, "_CHUNK", 7)
+    total, dot = orbits._shell_sum(d, shift, s)
+    assert total == pytest.approx(w.sum(), rel=1e-14)
+    assert dot == pytest.approx(w @ d, rel=1e-14)
+
+
+def periodic_word_lengths(gens, max_m):
+    """Translation lengths of the cyclically reduced words of each length
+    m <= max_m, from traces: l(w) = arccosh((tr w - 1) / 2) in SO(2,1)."""
+    letters = [g for pair in zip(gens.matrices, gens.inverses()) for g in pair]
+    mats = np.array(letters)
+    first = last = np.arange(len(letters))
+    lengths = []
+    for m in range(1, max_m + 1):
+        if m > 1:
+            keep = [last != (li ^ 1) for li in range(len(letters))]
+            mats = np.concatenate([mats[k] @ g for k, g in zip(keep, letters)])
+            first = np.concatenate([first[k] for k in keep])
+            last = np.concatenate([np.full(np.count_nonzero(k), li) for li, k in enumerate(keep)])
+        cyclic = last != (first ^ 1)
+        lengths.append(np.arccosh((np.trace(mats[cyclic], axis1=1, axis2=2) - 1.0) / 2.0))
+    return lengths
+
+
+def periodic_word_delta(gens, max_m=10):
+    """Critical exponent of a Fuchsian Schottky group from its periodic
+    words (Jenkinson-Pollicott, Amer. J. Math. 124, 2002): the largest real
+    zero in s of exp(-sum_m a_m(s) z^m / m) at z = 1, truncated as a power
+    series in z at degree max_m, where a_m(s) sums
+    exp(-s l(w)) / (1 - exp(-l(w))) over the cyclically reduced words of
+    length m."""
+    lengths = periodic_word_lengths(gens, max_m)
+
+    def determinant(s):
+        # log D = sum_m b_m z^m, and n c_n = sum_k k b_k c_(n-k) for D = sum c_n z^n
+        b = [-np.sum(np.exp(-s * ell) / -np.expm1(-ell)) / m
+             for m, ell in enumerate(lengths, start=1)]
+        c = [1.0]
+        for n in range(1, max_m + 1):
+            c.append(sum(k * b[k - 1] * c[n - k] for k in range(1, n + 1)) / n)
+        return sum(c)
+
+    grid = np.linspace(0.0, 1.0, 101)
+    below = [k for k, x in enumerate(grid) if determinant(x) < 0.0]
+    return brentq(determinant, grid[below[-1]], grid[below[-1] + 1], xtol=1e-15)
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(length=st.floats(3.0, 8.0))
+def test_estimate_delta_matches_periodic_word_oracle(length):
+    gens = schottky_pair(length)
+    est = estimate_delta(enumerate_orbit(gens, max_len=11))
+    assert abs(est.bisection - periodic_word_delta(gens)) <= 1e-9
 
 
 def _conjugator(n, length, angle):
