@@ -10,6 +10,7 @@ codes: 0 success, 2 usage, 3 domain error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -154,11 +155,19 @@ class OutputEnvelope:
 # --------------------------------------------------------------------------
 # argument helpers
 
+# most points a grid argument may ask for (test and benchmark grids use at
+# most 100); a larger count fails up front instead of in the allocator
+_MAX_GRID_POINTS = 2 ** 16
+
+
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        value = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError as exc:
         raise DomainError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise DomainError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _parse_grid(text: str, log: bool) -> np.ndarray:
@@ -167,8 +176,10 @@ def _parse_grid(text: str, log: bool) -> np.ndarray:
         start, stop, count = float(start_s), float(stop_s), int(count_s)
     except ValueError as exc:
         raise DomainError(f"grid must be start:stop:count, got {text!r}") from exc
-    if count < 1:
-        raise DomainError("grid count must be >= 1")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(f"grid endpoints must be finite, got {text!r}")
+    if not 1 <= count <= _MAX_GRID_POINTS:
+        raise DomainError(f"grid count must be in [1, {_MAX_GRID_POINTS}], got {count}")
     if log:
         if start <= 0 or stop <= 0:
             raise DomainError("log grid requires positive endpoints")

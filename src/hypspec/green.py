@@ -34,16 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFit, DomainError, PoleOfGamma
-from .hyper import (
-    _CACHE_SIZE,
-    _INF_EDGE,
-    _gauss_2f1_core,
-    _loggamma,
-    _near_nonpositive_int,
-    _series_many,
-    _terminates,
-    gauss_2f1,
-)
+from .hyper import _CACHE_SIZE, _gauss_2f1_core, _gauss_2f1_many, _loggamma, gauss_2f1
 from .spaces import SpaceDescriptor
 
 __all__ = [
@@ -105,10 +96,12 @@ def _kernel_constants(d: int, n: int, s: complex) -> tuple[complex, complex, com
     with base-field dimension d and rank-one dimension n.
 
     Keyed on (d, n, s) rather than on the SpaceDescriptor, whose Fraction
-    is slow to hash.  Raises DomainError at or below the holomorphy
-    boundary and PoleOfGamma where C(s) has a pole.
+    is slow to hash.  Raises DomainError for a non-finite s and at or
+    below the holomorphy boundary, and PoleOfGamma where C(s) has a pole.
     """
     m_alpha, m_2alpha = d * (n - 1), d - 1
+    if not cmath.isfinite(s):
+        raise DomainError(f"spectral parameter s = {s} is not finite")
     if s.real <= -m_alpha / 2.0:
         raise DomainError(
             f"spectral parameter Re s = {s.real} at or below the holomorphy "
@@ -150,31 +143,20 @@ def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
     """g0(s, r) at every distance in the array r, in one array pass.
 
     Agrees with green0_eval point by point and takes the same 2F1 branch
-    at every point.  The normalization and the 2F1 parameters are
-    computed once.  Points with |z| < 3 (r >~ 0.55), where gauss_2f1
-    sums the Pfaff series at |z/(z-1)| <= 0.75, are summed by a masked
-    Pfaff series that stops each point where the scalar series would;
-    the remaining points (the z -> 1/z connection) and all points when
-    a, b or c is a non-positive integer go through the scalar gauss_2f1.
+    at every point (hyper._gauss_2f1_many, which sums the Pfaff points
+    together).  The normalization and the 2F1 parameters are computed
+    once.
     """
     s = complex(s)
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError(f"geodesic distance must be positive, got r={r[r <= 0][0]}")
+    bad = ~(r > 0)
+    if np.any(bad):
+        raise DomainError(f"geodesic distance must be positive, got r={r[bad][0]}")
     a, b, c, log_c = _kernel_constants(space.d, space.n, s)
     L = math.log(2.0) + 2.0 * _log_sinh_many(r)
-    z = -np.exp(-L + math.log(2.0))
-    if _near_nonpositive_int(c) or _terminates(a, b):
-        pfaff = np.zeros(r.shape, dtype=bool)
-    else:
-        pfaff = z > -_INF_EDGE
-    zp = z[pfaff]
-    F = np.empty(r.shape, dtype=complex)
-    F[pfaff] = _series_many(a, c - b, c, zp / (zp - 1.0))
-    F[~pfaff] = [gauss_2f1(a, b, c, zi) for zi in z[~pfaff]]
+    F, log_p = _gauss_2f1_many(a, b, c, -np.exp(-L + math.log(2.0)))
     # the Pfaff factor (1 - z)^(-a) joins the prefactor's exponent
-    L[pfaff] += np.log1p(-zp)
-    return np.exp(log_c - a * L) * F
+    return np.exp(log_c - a * (L + log_p)) * F
 
 
 def _log_sinh_many(r: np.ndarray) -> np.ndarray:
@@ -199,7 +181,7 @@ def _green0_point(
 ) -> tuple[complex, complex, complex, complex, float]:
     """The 2F1 parameters (a, b, c), the log of the prefactor
     C(s) (2 sinh^2 r)^(-a) and the 2F1 argument z = -1/sinh^2 r at r."""
-    if r <= 0:
+    if not r > 0:  # NaN fails too
         raise DomainError(f"geodesic distance must be positive, got r={r}")
     a, b, c, log_c = _kernel_constants(space.d, space.n, s)
     L = math.log(2.0) + 2.0 * _log_sinh(r)  # log(2 sinh^2 r)

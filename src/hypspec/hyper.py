@@ -1,19 +1,25 @@
-"""Numerical Gauss hypergeometric function for complex parameters.
+"""Numerical Gauss hypergeometric function on the negative real axis.
 
-Each point is summed at the smallest convergent argument.  The
-candidates are z itself (the defining power series), z/(z-1) (the Pfaff
-map) and 1/z (the z -> 1/z connection); the one with the smallest
-modulus wins, ties going to the direct series.  A series argument is
-convergent when its modulus is at most 0.9 (_THRESHOLD).
+Every 2F1 that hypspec evaluates is the factor of a Green kernel at
+z = -1/sinh^2 r, so gauss_2f1 takes complex parameters a, b, c and a
+real z <= 0 only; any other z (z > 0, Im z != 0 or NaN) raises
+DomainError.
+
+Each point is summed at the smaller convergent argument of two: z/(z-1)
+(the Pfaff map, in [0, 1) on the axis) and 1/z (the z -> 1/z
+connection).  The defining series at z itself never wins there, since
+|z/(z-1)| < |z| for z < 0.  A series argument is convergent when its
+modulus is at most 0.9 (_THRESHOLD).
 
 The 1/z connection is a candidate only for |z| >= 3 (_INF_EDGE).  Below
 that edge the Pfaff series is the more accurate choice: on 1500 random
 negative-axis points with parameters in [-6, 6] + [-4, 4]i, the worst
 error against mpmath was 5.9e-11 with the edge at 3 and 5.4e-10 with it
-at the golden ratio, where 1/z first beats Pfaff.  On the negative real
-axis, the regime the Green kernels live in, the rule reads: Pfaff for
-0 < |z| < 3, where |z/(z-1)| < 0.75, and 1/z for |z| >= 3, where
-|1/z| <= 1/3.
+at the golden ratio, where 1/z first beats Pfaff.  The rule reads: Pfaff
+for 0 < |z| < 3, where |z/(z-1)| < 0.75, and 1/z for |z| >= 3, where
+|1/z| <= 1/3.  Where 1 - z rounds to 1 (|z| <= 2^-53) the Pfaff factor
+(1-z)^(-a) is 1, a relative error of about |a| 2^-53, the same that the
+rounding of 1 - z costs just above.
 
 The 1/z connection degenerates when a - b is an integer; that case is
 handled by the exact logarithmic series (the limit of the generic
@@ -24,8 +30,8 @@ integer are snapped onto that branch.  Differences between 1e-8 and
 connection, whose two Gamma(+-(a-b)) terms then cancel digits, the
 more the closer the gap is to the snap: the worst error measured there
 against mpmath is 1.3e-7 (gap 1.1e-8, |z| = 62).  In that band the
-connection is used only where neither the direct nor the Pfaff series
-converges.
+connection is used only where the Pfaff series does not converge
+(|z| > 9).
 
 An a or b within 1e-15 of a non-positive integer, machine precision at
 these magnitudes, is summed as the terminating polynomial before any of
@@ -37,26 +43,23 @@ integers.  A wider snap truncates series that do not terminate: at
 1e-8 it put a = -2 + 5e-9, b = 5e-9, z = -200 off by 6.7e-5.  c keeps
 the 1e-8 guard: a c that close to a pole raises PoleOfGamma.
 
-Points that none of these three covers take the 1/z connection when
-|z| >= 1/0.9 and the z -> 1-z connection when |1-z| <= 0.9;
-elsewhere (around exp(+-i pi/3)) NoConvergence is raised.  The 1-z
-connection perturbs c when c - a - b is near an integer, which this
-library's own callers never hit; its documented accuracy is ~1e-8.
-
 The first two z-derivatives come from the same pass (_gauss_2f1_core at
 order 2, the entry the Green kernel's derivatives use), term by term:
 the termwise form of d/dz 2F1(a, b; c; z) = (ab/c) 2F1(a+1, b+1; c+1; z),
 never the hypergeometric equation.  Next to each partial sum the loop
-carries the sums of related terms.  For the direct series (also the
-terminating polynomial and the series in 1/z of the generic connection)
-these are the terms k t_k / z and k(k-1) t_k / z^2 of F' and F'', by a
-recurrence that never divides by z.  The 1/z connections differentiate
-their powers (-z)^(-e-k) in closed form, which multiplies by 1/z.  The
-Pfaff series weights t_k by (a+k)/(c+k) and by its next factor, which
-the same Pfaff map takes to F' and F''.  The logarithmic series raises
-psi(a+m+k) to psi(a+m+k+1) and psi(a+m+k+2), which absorbs the
-derivative of the logarithm.  A series stops only when all three sums
-have converged.  The 1-z connection alone sums the shifted functions.
+carries the sums of related terms.  For the terminating polynomial and
+the series in 1/z of the generic connection these are the terms
+k t_k / z and k(k-1) t_k / z^2 of F' and F'', by a recurrence that
+never divides by z.  The 1/z connections differentiate their powers
+(-z)^(-e-k) in closed form, which multiplies by 1/z.  The Pfaff series
+weights t_k by (a+k)/(c+k) and by its next factor, which the same Pfaff
+map takes to F' and F''.  The logarithmic series raises psi(a+m+k) to
+psi(a+m+k+1) and psi(a+m+k+2), which absorbs the derivative of the
+logarithm.  A series stops only when all three sums have converged.
+
+_gauss_2f1_many applies the same rule to an array of z: it sums the
+Pfaff points together and sends the rest through gauss_2f1, so this
+module alone decides which z takes which series.
 
 Whatever does not depend on z is computed once per parameter triple and
 kept in small LRU caches (_CACHE_SIZE entries each): the pole,
@@ -285,15 +288,6 @@ def _series_many(a: complex, b: complex, c: complex, z: np.ndarray) -> np.ndarra
     return out
 
 
-def _direct(
-    a: complex, b: complex, c: complex, z: complex, order: int
-) -> tuple[complex, complex, complex]:
-    """The defining series at z."""
-    if order == 0:
-        return _series(a, b, c, z), 0j, 0j
-    return _series_d2(a, b, c, z)
-
-
 def _pfaff(
     a: complex, b: complex, c: complex, z: complex, w: complex, order: int
 ) -> tuple[complex, complex, complex]:
@@ -479,38 +473,13 @@ def _inf_connection(
     return _inf_connection_generic(a, b, c, z, order)
 
 
-def _one_minus_connection(a: complex, b: complex, c: complex, z: complex) -> complex:
-    """z -> 1-z connection; perturbs c when c - a - b is near an integer."""
-    if _near_int(c - a - b) is not None:
-        # documented fallback: ~1e-8 accuracy from the symmetric perturbation
-        eps = 1e-6
-        return 0.5 * (
-            _one_minus_generic(a, b, c + eps, z)
-            + _one_minus_generic(a, b, c - eps, z)
-        )
-    return _one_minus_generic(a, b, c, z)
-
-
-def _one_minus_generic(a: complex, b: complex, c: complex, z: complex) -> complex:
-    w = 1.0 - z
-    t1 = (
-        _gamma(c) * _gamma(c - a - b) * _rgamma(c - a) * _rgamma(c - b)
-        * _series(a, b, a + b - c + 1, w)
-    )
-    t2 = (
-        _gamma(c) * _gamma(a + b - c) * _rgamma(a) * _rgamma(b)
-        * w ** (c - a - b)
-        * _series(c - a, c - b, c - a - b + 1, w)
-    )
-    return t1 + t2
-
-
 def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
-    """Gauss hypergeometric function 2F1(a, b; c; z).
+    """Gauss hypergeometric function 2F1(a, b; c; z) on the negative real axis.
 
-    Supports complex parameters and complex argument off the branch cut
-    [1, inf).  Raises PoleOfGamma when c is a non-positive integer and
-    DomainError on the cut.
+    Takes complex parameters and a real z <= 0 (a float, or a complex
+    with zero imaginary part).  Raises DomainError for any other z
+    (z > 0, Im z != 0 or NaN) and PoleOfGamma when c is a non-positive
+    integer.
     """
     return _gauss_2f1_core(complex(a), complex(b), complex(c), complex(z), 0)[0]
 
@@ -519,12 +488,14 @@ def _gauss_2f1_core(
     a: complex, b: complex, c: complex, z: complex, order: int
 ) -> tuple[complex, complex, complex]:
     """(F, dF/dz, d2F/dz2) of 2F1(a, b; c; z) at order 2, for complex
-    arguments; the branch rule of gauss_2f1.  At order 0 only F is
-    computed and the derivative slots hold 0 (the terminating polynomial
-    fills them anyway)."""
+    parameters and real z <= 0; the branch rule of gauss_2f1.  At order 0
+    only F is computed and the derivative slots hold 0 (the terminating
+    polynomial fills them anyway)."""
     pole, degree, band, gap = _params(a, b, c)
     if pole:
         raise PoleOfGamma(f"2F1 undefined: c={c} is a non-positive integer")
+    if not (z.imag == 0 and z.real <= 0):  # NaN fails too
+        raise DomainError(f"z={z} is not a real number <= 0")
     if z == 0:
         if order == 0:
             return 1.0 + 0j, 0j, 0j
@@ -532,32 +503,36 @@ def _gauss_2f1_core(
     if degree is not None:
         # the polynomial, whatever the order: its derivatives cost nothing
         return _series_d2(a, b, c, z, degree)
-    if z.imag == 0 and z.real >= 1.0:
-        raise DomainError(f"z={z} lies on the branch cut [1, inf)")
-
-    az = abs(z)
     w = z / (z - 1.0)
-    aw = abs(w)
-    # 1/z beats the direct and Pfaff arguments everywhere past the edge
-    if az >= _INF_EDGE and (aw > _THRESHOLD or not band):
-        return _inf_connection(a, b, c, z, gap, order)
-    if min(az, aw) <= _THRESHOLD:
-        if az <= aw:
-            return _direct(a, b, c, z, order)
+    # 1/z beats Pfaff everywhere past the edge, except in the near-integer
+    # band while the Pfaff series still converges (|z| <= 9)
+    if abs(z) < _INF_EDGE or (band and abs(w) <= _THRESHOLD):
         return _pfaff(a, b, c, z, w, order)
-    if az >= 1.0 / _THRESHOLD:
-        return _inf_connection(a, b, c, z, gap, order)
-    if abs(1.0 - z) <= _THRESHOLD:
-        F = _one_minus_connection(a, b, c, z)
-        if order == 0:
-            return F, 0j, 0j
-        # the one branch without termwise derivatives: the shifted functions
-        return (
-            F,
-            a * b / c * _one_minus_connection(a + 1, b + 1, c + 1, z),
-            a * (a + 1) * b * (b + 1) / (c * (c + 1))
-            * _one_minus_connection(a + 2, b + 2, c + 2, z),
-        )
-    raise NoConvergence(
-        f"no convergent transformation for z={z} (near the unit-circle crossing points)"
-    )
+    return _inf_connection(a, b, c, z, gap, order)
+
+
+def _gauss_2f1_many(
+    a: complex, b: complex, c: complex, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """gauss_2f1 at every point of the real array z <= 0, by its branch
+    rule, as (F, log(1 - z)) with 2F1(a, b; c; z) = (1 - z)^(-a) F.
+
+    The points with |z| < 3, where the rule sums the Pfaff series, are
+    summed together by _series_many, each stopping at the term where the
+    scalar series would; there F is the Pfaff series and the Pfaff factor
+    is left to the caller through log(1 - z).  Every other point, and
+    every point when c is a pole or the series terminates, goes through
+    gauss_2f1, with log(1 - z) set to 0.
+    """
+    if not np.all(z <= 0):
+        raise DomainError("every z must be a real number <= 0")
+    pole, degree, _, _ = _params(a, b, c)
+    # a pole or a polynomial sends every point through the scalar rule
+    pfaff = (z > -_INF_EDGE) & (not pole and degree is None)
+    zp = z[pfaff]
+    F = np.empty(z.shape, dtype=complex)
+    F[pfaff] = _series_many(a, c - b, c, zp / (zp - 1.0))
+    F[~pfaff] = [gauss_2f1(a, b, c, zi) for zi in z[~pfaff]]
+    log_p = np.zeros(z.shape)
+    log_p[pfaff] = np.log1p(-zp)
+    return F, log_p

@@ -70,6 +70,7 @@ new algorithmic content and are rejected):
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -246,7 +247,8 @@ def build_tau_p_action(n: int, p: int) -> TauPAction:
     )
 
 
-# Largest dense matrix (entries) that the block-to-matrix expansion builds.
+# Largest dense matrix (entries) that the block-to-matrix expansion builds,
+# and largest W table (2 (L+1)^2 entries) that frobenius_solve builds.
 MAX_EXPAND_ENTRIES = 2 ** 20
 
 
@@ -254,9 +256,8 @@ MAX_EXPAND_ENTRIES = 2 ** 20
 class RadialOperator:
     """Conjugated radial operator with its closed-form perturbation series.
 
-    Block constants, for X = sum_j c_j P_j: block_of[i] is the block of
-    basis row i, block_mult[j] = rank P_j, block_a = a, block_s = S,
-    and E = e_values[j] on block j.
+    Block constants, for X = sum_j c_j P_j: block_mult[j] = rank P_j,
+    block_a = a, block_s = S, and E = e_values[j] on block j.
     """
 
     n: int
@@ -265,7 +266,6 @@ class RadialOperator:
     alpha_p: Fraction
     L_w: int
     e_values: tuple[int, ...]
-    block_of: np.ndarray
     block_mult: np.ndarray
     block_a: np.ndarray
     block_s: np.ndarray
@@ -275,10 +275,18 @@ class RadialOperator:
         """The dense representation, built on first access (oracle only)."""
         return build_tau_p_action(self.n, self.p)
 
+    @functools.cached_property
+    def block_of(self) -> np.ndarray:
+        """The block of each of the dim_v basis rows, built on first access
+        (by `expand`, behind its size guard, and by the oracle tests).
+        P_in's rows come first."""
+        i, o, m_in, m_out = _block_layout(self.n, self.p, len(self.block_mult))
+        return np.repeat([i, o], [m_in, m_out])
+
     def expand(self, c: np.ndarray) -> np.ndarray:
         """sum_j c_j P_j as a dim_v x dim_v matrix; CombinatorialBlowup,
         before allocating, above MAX_EXPAND_ENTRIES entries."""
-        entries = len(self.block_of) ** 2
+        entries = math.comb(self.n, self.p) ** 2
         if entries > MAX_EXPAND_ENTRIES:
             raise CombinatorialBlowup(f"a dense (n, p) = ({self.n}, {self.p}) matrix has "
                                       f"{entries} entries, over the cap of {MAX_EXPAND_ENTRIES}")
@@ -371,22 +379,27 @@ class RadialOperator:
         )
 
 
-def _block_constants(n: int, p: int, B: int) -> dict:
-    """Block constants in closed form (module docstring, step 2).
+def _block_layout(n: int, p: int, B: int) -> tuple[int, int, int, int]:
+    """The blocks of P_in and P_out and their ranks.
 
     Blocks are in ascending E order, so P_in is block 0 exactly when
     2p > n, where its Casimir (p-1)(n-p) is the larger.
     """
     m_in, m_out = (math.comb(n - 1, p - 1) if p else 0), math.comb(n - 1, p)
-    i, o = (0, 0) if B == 1 else (int(2 * p < n), int(2 * p > n))  # blocks of P_in, P_out
+    i, o = (0, 0) if B == 1 else (int(2 * p < n), int(2 * p > n))
+    return i, o, m_in, m_out
+
+
+def _block_constants(n: int, p: int, B: int) -> dict:
+    """Block constants in closed form (module docstring, step 2)."""
+    i, o, m_in, m_out = _block_layout(n, p, B)
     mult, a, S = np.zeros(B), np.zeros(B), np.zeros((B, B))
     mult[i] += m_in
     mult[o] += m_out
     if m_in and m_out:  # else p = 0 or p = n, where A = 0 and S = 0
         a[i], a[o] = -(n - p), -p
         S[i, o], S[o, i] = -(n - p), -p
-    return {"block_of": np.repeat([i, o], [m_in, m_out]), "block_mult": mult,
-            "block_a": a, "block_s": S}
+    return {"block_mult": mult, "block_a": a, "block_s": S}
 
 
 def build_radial_operator(n: int, p: int, L_w: int = 40) -> RadialOperator:
@@ -450,6 +463,8 @@ def cover_point(
     if space.field is not Field.REAL:
         raise UnsupportedField("the form-valued resolvent is implemented for the real field only")
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"spectral parameter s = {s} is not finite")
     e_pos = tuple(e for e in e_element_values(space.n, p) if e > 0)
     signs = list(branch_signs) if branch_signs is not None else [1] * len(e_pos)
     if len(signs) != len(e_pos):
@@ -537,8 +552,16 @@ def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> Frobe
     t-linear (logarithmic in q) terms; gaps inside the resonance floor
     but not exactly integer raise ResonanceDetected.  A ratio test on
     the last coefficients emits TruncationWarning when the tail fails to
-    decay.
+    decay.  L < 1 raises DomainError, and an L whose W table would pass
+    MAX_EXPAND_ENTRIES entries raises CombinatorialBlowup before it
+    allocates.
     """
+    if L < 1:
+        raise DomainError(f"truncation order L must be >= 1, got {L}")
+    if 2 * (L + 1) ** 2 > MAX_EXPAND_ENTRIES:
+        raise CombinatorialBlowup(f"truncation order L = {L} needs a W table of "
+                                  f"{2 * (L + 1) ** 2} entries, over the cap of "
+                                  f"{MAX_EXPAND_ENTRIES}")
     s = cover.s
     resonance_floor = _RESONANCE_FLOOR * (1.0 + abs(s) ** 2)
     mus = [cover.exponent_for(ev) for ev in op.e_values]
@@ -625,7 +648,7 @@ def kernel_blocks(
     Exact derivatives of the truncated series; below the series validity
     threshold TailBoundExceeded is raised.
     """
-    if t <= 0:
+    if not t > 0:  # NaN fails too
         raise DomainError(f"radial time must be positive, got t={t}")
     ratio = kernel.growth_ratio * math.exp(-t)
     if ratio >= 0.95:

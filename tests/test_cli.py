@@ -366,6 +366,19 @@ def test_delta_output_pinned(capsys, group, max_len, row, extra):
     (["delta", "--group-file", str(GROUPS / "schottky_l5.json"), "--max-len", "20"],
      "CombinatorialBlowup"),
     (["bounds", "--field", "O", "--n", "2", "--p", "2", "--delta", "5"], "UnknownConstant"),
+    # non-finite numbers, which once crashed, integrated or printed NaN rows
+    (["green", "--field", "R", "--n", "3", "--s", "nan", "--r-grid", "1:2:3"], "DomainError"),
+    (["resolvent", "--n", "5", "--p", "1", "--s", "nan"], "DomainError"),
+    (["green", "--field", "R", "--n", "3", "--s", "1", "--r-grid", "nan:1:3"], "DomainError"),
+    (["green", "--field", "R", "--n", "3", "--s", "1", "--r-grid", "1:inf:3"], "DomainError"),
+    (["resolvent", "--n", "5", "--p", "1", "--s", "1", "--t-grid", "nan:8:3"], "DomainError"),
+    (["resolvent", "--n", "5", "--p", "1", "--scan", "nan:1:3"], "DomainError"),
+    # sizes that once ended in MemoryError tracebacks (745 GiB, 298 GiB)
+    (["green", "--field", "R", "--n", "3", "--s", "1", "--r-grid", "0.1:10:100000000000"],
+     "DomainError"),
+    (["resolvent", "--n", "5", "--p", "1", "--scan", "0.5:1:100000000000"], "DomainError"),
+    (["resolvent", "--n", "5", "--p", "1", "--s", "1", "--order", "200000"],
+     "CombinatorialBlowup"),
 ])
 def test_library_errors_exit_3(monkeypatch, capsys, argv, error):
     monkeypatch.delenv("HYPSPEC_MAX_WORDS", raising=False)

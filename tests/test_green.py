@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypspec.errors import DegenerateFit, DomainError
+from hypspec import hyper
+from hypspec.errors import DegenerateFit, DomainError, PoleOfGamma
 from hypspec.green import (
     decay_rate_fit,
     green0_derivatives,
@@ -107,6 +108,14 @@ def test_rejects_bad_inputs():
         green0_eval(H3, 1.0, -2.0)
     with pytest.raises(DomainError):
         green0_eval(H3, -2.0, 1.0)  # past the holomorphy boundary
+    # NaN passes a bare r <= 0 test, and NaN s a bare Re s <= boundary test
+    for s, r, what in [(1.0, math.nan, "distance"), (math.nan, 1.0, "spectral"),
+                       (complex(1.0, math.nan), 1.0, "spectral"), (math.inf, 1.0, "spectral")]:
+        for entry in (green0_eval, green0_derivatives, green0_ode_residual):
+            with pytest.raises(DomainError, match=what):
+                entry(H3, s, r)
+        with pytest.raises(DomainError, match=what):
+            green0_eval_many(H3, s, np.array([0.5, r]))
 
 
 def test_derivatives_match_h3_closed_form():
@@ -263,17 +272,15 @@ def test_green_many_every_space_real_and_complex_s():
 
 def test_green_many_takes_the_scalar_branch_rule(monkeypatch):
     # the array path sums Pfaff exactly where gauss_2f1 would (|z| < 3)
-    # and hands every other point to gauss_2f1
-    from hypspec import green
-
+    # and hands every other point to gauss_2f1, inside hyper
     seen = []
-    scalar = green.gauss_2f1
+    scalar = hyper.gauss_2f1
 
     def recording(a, b, c, z):
         seen.append(z)
         return scalar(a, b, c, z)
 
-    monkeypatch.setattr(green, "gauss_2f1", recording)
+    monkeypatch.setattr(hyper, "gauss_2f1", recording)
     radii = np.array(EDGE_RADII)
     green0_eval_many(H3, 1.0, radii)
     edge = math.asinh(3 ** -0.5)  # |z| = 3
@@ -282,18 +289,30 @@ def test_green_many_takes_the_scalar_branch_rule(monkeypatch):
 
 
 def test_green_many_terminating_parameters(monkeypatch):
-    from hypspec import green
-
-    # R^5 at s = 1: b = (s + 1)/2 - (n - 1)/4 = 0, a terminating 2F1
+    # R^5 at s = 1: b = (s + 1)/2 - (n - 1)/4 = 0, a terminating 2F1,
+    # which the scalar rule sums as a polynomial at every point
     radii = np.geomspace(0.02, 25.0, 40)
     assert_many_matches_scalar(make_space(Field.REAL, 5), 1.0, radii)
+    scalar_calls = []
+    scalar = hyper.gauss_2f1
+    monkeypatch.setattr(hyper, "gauss_2f1", lambda *args: scalar_calls.append(args) or scalar(*args))
+    green0_eval_many(make_space(Field.REAL, 5), 1.0, radii)
+    assert len(scalar_calls) == len(radii)
+    monkeypatch.undo()
     # 2e-9 off, b = 1e-9 is not snapped: the array path sums it itself
     scalar_calls = []
-    monkeypatch.setattr(green, "gauss_2f1", lambda *args: scalar_calls.append(args) or 1.0)
+    monkeypatch.setattr(hyper, "gauss_2f1", lambda *args: scalar_calls.append(args) or 1.0)
     green0_eval_many(make_space(Field.REAL, 5), 1.0 + 2e-9, radii[radii > 0.6])
     assert scalar_calls == []
     monkeypatch.undo()
     assert_many_matches_scalar(make_space(Field.REAL, 5), 1.0 + 2e-9, radii)
+
+
+def test_green_many_pole_of_c():
+    # R^4 at s = -1: c = s + 1 = 0 is a pole of the 2F1 at every radius,
+    # Pfaff points included
+    with pytest.raises(PoleOfGamma):
+        green0_eval_many(make_space(Field.REAL, 4), -1.0, np.array([1.0, 2.0]))
 
 
 def test_green_many_edge_inputs():

@@ -37,23 +37,23 @@ def test_empty_series():
 
 
 def test_log_identity():
-    # 2F1(1, 1; 2; z) = -log(1-z)/z
-    for z in [0.5, -0.75, 0.3 + 0.2j]:
+    # 2F1(1, 1; 2; z) = -log(1-z)/z: Pfaff, then the logarithmic 1/z series
+    for z in [-0.5, -0.75, -4.0, -250.0]:
         expected = -np.log(1 - z) / z
         assert gauss_2f1(1, 1, 2, z) == pytest.approx(expected, rel=1e-13)
 
 
 def test_binomial_identity():
     # 2F1(a, b; b; z) = (1-z)^(-a)
-    for a, b, z in [(0.7, 2.3, -0.4), (1.5, 0.9, 0.6)]:
+    for a, b, z in [(0.7, 2.3, -0.4), (1.5, 0.9, -0.6), (1.5, 0.9, -30.0)]:
         assert gauss_2f1(a, b, b, z) == pytest.approx((1 - z) ** (-a), rel=1e-13)
 
 
 def test_against_naive_series():
     cases = [
-        (0.5, 1.5, 2.0, 0.3),
+        (0.5, 1.5, 2.0, -0.3),
         (0.25, 0.75, 1.25, -0.6),
-        (1.2 + 0.3j, 0.4, 2.1 - 0.2j, 0.5j),
+        (1.2 + 0.3j, 0.4, 2.1 - 0.2j, -0.5),
     ]
     for a, b, c, z in cases:
         assert gauss_2f1(a, b, c, z) == pytest.approx(naive_series(a, b, c, z), rel=1e-12)
@@ -78,17 +78,10 @@ def test_against_mpmath_negative_axis(a, b, c, z):
     assert val == pytest.approx(ref, rel=5e-13)
 
 
-def test_against_mpmath_near_one():
-    for a, b, c in [(0.3, 0.7, 2.25), (0.5 + 0.1j, 1.1, 2.3)]:
-        for z in [0.95, 0.97 + 0.01j]:
-            ref = complex(mpmath.hyp2f1(a, b, c, z))
-            assert gauss_2f1(a, b, c, z) == pytest.approx(ref, rel=1e-10)
-
-
 def test_terminating_polynomial():
-    # 2F1(-3, b; c; z) is a cubic polynomial, defined even past the cut
+    # 2F1(-3, b; c; z) is a cubic polynomial
     a, b, c = -3, 1.3, 2.7
-    for z in [0.5, 2.0, -15.0]:
+    for z in [-0.5, -2.0, -15.0]:
         ref = complex(mpmath.hyp2f1(a, b, c, z))
         assert gauss_2f1(a, b, c, z) == pytest.approx(ref, rel=1e-13)
 
@@ -101,14 +94,25 @@ def test_pole_of_gamma():
 
 
 def test_branch_cut_rejected():
-    with pytest.raises(DomainError):
-        gauss_2f1(0.5, 0.7, 1.3, 1.5)
+    # the domain is real z <= 0: the cut [1, inf), the rest of the positive
+    # axis, every point off the axis and NaN raise, terminating or not
+    for z in [1.5, 0.3, 5e-324, -0.5 + 0.1j, 0.3j, -1e-300j, math.nan,
+              complex(math.nan, 0.0), complex(-1.0, math.nan)]:
+        with pytest.raises(DomainError):
+            gauss_2f1(0.5, 0.7, 1.3, z)
+        with pytest.raises(DomainError):
+            gauss_2f1(-3, 0.7, 1.3, z)
+        with pytest.raises(DomainError):
+            hyper._gauss_2f1_core(0.5 + 0j, 0.7 + 0j, 1.3 + 0j, complex(z), 2)
+        if not isinstance(z, complex):
+            with pytest.raises(DomainError):
+                hyper._gauss_2f1_many(0.5 + 0j, 0.7 + 0j, 1.3 + 0j, np.array([-1.0, z]))
 
 
 def test_no_convergence_budget(monkeypatch):
     monkeypatch.setattr(hyper, "_MAX_TERMS", 3)
     with pytest.raises(NoConvergence):
-        gauss_2f1(0.5, 1.7, 1.1, 0.89)
+        gauss_2f1(0.5, 1.7, 1.1, -0.89)
 
 
 def test_green_kernel_parameter_shapes():
@@ -329,20 +333,9 @@ def test_pfaff_derivatives_near_a_zero(a, b, c, z):
         assert abs(val - ref) <= 1e-13 * abs(ref)
 
 
-@pytest.mark.parametrize("z", [0.5, 0.3 + 0.5j, 0.6 - 0.2j, 0.95, 0.97 + 0.01j])
-def test_direct_and_one_minus_derivatives_against_mpmath(z):
-    # the branches off the negative axis: the direct series (termwise
-    # derivatives; worst 1.3e-14, in F'') and, from |z| = 0.95, the 1-z
-    # connection (shifted functions; worst 3.7e-15)
-    for a, b, c in [(0.3, 0.7, 2.25), (0.5 + 0.1j, 1.1, 2.3)]:
-        got = hyper._gauss_2f1_core(complex(a), complex(b), complex(c), complex(z), 2)
-        for val, ref in zip(got, shifted_reference(a, b, c, z)):
-            assert abs(val - ref) <= 5e-14 * abs(ref)
-
-
 @pytest.mark.parametrize("a,b,c", [(0.3, 0.7 + 0.2j, 2.25), (-3.0, 0.7 + 0.2j, 2.25)])
 def test_derivatives_where_z_squared_underflows(a, b, c):
-    # the direct series and the terminating polynomial at a z whose square
+    # the Pfaff series and the terminating polynomial at a z whose square
     # is 0: F' and F'' are their first terms, not a division by z
     z = -1e-170 + 0j
     got = hyper._gauss_2f1_core(complex(a), complex(b), complex(c), z, 2)

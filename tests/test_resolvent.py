@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -227,6 +228,50 @@ def test_block_pipeline_at_14_7_never_expands():
     assert expo == pytest.approx(12.0, abs=0.02)
     assert abs(psi) > 0
     assert peak < 50 * 2 ** 20
+
+
+def test_operator_at_40_20_builds_no_row_table(capsys):
+    # dim_v = C(40, 20) ~ 1.4e11: the block of each basis row is built only
+    # for an expansion, behind its guard
+    tracemalloc.start()
+    try:
+        op = build_radial_operator(40, 20)
+        with pytest.raises(CombinatorialBlowup):
+            op.expand(np.ones(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "block_of" not in op.__dict__
+    assert peak < 2 ** 20
+    assert main(["resolvent", "--n", "40", "--p", "20", "--s", "1"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert row["psi_exponent"] == pytest.approx(38.0, abs=0.02)
+    assert main(["resolvent", "--n", "40", "--p", "20", "--scan", "0.5:1:3"]) == 0
+    capsys.readouterr()
+
+
+def test_non_finite_s_and_t_rejected():
+    # NaN passes bare s and t <= 0 tests
+    sp = make_space(Field.REAL, 5)
+    for s in (math.nan, complex(1.0, math.nan), math.inf):
+        with pytest.raises(DomainError):
+            cover_point(sp, 1, s)
+    _, kern = solve(5, 1, 1.0)
+    with pytest.raises(DomainError):
+        kernel_blocks(kern, math.nan)
+
+
+def test_frobenius_order_guards():
+    op = build_radial_operator(5, 1)
+    cp = cover_point(make_space(Field.REAL, 5), 1, 1.0)
+    for L in (-3, 0):
+        with pytest.raises(DomainError):
+            frobenius_solve(op, cp, L=L)
+    # the W table has 2 (L+1)^2 entries: 1048352 fit the cap of 2^20 at
+    # L = 723, 1051250 do not at L = 724; at L = 200000 it would take 596 GiB
+    for L, entries in ((724, 1051250), (200000, 80000800002)):
+        with pytest.raises(CombinatorialBlowup, match=f"{entries} entries"):
+            frobenius_solve(op, cp, L=L)
 
 
 # ------------------------------------------------------------ frobenius solve
