@@ -158,6 +158,8 @@ class OutputEnvelope:
 # most points a grid argument may ask for (test and benchmark grids use at
 # most 100); a larger count fails up front instead of in the allocator
 _MAX_GRID_POINTS = 2 ** 16
+# most rows of alpha_p a table may ask for; (R, n = 100000) asks for 100001
+_MAX_P_ROWS = 2 ** 20
 
 
 def _parse_complex(text: str) -> complex:
@@ -188,15 +190,14 @@ def _parse_grid(text: str, log: bool) -> np.ndarray:
 
 
 def _parse_p_range(text: Optional[str], dim: int) -> range:
-    if text is None:
-        return range(0, dim + 1)
     try:
-        lo_s, hi_s = text.split(":")
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = (0, dim) if text is None else map(int, text.split(":"))
     except ValueError as exc:
         raise DomainError(f"p range must be lo:hi, got {text!r}") from exc
     if not 0 <= lo <= hi <= dim:
         raise DomainError(f"p range {text} outside [0, {dim}]")
+    if hi - lo >= _MAX_P_ROWS:
+        raise DomainError(f"p range asks for {hi - lo + 1} rows, over the cap of {_MAX_P_ROWS}")
     return range(lo, hi + 1)
 
 
@@ -238,8 +239,6 @@ def _cmd_green(args) -> OutputEnvelope:
     space = make_space(Field(args.field), args.n)
     s = _parse_complex(args.s)
     grid = _parse_grid(args.r_grid, args.log)
-    if np.any(grid <= 0):
-        raise DomainError("green grid requires r > 0")
     rows = []
     for r in grid:
         val = green0_eval(space, s, float(r))
@@ -355,9 +354,7 @@ def _resolvent_scan(args, space, op, signs) -> OutputEnvelope:
 def _cmd_delta(args) -> OutputEnvelope:
     gens, base = load_group_file(args.group_file)
     if args.base is not None:
-        base = [_parse_complex(v) for v in args.base.split(",")]
-        if gens.model.dtype is np.float64:
-            base = [v.real for v in base]
+        base = [_parse_complex(v) for v in args.base.split(",")]  # the model reads it
     sample = enumerate_orbit(
         gens,
         base=base,

@@ -21,7 +21,9 @@ the order-2 entry of `hyper` differentiates each series term by term
 never through the hypergeometric equation, so the residual measures
 only formula and series error, with no finite-difference noise floor.
 The 2F1 parameters and log C(s) are computed once per (d, n, s) and
-kept in an LRU cache (hyper._CACHE_SIZE entries).
+kept in an LRU cache (hyper._CACHE_SIZE entries).  Radii below _MIN_R,
+where the 2F1 argument -1/sinh^2 r passes the float64 range, and a
+prefactor past that range raise DomainError.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +52,10 @@ __all__ = [
 ]
 
 _MIN_RESIDUAL_R = 0.01
+# smallest radius taken: below about 7.46e-155 the 2F1 argument
+# -1/sinh^2 r passes the float64 range
+_MIN_R = 1e-154
+_LOG_MAX = math.log(sys.float_info.max)  # exp passes the float64 range above it
 # the two radii small_r_constant extrapolates from
 _SMALL_R_RADII = (1e-3, 1e-4)
 
@@ -133,10 +140,18 @@ def _log_sinh(r: float) -> float:
     return math.log(math.sinh(r))
 
 
+def _prefactor(log_pre: complex, r: float) -> complex:
+    """exp(log_pre), the kernel's prefactor at r; DomainError where it
+    passes the float64 range."""
+    if log_pre.real > _LOG_MAX:
+        raise DomainError(f"the kernel's prefactor at r={r} passes the float64 range")
+    return cmath.exp(log_pre)
+
+
 def green0_eval(space: SpaceDescriptor, s: complex, r: float) -> complex:
-    """Green kernel g0(s, r) at geodesic distance r > 0."""
+    """Green kernel g0(s, r) at geodesic distance r >= _MIN_R."""
     a, b, c, log_pre, z = _green0_point(space, complex(s), float(r))
-    return cmath.exp(log_pre) * gauss_2f1(a, b, c, z)
+    return _prefactor(log_pre, r) * gauss_2f1(a, b, c, z)
 
 
 def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
@@ -149,11 +164,14 @@ def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
     """
     s = complex(s)
     r = np.asarray(r, dtype=float)
-    bad = ~(r > 0)
+    bad = ~(r >= _MIN_R)  # NaN fails too
     if np.any(bad):
-        raise DomainError(f"geodesic distance must be positive, got r={r[bad][0]}")
+        raise DomainError(f"geodesic distance must be at least {_MIN_R}, got r={r[bad][0]}")
     a, b, c, log_c = _kernel_constants(space.d, space.n, s)
     L = math.log(2.0) + 2.0 * _log_sinh_many(r)
+    over = (log_c - a * L).real > _LOG_MAX  # the bound of _prefactor
+    if np.any(over):
+        raise DomainError(f"the kernel's prefactor at r={r[over][0]} passes the float64 range")
     F, log_p = _gauss_2f1_many(a, b, c, -np.exp(-L + math.log(2.0)))
     # the Pfaff factor (1 - z)^(-a) joins the prefactor's exponent
     return np.exp(log_c - a * (L + log_p)) * F
@@ -172,7 +190,7 @@ def green0_derivatives(
 ) -> tuple[complex, complex, complex]:
     """The kernel and its first two radial derivatives, in closed form."""
     log_pre, (g, dg, ddg) = _green0_shape(space, complex(s), float(r))
-    pre = cmath.exp(log_pre)
+    pre = _prefactor(log_pre, r)
     return pre * g, pre * dg, pre * ddg
 
 
@@ -181,8 +199,8 @@ def _green0_point(
 ) -> tuple[complex, complex, complex, complex, float]:
     """The 2F1 parameters (a, b, c), the log of the prefactor
     C(s) (2 sinh^2 r)^(-a) and the 2F1 argument z = -1/sinh^2 r at r."""
-    if not r > 0:  # NaN fails too
-        raise DomainError(f"geodesic distance must be positive, got r={r}")
+    if not r >= _MIN_R:  # NaN fails too
+        raise DomainError(f"geodesic distance must be at least {_MIN_R}, got r={r}")
     a, b, c, log_c = _kernel_constants(space.d, space.n, s)
     L = math.log(2.0) + 2.0 * _log_sinh(r)  # log(2 sinh^2 r)
     z = -math.exp(-L + math.log(2.0))        # -1/sinh^2 r, underflow-safe

@@ -6,6 +6,11 @@ hyperboloid for a signature-(n,1) symmetric form (real case), negative
 lines of a signature-(n,1) Hermitian form (complex case, metric scaled
 to holomorphic sectional curvature -4, so pinched curvature in [-4,-1]).
 The form matrix is diag(1, ..., 1, -1) with the time coordinate last.
+Both models derive from QuadricModel, whose read method is the one
+place where points and matrices from outside the library (generators,
+base points, the points given to distance, group files) become arrays
+of the model's dtype: it rejects a wrong shape, a non-finite entry and,
+on the real model, an imaginary part, with DomainError.
 
 Orbit enumeration walks freely reduced words in lexicographic order
 (letter-major, generator then its inverse), so samples are deterministic
@@ -22,7 +27,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -60,39 +65,64 @@ _ROOT_XTOL = 1e-14     # relative step at which the delta root is accepted
 
 
 @dataclass(frozen=True)
-class RealHyperboloid:
-    """Unit hyperboloid in R^(n,1); admissible points have q(x) < 0."""
+class QuadricModel:
+    """A signature-(n,1) form on the field's (n+1)-space, time coordinate
+    last; the subclasses give the form, the normalization of admissible
+    points and their cosh distances."""
 
     n: int
-
-    @property
-    def field(self) -> Field:
-        return Field.REAL
+    field: ClassVar[Field]
+    dtype: ClassVar[type]
 
     @property
     def ambient_dim(self) -> int:
         return self.n + 1
 
-    @property
-    def dtype(self):
-        return np.float64
-
     def form_matrix(self) -> np.ndarray:
-        J = np.eye(self.n + 1)
+        J = np.eye(self.ambient_dim, dtype=self.dtype)
         J[-1, -1] = -1.0
         return J
 
     def origin(self) -> np.ndarray:
-        x = np.zeros(self.n + 1)
+        x = np.zeros(self.ambient_dim, dtype=self.dtype)
         x[-1] = 1.0
         return x
+
+    def read(self, values, what: str, ndim: int = 1) -> np.ndarray:
+        """values, a point (ndim 1) or a matrix (ndim 2) from outside the
+        library, as a new array of the model's dtype.  DomainError unless
+        the shape fits the model and every entry is a finite number with,
+        on the real model, no imaginary part."""
+        try:
+            x = np.asarray(values)
+        except ValueError as exc:  # ragged nesting
+            raise DomainError(f"{what} is not an array of numbers") from exc
+        shape = (self.ambient_dim,) * ndim
+        if x.shape != shape:
+            raise DomainError(f"{what} has shape {x.shape}, expected {shape}")
+        if x.dtype.kind not in "biufc":
+            raise DomainError(f"{what} has entries that are not numbers")
+        if not np.isfinite(x).all():
+            raise DomainError(f"{what} has an entry that is not finite")
+        if self.field is Field.REAL and np.iscomplexobj(x):
+            if np.any(x.imag):
+                raise DomainError(f"{what} has an imaginary part on a real model")
+            x = x.real
+        return np.array(x, dtype=self.dtype)
+
+
+class RealHyperboloid(QuadricModel):
+    """Unit hyperboloid in R^(n,1); admissible points have q(x) < 0."""
+
+    field = Field.REAL
+    dtype = np.float64
 
     def form(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.dot(x[:-1], y[:-1]) - x[-1] * y[-1])
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         q = self.form(x, x)
-        if q >= 0:
+        if not -math.inf < q < 0:  # NaN and an overflowed form fail too
             raise DomainError("point is not on a negative vector of the form")
         x = x / math.sqrt(-q)
         return x if x[-1] > 0 else -x
@@ -102,40 +132,18 @@ class RealHyperboloid:
         return -(pts @ Jb)
 
 
-@dataclass(frozen=True)
-class ComplexProjective:
+class ComplexProjective(QuadricModel):
     """Negative lines in C^(n,1); curvature pinned to [-4, -1]."""
 
-    n: int
-
-    @property
-    def field(self) -> Field:
-        return Field.COMPLEX
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.n + 1
-
-    @property
-    def dtype(self):
-        return np.complex128
-
-    def form_matrix(self) -> np.ndarray:
-        J = np.eye(self.n + 1, dtype=complex)
-        J[-1, -1] = -1.0
-        return J
-
-    def origin(self) -> np.ndarray:
-        x = np.zeros(self.n + 1, dtype=complex)
-        x[-1] = 1.0
-        return x
+    field = Field.COMPLEX
+    dtype = np.complex128
 
     def form(self, x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.dot(x[:-1], np.conj(y[:-1])) - x[-1] * np.conj(y[-1]))
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         q = self.form(x, x).real
-        if q >= 0:
+        if not -math.inf < q < 0:  # NaN and an overflowed form fail too
             raise DomainError("point is not on a negative line of the form")
         return x / math.sqrt(-q)
 
@@ -146,9 +154,6 @@ class ComplexProjective:
         qx = -np.real(np.einsum("ij,j,ij->i", pts, Jc, np.conj(pts)))
         qb = -self.form(base, base).real
         return np.abs(ip) / np.sqrt(qx * qb)
-
-
-Model = Union[RealHyperboloid, ComplexProjective]
 
 
 def _stable_acosh(c: np.ndarray) -> np.ndarray:
@@ -166,10 +171,10 @@ def _stable_acosh(c: np.ndarray) -> np.ndarray:
     return np.log1p(root, out=root)
 
 
-def distance(model: Model, x: Sequence, y: Sequence) -> float:
+def distance(model: QuadricModel, x: Sequence, y: Sequence) -> float:
     """Geodesic distance between two admissible points."""
-    x = model.normalize(np.asarray(x, dtype=model.dtype))
-    y = model.normalize(np.asarray(y, dtype=model.dtype))
+    x = model.normalize(model.read(x, "point"))
+    y = model.normalize(model.read(y, "point"))
     c = model.batch_cosh_distance(x[None, :], y)[0]
     return float(_stable_acosh(np.asarray([c]))[0])
 
@@ -181,28 +186,37 @@ class DedupPolicy(str, Enum):
 
 @dataclass(frozen=True)
 class GroupGenerators:
-    """Generating isometries with labels; inverses come from the form."""
+    """Generating isometries with labels; inverses come from the form.
 
-    model: Model
+    The matrices are read through the model (QuadricModel.read), so they
+    are held in its dtype, and each must preserve the form to _FORM_TOL
+    relative to its largest entry squared.
+    """
+
+    model: QuadricModel
     matrices: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if len(self.matrices) != len(self.labels):
+            raise DomainError(f"{len(self.matrices)} generators but {len(self.labels)} labels")
+        mats = tuple(self.model.read(g, f"generator {lab}", ndim=2)
+                     for g, lab in zip(self.matrices, self.labels))
+        object.__setattr__(self, "matrices", mats)
         J = self.model.form_matrix()
-        for g, lab in zip(self.matrices, self.labels):
-            if g.shape != (self.model.ambient_dim, self.model.ambient_dim):
-                raise DomainError(f"generator {lab} has shape {g.shape}")
-            scale = max(1.0, float(np.abs(g).max()) ** 2)
-            err = np.abs(np.conj(g.T) @ J @ g - J).max() / scale
-            if err > _FORM_TOL:
+        for g, lab in zip(mats, self.labels):
+            # entries near the float64 limit overflow to inf or NaN, which fail
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = max(1.0, np.abs(g).max()) ** 2
+                err = np.abs(np.conj(g.T) @ J @ g - J).max() / scale
+            if not err <= _FORM_TOL:
                 raise DomainError(
                     f"generator {lab} does not preserve the form (relative error {err:.3g})"
                 )
 
     def inverses(self) -> tuple[np.ndarray, ...]:
-        J = self.model.form_matrix()
-        Jinv = J  # J is an involution
-        return tuple(Jinv @ np.conj(g.T) @ J for g in self.matrices)
+        J = self.model.form_matrix()  # an involution: J^-1 = J
+        return tuple(J @ np.conj(g.T) @ J for g in self.matrices)
 
 
 @dataclass
@@ -214,7 +228,7 @@ class OrbitSample:
     shell, so no library path builds a copy of the whole sample.
     """
 
-    model: Model
+    model: QuadricModel
     base_point: np.ndarray
     max_word_length: int
     dedup_policy: DedupPolicy
@@ -293,7 +307,7 @@ def _runs(shells: list[np.ndarray]):
         yield np.concatenate(parts)
 
 
-def _shell_distances(model: Model, pts: np.ndarray, base: np.ndarray, out: np.ndarray) -> None:
+def _shell_distances(model: QuadricModel, pts: np.ndarray, base: np.ndarray, out: np.ndarray) -> None:
     """Distances of pts from base, written into out block by block, so the
     cosh and acosh temporaries stay at _CHUNK rows."""
     for rows in _blocks(len(pts)):
@@ -301,7 +315,7 @@ def _shell_distances(model: Model, pts: np.ndarray, base: np.ndarray, out: np.nd
 
 
 def _extend_free(
-    model: Model,
+    model: QuadricModel,
     letters_t: list[np.ndarray],
     prev_pts: np.ndarray,
     base: np.ndarray,
@@ -402,13 +416,8 @@ def enumerate_orbit(
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
     model = gens.model
-    base_pt = model.normalize(
-        np.asarray(base, dtype=model.dtype) if base is not None else model.origin()
-    )
-    letters: list[np.ndarray] = []
-    for g, ginv in zip(gens.matrices, gens.inverses()):
-        letters.append(np.asarray(g, dtype=model.dtype))
-        letters.append(np.asarray(ginv, dtype=model.dtype))
+    base_pt = model.normalize(model.origin() if base is None else model.read(base, "base point"))
+    letters = [g for pair in zip(gens.matrices, gens.inverses()) for g in pair]
     letters_t = [np.ascontiguousarray(g.T) for g in letters]
     cap = _word_cap(max_words)
     blowup = CombinatorialBlowup(
@@ -710,6 +719,9 @@ def punctured_torus_group() -> GroupGenerators:
     return GroupGenerators(RealHyperboloid(2), (A, B), ("a", "b"))
 
 
+_MODEL_TYPES = {"real_hyperboloid": RealHyperboloid, "complex_projective": ComplexProjective}
+
+
 def _parse_entry(v) -> complex:
     if isinstance(v, dict):
         return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
@@ -725,36 +737,23 @@ def load_group_file(path: str) -> tuple[GroupGenerators, Optional[np.ndarray]]:
       model:       {"type": "real_hyperboloid" | "complex_projective", "n": int}
       generators:  [{"label": str, "matrix": [[entry, ...], ...]}, ...]
       base_point:  [entry, ...]   (optional)
-    Matrix entries are numbers, decimal strings, or {"re":..., "im":...}.
+    Matrix entries are numbers, decimal strings, or {"re":..., "im":...};
+    the model reads them (QuadricModel.read), so every entry must be
+    finite and a real model rejects imaginary parts.
     """
     with open(path) as f:
         spec = json.load(f)
     try:
         mtype = spec["model"]["type"]
-        n = int(spec["model"]["n"])
-        if mtype == "real_hyperboloid":
-            model: Model = RealHyperboloid(n)
-        elif mtype == "complex_projective":
-            model = ComplexProjective(n)
-        else:
+        if mtype not in _MODEL_TYPES:
             raise DomainError(f"unknown model type {mtype!r}")
-        mats = []
-        labels = []
-        for i, g in enumerate(spec["generators"]):
-            raw = np.asarray(
-                [[_parse_entry(v) for v in row] for row in g["matrix"]]
-            )
-            if model.dtype == np.float64:
-                if np.abs(raw.imag).max() > 0:
-                    raise DomainError("real model with complex generator entries")
-                raw = raw.real
-            mats.append(raw.astype(model.dtype))
-            labels.append(str(g.get("label", f"g{i}")))
+        model = _MODEL_TYPES[mtype](int(spec["model"]["n"]))
+        gens = spec["generators"]
+        mats = [[[_parse_entry(v) for v in row] for row in g["matrix"]] for g in gens]
+        labels = [str(g.get("label", f"g{i}")) for i, g in enumerate(gens)]
         base = None
         if "base_point" in spec:
-            base = np.asarray([_parse_entry(v) for v in spec["base_point"]])
-            if model.dtype == np.float64:
-                base = base.real
+            base = model.read([_parse_entry(v) for v in spec["base_point"]], "base point")
     except KeyError as exc:
         raise DomainError(f"group file missing key {exc}") from exc
     return GroupGenerators(model, tuple(mats), tuple(labels)), base

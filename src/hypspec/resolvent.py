@@ -70,10 +70,10 @@ new algorithmic content and are rejected):
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -412,6 +412,8 @@ def build_radial_operator(n: int, p: int, L_w: int = 40) -> RadialOperator:
     if L_w < 1:
         raise DomainError("perturbation order L_w must be >= 1")
     e_values = e_element_values(n, p)
+    if math.comb(n, p) > sys.float_info.max:  # the block ranks are floats
+        raise CombinatorialBlowup(f"the rank C({n}, {p}) of the {p}-forms has no float64 value")
     c_sigma_max = max(q * (n - 1 - q) for q in (p - 1, p) if 0 <= q < n)
     beta = Fraction(n - 1, 2)
     space = make_space(Field.REAL, n)
@@ -448,6 +450,11 @@ class CoverPoint:
         return self.branch_values[self.e_values_pos.index(e)]
 
 
+# largest |s| taken: |s|^2 and the recursion's divisors lam^2 - s^2 stay
+# far inside the float64 range
+_MAX_ABS_S = 1e150
+
+
 def cover_point(
     space: SpaceDescriptor,
     p: int,
@@ -463,8 +470,8 @@ def cover_point(
     if space.field is not Field.REAL:
         raise UnsupportedField("the form-valued resolvent is implemented for the real field only")
     s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"spectral parameter s = {s} is not finite")
+    if not abs(s) <= _MAX_ABS_S:  # NaN fails too
+        raise DomainError(f"spectral parameter s = {s} is not finite or |s| > {_MAX_ABS_S:g}")
     e_pos = tuple(e for e in e_element_values(space.n, p) if e > 0)
     signs = list(branch_signs) if branch_signs is not None else [1] * len(e_pos)
     if len(signs) != len(e_pos):

@@ -40,6 +40,33 @@ def test_alpha_octonion_unknown_marker(capsys):
     assert rows[16]["alpha"] == "121"
 
 
+@pytest.mark.parametrize("p_range, code, rows", [
+    ("1:3", 0, [1, 2, 3]),
+    ("2:2", 0, [2]),
+    ("1-3", 3, None),
+    ("1:2:3", 3, None),
+    ("a:b", 3, None),
+    ("0:5", 3, None),
+    ("-1:2", 3, None),
+    ("3:1", 3, None),
+])
+def test_alpha_p_range(capsys, p_range, code, rows):
+    got, out = run(capsys, "alpha", "--field", "R", "--n", "4", f"--p-range={p_range}")
+    assert got == code
+    doc = json.loads(out)
+    if rows is None:
+        assert doc["error"]["type"] == "DomainError"
+    else:
+        assert [r["p"] for r in doc["rows"]] == rows
+        assert doc["rows"][0]["alpha"] == {1: "1/4", 2: "1/4"}[rows[0]]
+
+
+def test_alpha_large_table_under_the_row_cap(capsys):
+    code, out = run(capsys, "alpha", "--field", "R", "--n", "100000", "--format", "csv")
+    assert code == 0
+    assert out.count("\n") == 100002  # header and p = 0 .. 100000
+
+
 def test_alpha_csv_projection(capsys):
     code, out = run(capsys, "alpha", "--field", "R", "--n", "3", "--format", "csv")
     lines = out.strip().split("\n")
@@ -184,6 +211,55 @@ def test_delta_overflow_structured_error(tmp_path, capsys):
     code, out = run(capsys, "delta", "--group-file", str(path), "--max-len", "400")
     assert code == 4
     assert json.loads(out)["error"]["type"] == "OrbitOverflow"
+
+
+def test_readme_group_file_runs(tmp_path, capsys):
+    # the example in README.md, so it cannot drift from what delta accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("A group file looks like", 1)[1]
+    block = after.split("```json", 1)[1].split("```", 1)[0]
+    path = tmp_path / "group.json"
+    path.write_text(block)
+    code, out = run(capsys, "delta", "--group-file", str(path), "--max-len", "12",
+                    "--base", "0,0,1")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["n_words"] == 25
+
+
+BOOST3 = [[format(v, ".17g") for v in row] for row in boost_matrix(3, 1.0)]
+
+
+@pytest.mark.parametrize("matrix, base, flag", [
+    # once exited 4 with OrbitOverflow
+    ([["nan"] + row[1:] for row in BOOST3], None, None),
+    ([[{"re": "inf", "im": 0}] + row[1:] for row in BOOST3], None, None),
+    (BOOST3, [0, 0, 0, {"re": 1, "im": 5}], None),
+    # --base once dropped the imaginary part on a real model
+    (BOOST3, None, "0,0,0,1+5i"),
+    (BOOST3, None, "0,0,1"),
+])
+def test_delta_rejects_outside_values(tmp_path, capsys, matrix, base, flag):
+    doc = {"model": {"type": "real_hyperboloid", "n": 3},
+           "generators": [{"label": "a", "matrix": matrix}]}
+    if base is not None:
+        doc["base_point"] = base
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    argv = ["delta", "--group-file", str(path), "--max-len", "4"]
+    code, out = run(capsys, *argv, *(["--base", flag] if flag else []))
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_delta_huge_model_with_a_small_generator(tmp_path, capsys):
+    # once a traceback from allocating the (n+1)^2 form matrix (6.94 EiB)
+    doc = {"model": {"type": "real_hyperboloid", "n": 10 ** 9},
+           "generators": [{"label": "a", "matrix": [[1, 0], [0, 1]]}]}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "delta", "--group-file", str(path))
+    assert code == 3
+    assert "shape" in json.loads(out)["error"]["message"]
 
 
 def test_delta_malformed_file(tmp_path, capsys):
@@ -379,6 +455,18 @@ def test_delta_output_pinned(capsys, group, max_len, row, extra):
     (["resolvent", "--n", "5", "--p", "1", "--scan", "0.5:1:100000000000"], "DomainError"),
     (["resolvent", "--n", "5", "--p", "1", "--s", "1", "--order", "200000"],
      "CombinatorialBlowup"),
+    # finite but extreme inputs that once ended in OverflowError or
+    # MemoryError tracebacks
+    (["green", "--field", "R", "--n", "3", "--s", "1", "--r-grid", "1e-200:1e-100:2"],
+     "DomainError"),
+    (["green", "--field", "R", "--n", "100000000", "--s", "1", "--r-grid", "1:2:2"],
+     "DomainError"),
+    (["resolvent", "--n", "5", "--p", "1", "--s", "1e200"], "DomainError"),
+    (["resolvent", "--n", "5", "--p", "1", "--scan", "1e200:1e201:2"], "DomainError"),
+    (["resolvent", "--n", "2000", "--p", "1000", "--s", "1"], "CombinatorialBlowup"),
+    (["resolvent", "--n", "2000", "--p", "1000", "--scan", "0.5:1:2"], "CombinatorialBlowup"),
+    (["alpha", "--field", "R", "--n", "1048576"], "DomainError"),  # the first past the cap
+    (["alpha", "--field", "R", "--n", "100000000000000"], "DomainError"),
 ])
 def test_library_errors_exit_3(monkeypatch, capsys, argv, error):
     monkeypatch.delenv("HYPSPEC_MAX_WORDS", raising=False)

@@ -118,6 +118,34 @@ def test_rejects_bad_inputs():
             green0_eval_many(H3, s, np.array([0.5, r]))
 
 
+def test_tiny_radii():
+    # below about 7.46e-155, -1/sinh^2 r overflowed: an OverflowError in the
+    # scalar entries, NaN in the array entry
+    for r in (1e-200, np.nextafter(1e-154, 0.0)):
+        for entry in (green0_eval, green0_derivatives):
+            with pytest.raises(DomainError, match="at least 1e-154"):
+                entry(H3, 1.0, r)
+        with pytest.raises(DomainError, match="at least 1e-154"):
+            green0_eval_many(H3, 1.0, np.array([1.0, r]))
+    # r = 1e-154 still works: e^(-r) / (4 pi sinh r) is 1 / (4 pi r) there
+    expected = 1.0 / (4 * math.pi * 1e-154)
+    assert green0_eval(H3, 1.0, 1e-154) == pytest.approx(expected, rel=1e-12)
+    assert green0_eval_many(H3, 1.0, np.array([1e-154]))[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_prefactor_past_the_float64_range():
+    # once an OverflowError (scalar) or inf (array) instead of an error;
+    # green0_derivatives sums its 2F1 first, which at n = 10^8 does not
+    # converge (NoConvergence)
+    for space, s, r in ((make_space(Field.REAL, 10 ** 8), 1.0, 1.0), (H3, 10.0, 1e-30)):
+        with pytest.raises(DomainError, match="float64 range"):
+            green0_eval(space, s, r)
+        with pytest.raises(DomainError, match="float64 range"):
+            green0_eval_many(space, s, np.array([2.0, r]))
+    with pytest.raises(DomainError, match="float64 range"):
+        green0_derivatives(H3, 10.0, 1e-30)
+
+
 def test_derivatives_match_h3_closed_form():
     s = 0.8
     for r in [0.3, 1.0, 4.0]:

@@ -395,6 +395,24 @@ def test_near_integer_band_keeps_pfaff_where_it_converges(monkeypatch):
     assert seen == [pytest.approx(1.0 / 20.0)] * 2  # generic 1/z connection
 
 
+@pytest.mark.parametrize("a, m, c, z", [
+    # both parameters near poles, where rebuilding a as (a + m) - m moved
+    # its distance to the pole: F, F' or F'' were off by 5.9e-9, 2.9e-11,
+    # 8.0e-10, 1.7e-5 and 6.1e-8 of their scales
+    (1e-8, -6, 1.0, -60.0),
+    (1e-8, -6, 1.0, -6.0),
+    (1e-12, -2, 1.0, -3000.0),
+    (1e-12, -6, 1.0, -60.0),
+    (1e-10, -6, 1.5 + 0.5j, -60.0),
+    # c - b = 1 - 5e-9 was snapped to 1, which put F off by 2.9e-9
+    (5e-9, -1, 1.0, -3.0),
+])
+def test_log_series_with_both_parameters_near_poles(a, m, c, z):
+    check_derivatives("log", a, a + m, c, z)
+    got = hyper._gauss_2f1_core(complex(a), complex(a + m), complex(c), complex(z), 0)[0]
+    assert got == pytest.approx(complex(mp_hyp2f1(a, a + m, c, z)), rel=1e-14)
+
+
 @pytest.mark.parametrize(
     "a,m,c",
     [
@@ -411,7 +429,7 @@ def test_log_series_past_the_gamma_overflow(monkeypatch, a, m, c):
     with monkeypatch.context() as mp:
         mp.setattr(hyper, "_MAX_TERMS", 170)
         with pytest.raises(NoConvergence):
-            _inf_connection_integer(a, m, c, z, 0)
+            _inf_connection_integer(a, m, a + m, c, z, 0)
     ref = complex(mpmath.hyp2f1(a, a + m, c, z))
-    val = _inf_connection_integer(a, m, c, z, 0)[0]
+    val = _inf_connection_integer(a, m, a + m, c, z, 0)[0]
     assert val == pytest.approx(ref, rel=5e-13)

@@ -34,7 +34,7 @@ from hypspec.orbits import (
     shell_sums,
     sl2_to_so21,
 )
-from hypspec.green import green0_eval
+from hypspec.green import green0_eval, green0_eval_many
 from hypspec.spaces import Field, make_space
 
 
@@ -92,6 +92,76 @@ def test_generator_form_validation():
     bad[0, 0] = 2.0
     with pytest.raises(DomainError):
         GroupGenerators(m, (bad,), ("a",))
+
+
+def test_models_share_one_base():
+    real, cplx = RealHyperboloid(3), ComplexProjective(3)
+    assert isinstance(real, orbits.QuadricModel) and isinstance(cplx, orbits.QuadricModel)
+    assert repr(real) == "RealHyperboloid(n=3)" and repr(cplx) == "ComplexProjective(n=3)"
+    assert real != cplx and real == RealHyperboloid(3)
+    assert (real.field, cplx.field) == (Field.REAL, Field.COMPLEX)
+    for m in (real, cplx):
+        assert m.ambient_dim == 4
+        assert m.form_matrix().dtype == m.origin().dtype == m.dtype
+        assert np.array_equal(m.form_matrix(), np.diag([1.0, 1.0, 1.0, -1.0]))
+        assert np.array_equal(m.origin(), [0, 0, 0, 1])
+
+
+def test_read_returns_a_new_array_of_the_model_dtype():
+    g = boost_matrix(2, 1.0)
+    for m, value in [(RealHyperboloid(2), g.astype(complex)),
+                     (RealHyperboloid(2), g.tolist()),
+                     (ComplexProjective(2), g)]:
+        x = m.read(value, "generator", ndim=2)
+        assert x.dtype == m.dtype and np.array_equal(x, g)
+        assert x is not value and x.flags.c_contiguous
+    assert ComplexProjective(2).read([0, 0, 1], "point").dtype == np.complex128
+
+
+NAN_BOOST = boost_matrix(2, 1.0)
+NAN_BOOST[0, 1] = math.nan
+
+
+@pytest.mark.parametrize("model, matrix, labels, message", [
+    # preserves the form, but a real model once cast it to zero
+    (RealHyperboloid(2), np.diag([1j, 1j, 1j]), ("a",), "imaginary part"),
+    # NaN passed a bare err > tol test
+    (RealHyperboloid(2), NAN_BOOST, ("a",), "not finite"),
+    (ComplexProjective(2), NAN_BOOST, ("a",), "not finite"),
+    (RealHyperboloid(2), np.full((3, 3), np.inf), ("a",), "not finite"),
+    (RealHyperboloid(2), np.array([["1", "0", "0"]] * 3), ("a",), "not numbers"),
+    (RealHyperboloid(2), [[1, 0], [0, 1, 0]], ("a",), "not an array"),
+    # the (n+1)^2 form matrix is never built for a wrong shape
+    (RealHyperboloid(10 ** 9), np.eye(2), ("a",), "shape"),
+    (RealHyperboloid(2), boost_matrix(2, 1.0), (), "labels"),
+    # entries whose squares overflow
+    (RealHyperboloid(2), boost_matrix(2, 1.0) * 1e200, ("a",), "preserve the form"),
+])
+def test_generators_rejected(model, matrix, labels, message):
+    with pytest.raises(DomainError, match=message):
+        GroupGenerators(model, (matrix,), labels)
+
+
+@pytest.mark.parametrize("model, point, message", [
+    (RealHyperboloid(2), [0, 0, 1 + 5j], "imaginary part"),
+    (RealHyperboloid(2), [0, math.nan, 1], "not finite"),
+    (ComplexProjective(1), [complex(0, math.inf), 1], "not finite"),
+    (RealHyperboloid(2), [0, 1], "shape"),
+])
+def test_points_rejected(model, point, message):
+    with pytest.raises(DomainError, match=message):
+        enumerate_orbit(GroupGenerators(model, (), ()), base=point, max_len=2)
+    with pytest.raises(DomainError, match=message):
+        distance(model, point, model.origin())
+
+
+def test_normalize_rejects_nan_and_an_overflowed_form():
+    # NaN passed a bare q >= 0 test; q = -inf scaled the point to zero
+    for m in (RealHyperboloid(2), ComplexProjective(2)):
+        with pytest.raises(DomainError, match="negative"):
+            m.normalize(np.array([math.nan, 0.0, 1.0], dtype=m.dtype))
+    with pytest.raises(DomainError, match="negative"):
+        enumerate_orbit(cyclic_group(2, 1.0), base=[0, 0, 1e200], max_len=2)
 
 
 # --------------------------------------------------------------- enumeration
@@ -229,11 +299,8 @@ def unchunked_distances(gens, max_len, base=None):
     takes them: on a transposed view numpy runs another loop, whose
     rounding differs by an ulp for generators without zero entries."""
     model = gens.model
-    base_pt = model.normalize(
-        np.asarray(base, dtype=model.dtype) if base is not None else model.origin()
-    )
-    letters = [np.asarray(g, dtype=model.dtype)
-               for pair in zip(gens.matrices, gens.inverses()) for g in pair]
+    base_pt = model.normalize(model.read(base, "base") if base is not None else model.origin())
+    letters = [g for pair in zip(gens.matrices, gens.inverses()) for g in pair]
     pts, last = base_pt[None, :], np.array([-1], dtype=np.int8)
     dists = [np.zeros(1)]
     for _ in range(max_len):
@@ -570,6 +637,27 @@ def test_estimate_delta_conjugation_invariant(case, length, angle):
     assert abs(est.growth_fit - ref.growth_fit) <= 5e-3
 
 
+@pytest.mark.parametrize("fn, lo, hi, x", [
+    # start outside the bracket
+    (lambda x: (1.0 - x, -1.0), 0.0, 3.0, 5.0),
+    # a derivative of the wrong sign, or zero, gives no Newton step
+    (lambda x: (1.0 - x, 0.0), 0.0, 3.0, 2.0),
+    (lambda x: (1.0 - x, 1.0), 0.0, 3.0, 2.0),
+    # from x = 8 the Newton step of -atan(x - 1) lands at -63
+    (lambda x: (-math.atan(x - 1.0), -1.0 / (1.0 + (x - 1.0) ** 2)), -10.0, 10.0, 8.0),
+])
+def test_safeguarded_newton_bisects_outside_the_bracket(fn, lo, hi, x):
+    seen = []
+
+    def recording(x):
+        seen.append(x)
+        return fn(x)
+
+    root = orbits._safeguarded_newton(recording, lo, hi, x)
+    assert root == pytest.approx(1.0, abs=1e-12)
+    assert all(lo < v < hi for v in seen)
+
+
 def test_estimate_delta_degenerate():
     sample = enumerate_orbit(cyclic_group(2, 2.0), max_len=1)
     with pytest.raises(DegenerateFit):
@@ -625,6 +713,31 @@ def test_pullback_green_matches_scalar_loop(space, gens, max_len, s):
             ref += green0_eval(space, s, float(d)).real
     total = pullback_green_partial_sum(space, s, sample)
     assert abs(total - ref) <= 1e-13 * abs(ref)
+
+
+def test_pullback_green_joins_shells_into_runs(monkeypatch):
+    # a block size of 7 joins the small shells and cuts the large ones
+    monkeypatch.setattr(orbits, "_CHUNK", 7)
+    calls = []
+
+    def recording(space, s, d):
+        calls.append(np.array(d))
+        return green0_eval_many(space, s, d)
+
+    space, s = make_space(Field.REAL, 2), 0.4
+    sample = enumerate_orbit(schottky_pair(4.0), max_len=5)
+    monkeypatch.setattr(orbits, "green0_eval_many", recording)
+    total = pullback_green_partial_sum(space, s, sample)
+    shells = sample.distances_by_length
+    assert np.array_equal(np.concatenate(calls), np.concatenate(shells)[1:])
+    # every run but the last holds 7 distances or more (the identity's 0
+    # is dropped from the first), and none holds two blocks' worth
+    assert len(calls) > 1
+    assert all(len(d) >= 7 for d in calls[1:-1]) and len(calls[0]) >= 6
+    assert all(len(d) <= 2 * 7 for d in calls)
+    per_shell = sum(float(green0_eval_many(space, s, d[d > 1e-12]).real.sum())
+                    for d in shells[1:])
+    assert total == pytest.approx(per_shell, rel=1e-13)
 
 
 def test_pullback_green_model_mismatch():
@@ -683,6 +796,41 @@ def test_load_group_file_roundtrip(tmp_path):
     assert gens.labels == ("a",)
     assert np.allclose(gens.matrices[0], boost_matrix(2, 1.5))
     assert np.allclose(base, [0, 0, 1])
+
+
+def write_group(tmp_path, model_type, n, matrix, base=None):
+    doc = {"model": {"type": model_type, "n": n},
+           "generators": [{"label": "a", "matrix": matrix}]}
+    if base is not None:
+        doc["base_point"] = base
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+BOOST_TEXT = [[format(v, ".17g") for v in row] for row in boost_matrix(2, 1.5)]
+
+
+@pytest.mark.parametrize("model_type, n, matrix, base, message", [
+    # "nan" once ran into OrbitOverflow, and NaN passed |imag| > 0
+    ("real_hyperboloid", 2, [["nan", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], None,
+     "not finite"),
+    ("real_hyperboloid", 2, [[{"re": 1, "im": math.nan}, 0, 0], [0, 1, 0], [0, 0, 1]],
+     None, "not finite"),
+    ("complex_projective", 2, [["inf", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], None,
+     "not finite"),
+    ("real_hyperboloid", 2, [[{"re": 1, "im": 1e-3}, 0, 0], [0, 1, 0], [0, 0, 1]], None,
+     "imaginary part"),
+    # the base point's imaginary part was once dropped
+    ("real_hyperboloid", 2, BOOST_TEXT, [0, 0, {"re": 1, "im": 5}], "imaginary part"),
+    ("real_hyperboloid", 2, BOOST_TEXT, ["0", "nan", "1"], "not finite"),
+    # once asked for 6.94 EiB
+    ("real_hyperboloid", 10 ** 9, [[1, 0], [0, 1]], None, "shape"),
+])
+def test_load_group_file_rejects_outside_values(tmp_path, model_type, n, matrix, base,
+                                                 message):
+    with pytest.raises(DomainError, match=message):
+        load_group_file(write_group(tmp_path, model_type, n, matrix, base))
 
 
 def test_load_group_file_bad_schema(tmp_path):

@@ -274,6 +274,21 @@ def test_frobenius_order_guards():
             frobenius_solve(op, cp, L=L)
 
 
+def test_extreme_s_and_degree_rejected_up_front():
+    sp = make_space(Field.REAL, 5)
+    # |s|^2 once overflowed in the branch-point test
+    for s in (1e200, complex(0.0, 2e150), 1.0000000000000002e150):
+        with pytest.raises(DomainError, match="1e\\+150"):
+            cover_point(sp, 1, s)
+    assert cover_point(sp, 1, 1e150).s == 1e150
+    # the block ranks are floats: C(1029, 514) ~ 1.4e308 has a float64
+    # value, C(1030, 515) and C(2000, 1000) do not
+    assert build_radial_operator(1029, 514).block_mult.max() < math.inf
+    for n in (1030, 2000):
+        with pytest.raises(CombinatorialBlowup, match=f"C\\({n}, {n // 2}\\)"):
+            build_radial_operator(n, n // 2)
+
+
 # ------------------------------------------------------------ frobenius solve
 
 
