@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .bounds import compare, sullivan_corlette
 from .errors import (
-    BranchPoint,
     DomainError,
     HypspecError,
     NumericalError,
@@ -44,7 +43,6 @@ from .resolvent import (
     decay_check,
     frobenius_solve,
     kernel_blocks,
-    kernel_eval,
     psi_coefficient,
 )
 from .spaces import Field, alpha_p, make_space
@@ -264,7 +262,7 @@ def _cmd_resolvent(args) -> OutputEnvelope:
         if set(args.signs) - {"+", "-"}:
             raise DomainError(f"--signs takes only '+' and '-', got {args.signs!r}")
         signs = [1 if ch == "+" else -1 for ch in args.signs]
-    op = build_radial_operator(args.n, args.p, L_w=args.order)
+    op = build_radial_operator(args.n, args.p)
     if args.scan:
         return _resolvent_scan(args, space, op, signs)
     if args.s is None:
@@ -275,7 +273,17 @@ def _cmd_resolvent(args) -> OutputEnvelope:
     t_grid = _parse_grid(args.t_grid, False)
     # decay is a far-field quantity; fit it past the subleading corrections
     fit = decay_check(kern, np.linspace(max(5.0, float(t_grid[0])), 15.0, 11))
-    res_max = max(block_ode_residual(kern, float(t)) for t in t_grid)
+    residuals, grid_rows, ratios = [], [], []
+    for t in map(float, t_grid):
+        residuals.append(block_ode_residual(kern, t))
+        f = kernel_blocks(kern, t)[0]
+        # F = sum_j f_j P_j: operator norm max_j |f_j|, block j norm |f_j|
+        norms = np.abs(f)
+        entry = {"t": t, "total_norm": float(norms.max())}
+        entry.update((f"block{j}_norm", float(fj)) for j, fj in enumerate(norms))
+        grid_rows.append(entry)
+        if args.p == 0:  # one block: F = f_0 I against the scalar kernel
+            ratios.append(f[0] / green0_eval(space, s, t))
     psi, expo = psi_coefficient(op, kern)
     rows = [{
         "n": args.n,
@@ -286,37 +294,22 @@ def _cmd_resolvent(args) -> OutputEnvelope:
         "on_physical_sheet": cp.on_physical_sheet,
         "decay_fit": fit,
         "rho_plus_h": (args.n - 1) / 2.0 + cp.h,
-        "ode_residual_max": res_max,
+        "ode_residual_max": max(residuals),
         "resonance_margin": kern.resonance_margin,
         "has_log_terms": kern.has_log_terms,
         "psi_exponent": expo,
         "psi_sigma_min": abs(psi),  # the psi matrix is psi I
     }]
-    grid_rows = []
-    for t in t_grid:
-        # F = sum_j f_j P_j: operator norm max_j |f_j|, block j norm |f_j|
-        f = np.abs(kernel_blocks(kern, float(t))[0])
-        entry = {"t": float(t), "total_norm": float(f.max())}
-        for bi, fb in enumerate(f):
-            entry[f"block{bi}_norm"] = float(fb)
-        grid_rows.append(entry)
     extra = {
         "e_values": list(op.e_values),
         "exponents": [complex(m) for m in kern.exponents],
         "psi": psi,
         "kernel_grid": grid_rows,
     }
-    if args.p == 0:
-        ratios = []
-        for t in t_grid:
-            val = kernel_eval(kern, float(t))[0, 0]
-            ref = green0_eval(space, s, float(t))
-            ratios.append(val / ref)
+    if ratios:
         ratios = np.asarray(ratios)
         mean = ratios.mean()
-        extra["scalar_oracle_agreement"] = float(
-            np.abs(ratios - mean).max() / abs(mean)
-        )
+        extra["scalar_oracle_agreement"] = float(np.abs(ratios - mean).max() / abs(mean))
     params = {
         "n": args.n,
         "p": args.p,
@@ -342,8 +335,8 @@ def _resolvent_scan(args, space, op, signs) -> OutputEnvelope:
             kern = frobenius_solve(op, cp, L=args.order)
             row["status"] = "log" if kern.has_log_terms else "ok"
             row["resonance_margin"] = kern.resonance_margin
-        except (ResonanceDetected, BranchPoint) as exc:
-            row["status"] = type(exc).__name__
+        except ResonanceDetected:
+            row["status"] = "ResonanceDetected"
             row["resonance_margin"] = None
         rows.append(row)
     params = {"n": args.n, "p": args.p, "scan": args.scan, "signs": args.signs,

@@ -62,6 +62,7 @@ _FORM_TOL = 1e-10
 _FIT_WINDOW = (0.5, 1.0)  # growth-fit radii, as fractions of the completeness radius
 _TAIL_SHELLS = 4      # shell ratios averaged by the bisection estimator
 _ROOT_XTOL = 1e-14     # relative step at which the delta root is accepted
+_MAX_DIM = 1 << 10    # largest model dimension n: an (n+1)^2 form matrix of about 2^20 entries
 
 
 @dataclass(frozen=True)
@@ -74,17 +75,28 @@ class QuadricModel:
     field: ClassVar[Field]
     dtype: ClassVar[type]
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.n:
+            raise DomainError(f"model dimension n must be >= 1, got {self.n}")
+
     @property
     def ambient_dim(self) -> int:
         return self.n + 1
 
+    def _dense_dim(self) -> int:
+        """ambient_dim, for an array of that size; DomainError, before
+        anything is allocated, above n = _MAX_DIM."""
+        if self.n > _MAX_DIM:
+            raise DomainError(f"model dimension n = {self.n} is over the cap of {_MAX_DIM}")
+        return self.ambient_dim
+
     def form_matrix(self) -> np.ndarray:
-        J = np.eye(self.ambient_dim, dtype=self.dtype)
+        J = np.eye(self._dense_dim(), dtype=self.dtype)
         J[-1, -1] = -1.0
         return J
 
     def origin(self) -> np.ndarray:
-        x = np.zeros(self.ambient_dim, dtype=self.dtype)
+        x = np.zeros(self._dense_dim(), dtype=self.dtype)
         x[-1] = 1.0
         return x
 
@@ -739,11 +751,12 @@ def load_group_file(path: str) -> tuple[GroupGenerators, Optional[np.ndarray]]:
       base_point:  [entry, ...]   (optional)
     Matrix entries are numbers, decimal strings, or {"re":..., "im":...};
     the model reads them (QuadricModel.read), so every entry must be
-    finite and a real model rejects imaginary parts.
+    finite and a real model rejects imaginary parts.  A file that is
+    not JSON or does not follow the schema raises DomainError.
     """
-    with open(path) as f:
-        spec = json.load(f)
     try:
+        with open(path) as f:
+            spec = json.load(f)
         mtype = spec["model"]["type"]
         if mtype not in _MODEL_TYPES:
             raise DomainError(f"unknown model type {mtype!r}")
@@ -756,4 +769,6 @@ def load_group_file(path: str) -> tuple[GroupGenerators, Optional[np.ndarray]]:
             base = model.read([_parse_entry(v) for v in spec["base_point"]], "base point")
     except KeyError as exc:
         raise DomainError(f"group file missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # a value of the wrong kind
+        raise DomainError(f"malformed group file: {exc}") from exc
     return GroupGenerators(model, tuple(mats), tuple(labels)), base

@@ -32,9 +32,9 @@ new algorithmic content and are rejected):
     below runs on length-B vectors (B <= 2) with a_j (A = sum_j a_j P_j)
     and S (sum_r Y_r P_j Y_r = sum_i S_ij P_i); cf. E. Pedon, C. R. Acad.
     Sci. Paris 1997.  `RadialOperator.apply_blocks` states the operator
-    on blocks; the integer-exact representation (`build_tau_p_action`,
-    built on demand as `RadialOperator.taup`) and `direct_apply` are the
-    dense oracle behind `form_ode_residual`.
+    on blocks; the representation as integer-valued float matrices
+    (`build_tau_p_action`, built on demand as `RadialOperator.taup`) and
+    `direct_apply` are the dense oracle behind `form_ode_residual`.
 
 3.  `frobenius_solve` builds the solution decaying at infinity as a sum
     of per-block series  e^(-mu_j t) sum_l (a_{j,l} + t b_{j,l}) e^(-lt)
@@ -49,9 +49,11 @@ new algorithmic content and are rejected):
 
 4.  `kernel_blocks` evaluates the series and its exact derivatives on
     coefficients, with norms ||sum_j c_j P_j||_F = sqrt(sum_j m_j |c_j|^2)
-    (m_j = rank P_j); `kernel_eval` / `kernel_derivatives` expand them to
-    dim_v x dim_v matrices, `block_ode_residual` / `form_ode_residual`
-    check the radial equation and `decay_check` fits the far-field decay.
+    (m_j = rank P_j, summed as sqrt(max m) times sqrt(sum_j (m_j / max m)
+    |c_j|^2) so that ranks near the float64 limit stay finite);
+    `kernel_eval` / `kernel_derivatives` expand them to dim_v x dim_v
+    matrices, `block_ode_residual` / `form_ode_residual` check the radial
+    equation and `decay_check` fits the far-field decay.
 
 5.  `psi_coefficient` integrates the 2B-state system
     y' = sum_i u_i(t) K_i y (`RadialOperator.ode_matrices`, which
@@ -119,22 +121,20 @@ __all__ = [
 
 
 def _exterior_matrix(Y: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Derivation extension of an n x n integer matrix to Lambda^p(R^n).
+    """Derivation extension of an antisymmetric n x n matrix to
+    Lambda^p(R^n), integer-valued when Y is.
 
     Basis: p-element subsets of {0..n-1} in lexicographic order.
     """
     basis = list(itertools.combinations(range(n), p))
     index = {I: i for i, I in enumerate(basis)}
     dim = len(basis)
-    out = np.zeros((dim, dim), dtype=np.int64)
+    out = np.zeros((dim, dim))
     for col, I in enumerate(basis):
         for t, it in enumerate(I):
             for j in range(n):
                 y = Y[j, it]
-                if y == 0 or (j in I and j != it):
-                    continue
-                if j == it:
-                    out[col, col] += y
+                if y == 0 or j in I:
                     continue
                 J = list(I)
                 J[t] = j
@@ -153,7 +153,7 @@ def _exterior_matrix(Y: np.ndarray, n: int, p: int) -> np.ndarray:
 
 
 def _so_generator(n: int, i: int, j: int) -> np.ndarray:
-    Y = np.zeros((n, n), dtype=np.int64)
+    Y = np.zeros((n, n))
     Y[i, j] = 1
     Y[j, i] = -1
     return Y
@@ -161,7 +161,8 @@ def _so_generator(n: int, i: int, j: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TauPAction:
-    """Exact matrices of the degree-p form representation and its Casimirs.
+    """Integer-valued float matrices of the degree-p form representation
+    and its Casimirs (exact: every entry is far below 2^53).
 
     y_matrices are the images of the n-1 root generators (antisymmetric,
     mutually orthonormal for the normalized invariant form); omega_m is
@@ -183,12 +184,9 @@ class TauPAction:
     def sandwich(self, X: np.ndarray) -> np.ndarray:
         """sum_r Y_r X Y_r."""
         out = np.zeros_like(X)
-        for y in self._yf:
+        for y in self.y_matrices:
             out += y @ X @ y
         return out
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_yf", tuple(y.astype(float) for y in self.y_matrices))
 
 
 def _check_degree(n: int, p: int) -> None:
@@ -213,16 +211,16 @@ def e_element_values(n: int, p: int) -> tuple[int, ...]:
 
 
 def build_tau_p_action(n: int, p: int) -> TauPAction:
-    """Construct the representation data for Lambda^p of SO(n) in integers."""
+    """Construct the representation data for Lambda^p of SO(n), integer-valued."""
     _check_degree(n, p)
     ys = tuple(_exterior_matrix(_so_generator(n, 0, r), n, p) for r in range(1, n))
     dim = math.comb(n, p)
-    omega_m = np.zeros((dim, dim), dtype=np.int64)
+    omega_m = np.zeros((dim, dim))
     for i in range(1, n):
         for j in range(i + 1, n):
             m = _exterior_matrix(_so_generator(n, i, j), n, p)
             omega_m += m @ m
-    mA = np.zeros((dim, dim), dtype=np.int64)
+    mA = np.zeros((dim, dim))
     for y in ys:
         mA += y @ y
     omega_k = omega_m + mA
@@ -241,7 +239,7 @@ def build_tau_p_action(n: int, p: int) -> TauPAction:
         omega_k=omega_k,
         omega_m=omega_m,
         omega_k_scalar=int(-diag_k[0]),
-        e_diag=e_diag.astype(np.int64),
+        e_diag=e_diag,
         c_sigma_max=c_sigma_max,
         e_values=tuple(sorted(set(int(v) for v in e_diag))),
     )
@@ -293,8 +291,11 @@ class RadialOperator:
         return np.diag(np.asarray(c)[self.block_of])
 
     def block_norm(self, c: np.ndarray) -> np.ndarray:
-        """Frobenius norm of sum_j c_j P_j, over the last axis of c."""
-        return np.sqrt(np.abs(c) ** 2 @ self.block_mult)
+        """Frobenius norm of sum_j c_j P_j, over the last axis of c; the
+        ranks enter over the largest one, so ranks near the float64 limit
+        do not overflow the sum."""
+        top = self.block_mult.max()
+        return math.sqrt(top) * np.sqrt(np.abs(c) ** 2 @ (self.block_mult / top))
 
     def sphere_average(self, c: np.ndarray) -> np.ndarray:
         """Coefficient of I in the projection of sum_j c_j P_j onto ker T,
@@ -367,14 +368,14 @@ class RadialOperator:
         tp = self.taup
         coth = 1.0 / math.tanh(t)
         sh2 = math.sinh(t) ** 2
-        A = (tp.omega_k - tp.omega_m).astype(float)
+        A = tp.omega_k - tp.omega_m
         return (
             -ddF
             - (self.n - 1) * coth * dF
             - coth * coth * (A @ F)
             - (F @ A) / sh2
             + 2.0 * math.cosh(t) / sh2 * tp.sandwich(F)
-            + tp.omega_k.astype(float) @ F
+            + tp.omega_k @ F
             + (s * s - float(self.alpha_p)) * F
         )
 

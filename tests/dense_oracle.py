@@ -1,7 +1,7 @@
 """Reference statements of the radial operator and its solvers, for tests only.
 
 The library runs on block coefficients with closed-form constants; the
-dense helpers derive the same objects from the integer-exact
+dense helpers derive the same objects from the integer-valued
 representation (`RadialOperator.taup`) so the tests can compare the two.
 The two solver references are the straightforward forms of the
 library's hot loops: the Frobenius recursion one (block, level) at a
@@ -23,7 +23,7 @@ def w_apply(op, k, X):
     tp = op.taup
     beta = float(op.beta)
     if k % 2 == 0:
-        A = tp.omega_k.astype(float) - tp.omega_m.astype(float)  # sum Y_r^2
+        A = tp.omega_k - tp.omega_m  # sum Y_r^2
         return 2.0 * k * ((beta * beta - beta) * X - A @ X - X @ A)
     return 4.0 * k * tp.sandwich(X)
 
@@ -40,7 +40,7 @@ def operator_series_error(op, s, t, X=None):
     beta = float(op.beta)
     q = math.exp(-t)
     # q^0 part: rho^2 - alpha_p + s^2 + D(left); rho = beta for d = 1
-    series = (beta * beta - float(op.alpha_p) + s * s) * X + tp.omega_m.astype(float) @ X
+    series = (beta * beta - float(op.alpha_p) + s * s) * X + tp.omega_m @ X
     for k in range(1, op.L_w + 1):
         series += q ** k * w_apply(op, k, X)
     coth = 1.0 / math.tanh(t)
@@ -58,7 +58,7 @@ def block_structure(tp):
     block_of = np.searchsorted(tp.e_values, tp.e_diag)
     onehot = (block_of[:, None] == np.arange(len(tp.e_values))).astype(float)
     mult = onehot.sum(axis=0)
-    A = np.diag(tp.omega_k - tp.omega_m).astype(float)
+    A = np.diag(tp.omega_k - tp.omega_m)
     a = A @ onehot / mult
     assert np.array_equal(A, a[block_of]), "A = sum_r Y_r^2 is not constant on the E blocks"
     S = np.empty((len(mult), len(mult)))

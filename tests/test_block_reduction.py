@@ -57,7 +57,6 @@ def off_resonance(n, p, s, gap=0.05):
 def dense_coefficients(op, cover, L):
     """Full-matrix recursion with the dense perturbation maps (no resonances)."""
     tp = op.taup
-    e_diag = tp.e_diag.astype(float)
     s = cover.s
     blocks = []
     for e_j in tp.e_values:
@@ -66,7 +65,7 @@ def dense_coefficients(op, cover, L):
         for l in range(1, L + 1):
             rhs = sum(w_apply(op, k, a[l - k]) for k in range(1, l + 1))
             lam = mu + l
-            a.append(rhs / ((lam * lam - s * s) - e_diag)[:, None])
+            a.append(rhs / ((lam * lam - s * s) - tp.e_diag)[:, None])
         blocks.append(a)
     return blocks
 
@@ -76,7 +75,7 @@ def ker_t_basis(n, p):
     """Orthonormal basis (flattened columns) of ker T, T(X) = AX + XA - 2 sum_r Y_r X Y_r."""
     tp = build_radial_operator(n, p, L_w=1).taup
     dim = tp.dim_v
-    A = (tp.omega_k - tp.omega_m).astype(float)
+    A = tp.omega_k - tp.omega_m
     T = np.zeros((dim * dim, dim * dim))
     for col in range(dim * dim):
         X = np.zeros((dim, dim))

@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -213,17 +214,50 @@ def test_delta_overflow_structured_error(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "OrbitOverflow"
 
 
-def test_readme_group_file_runs(tmp_path, capsys):
-    # the example in README.md, so it cannot drift from what delta accepts
+def test_readme_group_file_runs(tmp_path, monkeypatch, capsys):
+    # every hypspec line of the README's CLI examples, with group.json the
+    # README's group file, so neither can drift from what the CLI accepts
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(ln, comments=True) for ln in examples.splitlines()]
+    commands = [argv[1:] for argv in lines if argv and argv[0] == "hypspec"]
     after = readme.split("A group file looks like", 1)[1]
-    block = after.split("```json", 1)[1].split("```", 1)[0]
+    (tmp_path / "group.json").write_text(after.split("```json", 1)[1].split("```", 1)[0])
+    monkeypatch.chdir(tmp_path)
+    assert {argv[0] for argv in commands} == {"alpha", "bounds", "green", "resolvent", "delta"}
+    for argv in commands:
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        if argv[0] == "delta":
+            assert json.loads(out)["rows"][0]["n_words"] == 25
+
+
+MALFORMED_GROUPS = [
+    {"model": {"type": "real_hyperboloid", "n": 2},
+     "generators": [{"matrix": [[1, None, 0], [0, 1, 0], [0, 0, 1]]}]},
+    {"model": {"type": "real_hyperboloid", "n": 2},
+     "generators": [{"matrix": [5, [0, 1, 0], [0, 0, 1]]}]},
+    {"model": {"type": "real_hyperboloid", "n": 2}, "generators": 5},
+    {"model": "real_hyperboloid", "generators": []},
+    [{"model": {"type": "real_hyperboloid", "n": 2}, "generators": []}],
+    {"model": {"type": "real_hyperboloid", "n": 10 ** 9}, "generators": []},
+    {"model": {"type": "real_hyperboloid", "n": "abc"}, "generators": []},
+    {"model": {"type": "real_hyperboloid", "n": -5}, "generators": []},
+    {"model": {"type": "real_hyperboloid", "n": 2}, "generators": [{"matrix": "abc"}]},
+    {"model": {"type": "real_hyperboloid", "n": 2},
+     "generators": [{"matrix": [["x", 0, 0], [0, 1, 0], [0, 0, 1]]}]},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_GROUPS)
+def test_delta_malformed_group_file(tmp_path, capsys, doc):
+    # each once ended in a TypeError or MemoryError traceback, or exited 3
+    # as a ValueError
     path = tmp_path / "group.json"
-    path.write_text(block)
-    code, out = run(capsys, "delta", "--group-file", str(path), "--max-len", "12",
-                    "--base", "0,0,1")
-    assert code == 0
-    assert json.loads(out)["rows"][0]["n_words"] == 25
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "delta", "--group-file", str(path))
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "DomainError"
 
 
 BOOST3 = [[format(v, ".17g") for v in row] for row in boost_matrix(3, 1.0)]
@@ -347,6 +381,53 @@ def test_resolvent_scan_requires_s_otherwise(capsys):
     assert code == 3
 
 
+def test_resolvent_flipped_sign_is_off_sheet(capsys):
+    # the branch value -sqrt(s^2 + 3) sets h, so the decay rate is rho + h
+    code, out = run(capsys, "resolvent", "--n", "5", "--p", "1", "--s", "0.6", "--signs", "-")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["on_physical_sheet"] is False
+    assert row["h"] == pytest.approx(-math.sqrt(0.36 + 3.0), rel=1e-15)
+    assert row["decay_fit"] == pytest.approx(row["rho_plus_h"], abs=1e-3)
+
+
+def test_resolvent_scan_point_inside_the_resonance_floor(capsys):
+    code, out = run(capsys, "resolvent", "--n", "5", "--p", "1",
+                    "--scan", "1.000000003:1.1:2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows[0]["status"] == "ResonanceDetected" and rows[0]["resonance_margin"] is None
+    assert rows[1]["status"] == "ok" and rows[1]["resonance_margin"] > 0
+
+
+def test_resolvent_order_is_the_truncation_order(capsys):
+    code, out = run(capsys, "resolvent", "--n", "5", "--p", "1", "--s", "1", "--order", "0")
+    assert code == 3
+    assert json.loads(out) == {"error": {
+        "type": "DomainError", "message": "truncation order L must be >= 1, got 0"}}
+
+
+@pytest.mark.filterwarnings("ignore::hypspec.errors.TruncationWarning")
+def test_resolvent_norm_checks_finite_at_large_degree(capsys):
+    # the ranks near C(999, 499) ~ 1.4e299 once overflowed the tail and
+    # growth checks (RuntimeWarning, then "tail estimate inf"); numpy's
+    # RuntimeWarnings are errors here
+    code, out = run(capsys, "resolvent", "--n", "1000", "--p", "500", "--s", "1")
+    assert code == 4
+    assert json.loads(out) == {"error": {
+        "type": "DegenerateFit", "message": "kernel norm vanished at t=5.0"}}
+
+
+def test_green_residual_null_where_it_is_not_defined(capsys):
+    # the residual's normalization degenerates below r = 0.01
+    code, out = run(capsys, "green", "--field", "R", "--n", "3", "--s", "1",
+                    "--r-grid", "0.001:1:4", "--log")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows[0]["r"] == 0.001 and rows[0]["residual"] is None
+    assert all(row["residual"] < 1e-8 for row in rows[1:])
+
+
 def test_delta_base_point_flag(tmp_path, capsys):
     doc = {
         "model": {"type": "real_hyperboloid", "n": 2},
@@ -467,6 +548,11 @@ def test_delta_output_pinned(capsys, group, max_len, row, extra):
     (["resolvent", "--n", "2000", "--p", "1000", "--scan", "0.5:1:2"], "CombinatorialBlowup"),
     (["alpha", "--field", "R", "--n", "1048576"], "DomainError"),  # the first past the cap
     (["alpha", "--field", "R", "--n", "100000000000000"], "DomainError"),
+    # arguments that do not parse
+    (["green", "--field", "R", "--n", "3", "--s", "abc", "--r-grid", "1:2:3"], "DomainError"),
+    (["green", "--field", "R", "--n", "3", "--s", "1", "--r-grid", "1:2"], "DomainError"),
+    (["green", "--field", "R", "--n", "3", "--s", "1", "--r-grid", "0:2:3", "--log"],
+     "DomainError"),
 ])
 def test_library_errors_exit_3(monkeypatch, capsys, argv, error):
     monkeypatch.delenv("HYPSPEC_MAX_WORDS", raising=False)

@@ -664,6 +664,40 @@ def test_estimate_delta_degenerate():
         estimate_delta(sample)
 
 
+def shell_sample(*shells):
+    """An OrbitSample with the given distance shells, identity shell first."""
+    m = RealHyperboloid(2)
+    shells = [np.array(d, dtype=float) for d in shells]
+    return orbits.OrbitSample(m, m.origin(), len(shells) - 1, DedupPolicy.FREE_REDUCTION,
+                              shells, sum(map(len, shells)))
+
+
+def test_estimate_delta_two_shells_are_too_few():
+    # two generators of lengths 1 and 2 give three radii in two shells
+    m = RealHyperboloid(2)
+    gens = GroupGenerators(m, (boost_matrix(2, 1.0), boost_matrix(2, 2.0, axis=1)),
+                           ("a", "b"))
+    with pytest.raises(DegenerateFit, match="two word-length shells"):
+        estimate_delta(enumerate_orbit(gens, max_len=1))
+
+
+def test_estimate_delta_window_without_counts():
+    # no distance below the completeness radius 1, which the window ends at
+    with pytest.raises(DegenerateFit, match="window too small"):
+        estimate_delta(shell_sample([2.0], [3.0], [1.0]))
+
+
+def test_estimate_delta_doubles_the_bracket():
+    # T_last / T_prev = 1000 e^-s, whose root log 1000 lies past the first
+    # bracket end 2 * growth_fit ~ 1.13
+    est = estimate_delta(shell_sample([0.0], [1.0], [2.0] * 1000))
+    assert 2.0 * est.growth_fit < 3.0
+    assert est.bisection == pytest.approx(math.log(1000.0), rel=1e-13)
+    # T_last / T_prev = 2 + e^-s stays above 1 for every s
+    with pytest.raises(DegenerateFit, match="never drops below 1"):
+        estimate_delta(shell_sample([0.0], [1.0], [1.0, 1.0, 2.0]))
+
+
 # --------------------------------------------------------- green pullback
 
 

@@ -12,9 +12,11 @@ from hypspec.cli import main
 from hypspec.errors import (
     BranchPoint,
     CombinatorialBlowup,
+    DegenerateFit,
     DomainError,
     ResonanceDetected,
     TailBoundExceeded,
+    TruncationWarning,
     UnsupportedField,
 )
 from hypspec.green import green0_eval
@@ -150,6 +152,13 @@ def test_cover_point_branch_point_and_field_guard():
         cover_point(sp, 1, 1j * math.sqrt(3))
     with pytest.raises(UnsupportedField):
         cover_point(make_space(Field.COMPLEX, 3), 1, 1.0)
+
+
+@pytest.mark.parametrize("signs", [[1, 1], [], [2]])
+def test_cover_point_rejects_bad_signs(signs):
+    # (5, 1) has one positive E eigenvalue, so one sign of +1 or -1
+    with pytest.raises(DomainError, match="branch signs"):
+        cover_point(make_space(Field.REAL, 5), 1, 0.6, signs)
 
 
 def test_e_element_values_closed_form_matches_representation():
@@ -460,3 +469,20 @@ def test_physical_sheet_h_equals_re_s():
             cp = cover_point(sp, p, s)
             assert cp.on_physical_sheet
             assert cp.h == complex(s).real
+
+
+def test_growing_coefficients_warn():
+    # at (200, 3) the last coefficients grow with ratio 5.68 per level
+    op = build_radial_operator(200, 3)
+    with pytest.warns(TruncationWarning, match="ratio 5.684"):
+        kern = frobenius_solve(op, cover_point(make_space(Field.REAL, 200), 3, 1.0))
+    assert kern.growth_ratio == pytest.approx(5.6836, abs=1e-4)
+
+
+def test_decay_check_rejects_a_vanished_kernel():
+    # (sinh t)^-199.5 underflows at t = 5, so the kernel reads 0 there
+    op = build_radial_operator(400, 200)
+    with pytest.warns(TruncationWarning):
+        kern = frobenius_solve(op, cover_point(make_space(Field.REAL, 400), 200, 1.0))
+    with pytest.raises(DegenerateFit, match="vanished at t=5.0"):
+        decay_check(kern, [5.0, 6.0, 7.0])
