@@ -443,7 +443,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         envelope = args.fn(args)
-    except (HypspecError, FileNotFoundError, ValueError) as exc:
+    except (HypspecError, OSError, ValueError) as exc:  # OSError: an unreadable --group-file
         sys.stdout.write(
             to_json({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
         )

@@ -1,17 +1,19 @@
 """Scalar Green kernel of the shifted Laplacian on a hyperbolic space.
 
-The kernel g0(s, r) of the resolvent at spectral parameter s (bottom of
-the spectrum at rho^2, resolvent of Delta - rho^2 + s^2) has the closed
-form
+The kernel g0(s, r), a multiple of the resolvent kernel G of
+Delta - rho^2 + s^2 at spectral parameter s (bottom of the spectrum at
+rho^2), has the closed form
 
     g0(s, r) = C(s) * (2 sinh^2 r)^(-(s+rho)/2)
                * 2F1((s+rho)/2, (s+1)/2 - d(n-1)/4; s+1; -1/sinh^2 r),
 
 real and positive for real s > 0.  The normalization C(s) is fixed by
 the short-distance law  g0 ~ r^(2-dn) / vol(S^(dn-1))  (logarithmic for
-dn = 2) and validated against the three-dimensional closed form
-e^(-sr) / (4 pi sinh r); it ties to the classical Gamma-factor
-prefactor f(s) through the Legendre duplication identity
+dn = 2), which lacks the 1/(dn - 2) of the fundamental solution: for
+dn >= 3, g0 = (dn - 2) G, and g0 = G for dn = 2.  It is validated
+against the three-dimensional closed form e^(-sr) / (4 pi sinh r)
+(factor 1) and ties to the classical Gamma-factor prefactor f(s)
+through the Legendre duplication identity
 
     C(s) = max(dn-2, 1) * f(s) * 2^(-(s+rho)/2).
 
@@ -158,8 +160,8 @@ def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
     """g0(s, r) at every distance in the array r, in one array pass.
 
     Agrees with green0_eval point by point and takes the same 2F1 branch
-    at every point (hyper._gauss_2f1_many, which sums the Pfaff points
-    together).  The normalization and the 2F1 parameters are computed
+    at every point (hyper._gauss_2f1_many, which sums the points of each
+    branch together).  The normalization and the 2F1 parameters are computed
     once.
     """
     s = complex(s)

@@ -610,6 +610,8 @@ def estimate_delta(sample: OrbitSample) -> DeltaEstimate:
     grid = np.linspace(lo, hi, 64)
     counts = sample.count_by_radius(grid)
     good = counts > 0
+    # guards hand-built OrbitSamples only: in a sample of enumerate_orbit the
+    # identity shell sits at distance 0, so every window point has a count
     if good.sum() < 2:
         raise DegenerateFit("window too small for the growth fit")
     growth = float(np.polyfit(grid[good], np.log(counts[good]), 1)[0])
@@ -760,7 +762,10 @@ def load_group_file(path: str) -> tuple[GroupGenerators, Optional[np.ndarray]]:
         mtype = spec["model"]["type"]
         if mtype not in _MODEL_TYPES:
             raise DomainError(f"unknown model type {mtype!r}")
-        model = _MODEL_TYPES[mtype](int(spec["model"]["n"]))
+        n = spec["model"]["n"]
+        if type(n) is not int:  # a JSON integer: neither 2.7 nor true
+            raise DomainError(f"model n must be an integer, got {n!r}")
+        model = _MODEL_TYPES[mtype](n)
         gens = spec["generators"]
         mats = [[[_parse_entry(v) for v in row] for row in g["matrix"]] for g in gens]
         labels = [str(g.get("label", f"g{i}")) for i, g in enumerate(gens)]

@@ -246,6 +246,9 @@ MALFORMED_GROUPS = [
     {"model": {"type": "real_hyperboloid", "n": 2}, "generators": [{"matrix": "abc"}]},
     {"model": {"type": "real_hyperboloid", "n": 2},
      "generators": [{"matrix": [["x", 0, 0], [0, 1, 0], [0, 0, 1]]}]},
+    # n read through int() built n = 2 and n = 1 models
+    {"model": {"type": "real_hyperboloid", "n": 2.7}, "generators": []},
+    {"model": {"type": "real_hyperboloid", "n": True}, "generators": []},
 ]
 
 
@@ -303,9 +306,17 @@ def test_delta_malformed_file(tmp_path, capsys):
     assert code == 3
 
 
+def test_delta_group_file_is_a_directory(tmp_path, capsys):
+    # once an IsADirectoryError traceback: every OSError of the file exits 3
+    code, out = run(capsys, "delta", "--group-file", str(tmp_path))
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "IsADirectoryError"
+
+
 def test_delta_missing_file(capsys):
     code, out = run(capsys, "delta", "--group-file", "/nonexistent/file.json")
     assert code == 3
+    assert json.loads(out)["error"]["type"] == "FileNotFoundError"
 
 
 def test_usage_error_exit_code(capsys):

@@ -286,9 +286,25 @@ def assert_many_matches_scalar(space, s, radii):
     st.sampled_from(ARRAY_SPACES),
     st.builds(complex, st.floats(0.2, 2.5), st.sampled_from([0.0, 0.0, -0.8, 0.6])),
     st.lists(st.floats(0.02, 25.0), min_size=1, max_size=40),
+    # the 1/z connection's radii (|z| >= 3), down to |z| ~ 1e8
+    st.lists(st.floats(1e-4, 0.55), max_size=20),
 )
-def test_green_many_matches_scalar(space, s, radii):
-    assert_many_matches_scalar(space, s, radii + EDGE_RADII)
+def test_green_many_matches_scalar(space, s, radii, inner):
+    assert_many_matches_scalar(space, s, radii + inner + EDGE_RADII)
+
+
+@pytest.mark.parametrize("a,b,c", [
+    (0.3, 1.3 + 1e-4, 1.7),          # near-integer band: Pfaff up to |z| = 9
+    (-3.0, 1.3 + 0.2j, 2.7),         # terminating polynomial
+    (0.25, 7.25, 0.5),               # logarithmic 1/z series, m = 7
+    (1.2 + 0.3j, 0.4, 2.1 - 0.2j),   # generic 1/z connection
+])
+def test_gauss_2f1_many_matches_scalar(a, b, c):
+    z = -np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 80), [2.999999, 3.0, 9.0, 9.000001]])
+    F, log_p = hyper._gauss_2f1_many(complex(a), complex(b), complex(c), z)
+    many = np.exp(-a * log_p) * F
+    scalar = np.array([hyper.gauss_2f1(a, b, c, x) for x in z])
+    assert np.all(np.abs(many - scalar) <= ARRAY_RTOL * np.abs(scalar))
 
 
 def test_green_many_every_space_real_and_complex_s():
@@ -300,40 +316,47 @@ def test_green_many_every_space_real_and_complex_s():
 
 def test_green_many_takes_the_scalar_branch_rule(monkeypatch):
     # the array path sums Pfaff exactly where gauss_2f1 would (|z| < 3)
-    # and hands every other point to gauss_2f1, inside hyper
-    seen = []
-    scalar = hyper.gauss_2f1
+    # and the 1/z connection at every other point, itself: series
+    # arguments w = z/(z-1) are positive, 1/z negative
+    args, scalar_calls = [], []
+    summation = hyper._sum_many
 
-    def recording(a, b, c, z):
-        seen.append(z)
-        return scalar(a, b, c, z)
+    def recording(tab, x, *rest, **kwargs):
+        args.extend(x)
+        return summation(tab, x, *rest, **kwargs)
 
-    monkeypatch.setattr(hyper, "gauss_2f1", recording)
+    monkeypatch.setattr(hyper, "_sum_many", recording)
+    monkeypatch.setattr(hyper, "gauss_2f1", lambda *z: scalar_calls.append(z))
     radii = np.array(EDGE_RADII)
     green0_eval_many(H3, 1.0, radii)
     edge = math.asinh(3 ** -0.5)  # |z| = 3
-    assert np.allclose(seen, -1.0 / np.sinh(radii[radii < edge]) ** 2, rtol=1e-14, atol=0)
-    assert min(abs(z) for z in seen) >= 3.0
+    z = -1.0 / np.sinh(radii) ** 2
+    pfaff = np.sort([x for x in args if x >= 0])
+    inverse = np.unique([x for x in args if x < 0])  # two series per point (a - b = 1/2)
+    assert np.allclose(pfaff, np.sort((z / (z - 1))[radii >= edge]), rtol=1e-14, atol=0)
+    assert np.allclose(inverse, np.sort(1 / z[radii < edge]), rtol=1e-14, atol=0)
+    assert scalar_calls == []
 
 
 def test_green_many_terminating_parameters(monkeypatch):
     # R^5 at s = 1: b = (s + 1)/2 - (n - 1)/4 = 0, a terminating 2F1,
-    # which the scalar rule sums as a polynomial at every point
+    # which the array path sums as the polynomial of degree 0 at every
+    # point, as the scalar rule does; 2e-9 off, b = 1e-9 is not snapped
+    R5 = make_space(Field.REAL, 5)
     radii = np.geomspace(0.02, 25.0, 40)
-    assert_many_matches_scalar(make_space(Field.REAL, 5), 1.0, radii)
-    scalar_calls = []
-    scalar = hyper.gauss_2f1
-    monkeypatch.setattr(hyper, "gauss_2f1", lambda *args: scalar_calls.append(args) or scalar(*args))
-    green0_eval_many(make_space(Field.REAL, 5), 1.0, radii)
-    assert len(scalar_calls) == len(radii)
-    monkeypatch.undo()
-    # 2e-9 off, b = 1e-9 is not snapped: the array path sums it itself
-    scalar_calls = []
-    monkeypatch.setattr(hyper, "gauss_2f1", lambda *args: scalar_calls.append(args) or 1.0)
-    green0_eval_many(make_space(Field.REAL, 5), 1.0 + 2e-9, radii[radii > 0.6])
-    assert scalar_calls == []
-    monkeypatch.undo()
-    assert_many_matches_scalar(make_space(Field.REAL, 5), 1.0 + 2e-9, radii)
+    degrees = []
+    summation = hyper._sum_many
+
+    def recording(tab, x, *rest, degree=None):
+        degrees.append(degree)
+        return summation(tab, x, *rest, degree=degree)
+
+    monkeypatch.setattr(hyper, "_sum_many", recording)
+    assert_many_matches_scalar(R5, 1.0, radii)
+    assert degrees == [0]
+    degrees.clear()
+    assert_many_matches_scalar(R5, 1.0 + 2e-9, radii)
+    assert degrees and all(d is None for d in degrees)
 
 
 def test_green_many_pole_of_c():
@@ -363,3 +386,49 @@ def test_ode_residual_random_s_in_holomorphy_half_plane(space, t, im, r):
     c = s + 1  # a pole of the 2F1 factor at non-positive integers
     assume(abs(c - min(round(c.real), 0)) > 1e-3)
     assert green0_ode_residual(space, s, r) <= 1e-8
+
+
+# ------------------------------------------------- dimension shift on R^n
+
+# On real hyperbolic space the resolvent kernels of dimensions n and n + 2
+# satisfy G_(n+2) = -G_n' / (2 pi sinh r).  g0 is (n - 2) G for n >= 3
+# (its short-distance law r^(2-n)/vol(S^(n-1)) lacks the 1/(n - 2) of the
+# fundamental solution) and G itself for n = 2, so
+# g_(n+2) = k_n (-g_n' / (2 pi sinh r)) with k_n = n/(n-2), k_2 = 2.
+# Worst error over these examples: 1.6e-14 (tolerance about 5x).
+SHIFT_RTOL = 8e-14
+
+
+def shift_factor(n):
+    return n / (n - 2) if n >= 3 else 2.0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 11), st.floats(0.05, 2.5), st.floats(-2.0, 2.0), st.floats(0.05, 15.0))
+def test_dimension_shift_identity(n, re_s, im_s, r):
+    # green0_derivatives in dimension n against green0_eval in n + 2: the
+    # order-2 and order-0 sums on the Pfaff, generic and log branches
+    s = complex(re_s, im_s)
+    dg = green0_derivatives(make_space(Field.REAL, n), s, r)[1]
+    want = shift_factor(n) * (-dg / (2 * math.pi * math.sinh(r)))
+    got = green0_eval(make_space(Field.REAL, n + 2), s, r)
+    assert abs(got - want) <= SHIFT_RTOL * abs(got)
+
+
+def shifted_closed_form(n, s, r):
+    """G_n on R^n for odd n, from G_3 = e^(-sr) / (4 pi sinh r) by the
+    shift, differentiated by mpmath (no hypergeometric function)."""
+    if n == 3:
+        return mpmath.exp(-s * r) / (4 * mpmath.pi * mpmath.sinh(r))
+    return -mpmath.diff(lambda t: shifted_closed_form(n - 2, s, t), r) / (
+        2 * mpmath.pi * mpmath.sinh(r))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("s", [0.7, 1.3 + 0.6j, 2.0 - 1.1j])
+def test_odd_dimensions_against_the_shifted_closed_form(n, s):
+    # C(s), the prefactor and the 2F1 together, at 50 digits; worst 2.5e-14
+    with mpmath.workdps(50):
+        for r in (0.1, 0.6, 2.0, 7.0):
+            ref = complex((n - 2) * shifted_closed_form(n, mpmath.mpc(s), mpmath.mpf(r)))
+            assert abs(green0_eval(make_space(Field.REAL, n), s, r) - ref) <= 1.5e-13 * abs(ref)

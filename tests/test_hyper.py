@@ -333,6 +333,35 @@ def test_pfaff_derivatives_near_a_zero(a, b, c, z):
         assert abs(val - ref) <= 1e-13 * abs(ref)
 
 
+def test_second_derivative_waits_for_its_own_sum():
+    # the terms of F'' carry about k^2 and converge after those of F and
+    # F': stopping on F and F' alone left F'' 3.9e-13 off here (2.2e-14)
+    a, b, c, z = -0.96 - 0.07j, 0.15 - 1.43j, 1.14 + 0.57j, -2.84
+    ddF = hyper._gauss_2f1_core(a, b, c, complex(z), 2)[2]
+    ref = shifted_reference(a, b, c, z)[2]
+    assert abs(ddF - ref) <= 1e-13 * abs(ref)
+
+
+def series_testing_every_term(a, b, c, x):
+    """The defining series with the stopping test applied at every term."""
+    term = total = 1.0 + 0j
+    for k in range(10000):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * x
+        total += term
+        if abs(term) <= 1e-14 * max(1.0, abs(total)):
+            return total
+
+
+def test_screened_stopping_test_stops_at_the_same_term():
+    # _sum evaluates the test only below a bound on the partial sum; the
+    # sums equal those that test every term, bit for bit
+    a, b, c = 0.3 + 0.2j, 1.7 - 0.4j, 2.1 + 0.3j
+    tab = hyper._power_table(a, b, c, False)
+    for x in np.concatenate([np.linspace(-0.75, -0.01, 40), np.linspace(0.01, 0.75, 40)]):
+        x = complex(x)
+        assert hyper._sum(tab, x, 0)[0] == series_testing_every_term(a, b, c, x)
+
+
 @pytest.mark.parametrize("a,b,c", [(0.3, 0.7 + 0.2j, 2.25), (-3.0, 0.7 + 0.2j, 2.25)])
 def test_derivatives_where_z_squared_underflows(a, b, c):
     # the Pfaff series and the terminating polynomial at a z whose square
@@ -354,16 +383,17 @@ def test_green_derivatives_value_matches_green0_eval(space_s, r):
 
 
 def record_series_arguments(monkeypatch):
-    """Record |argument| of every power series summed, with or without
-    its termwise derivatives (terminating polynomials aside)."""
+    """Record |argument| of every series the scalar summation sums, with or
+    without its termwise derivatives (terminating polynomials aside)."""
     seen = []
-    for name in ("_series", "_series_d2", "_series_raised"):
-        def recording(a, b, c, z, *degree, series=getattr(hyper, name)):
-            if not degree:  # a terminating polynomial has no radius to keep
-                seen.append(abs(z))
-            return series(a, b, c, z, *degree)
+    summation = hyper._sum
 
-        monkeypatch.setattr(hyper, name, recording)
+    def recording(tab, x, order, L=0j, degree=None):
+        if degree is None:  # a terminating polynomial has no radius to keep
+            seen.append(abs(x))
+        return summation(tab, x, order, L, degree)
+
+    monkeypatch.setattr(hyper, "_sum", recording)
     return seen
 
 
@@ -375,7 +405,7 @@ def test_negative_axis_series_arguments_stay_within_three_quarters(monkeypatch):
             for s in [0.5, 1.5, 1.0 + 0.5j, 1.0 - 1.0j] for r in np.geomspace(0.02, 20.0, 100)]
     for point in grid:
         green0_eval(*point)
-    # one per Pfaff point, two per generic 1/z point, none for the log series
+    # one per Pfaff or logarithmic 1/z point, two per generic 1/z point
     value_series = len(seen)
     assert value_series > 2000
     for point in grid:
