@@ -24,8 +24,8 @@ never through the hypergeometric equation, so the residual measures
 only formula and series error, with no finite-difference noise floor.
 The 2F1 parameters and log C(s) are computed once per (d, n, s) and
 kept in an LRU cache (hyper._CACHE_SIZE entries).  Radii below _MIN_R,
-where the 2F1 argument -1/sinh^2 r passes the float64 range, and a
-prefactor past that range raise DomainError.
+where the 2F1 argument -1/sinh^2 r passes the float64 range, a prefactor
+past that range and a kernel value past it raise DomainError.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFit, DomainError, PoleOfGamma
-from .hyper import _CACHE_SIZE, _gauss_2f1_core, _gauss_2f1_many, _loggamma, gauss_2f1
+from .hyper import _CACHE_SIZE, _gauss_2f1_core, _loggamma, gauss_2f1
 from .spaces import SpaceDescriptor
 
 __all__ = [
@@ -150,19 +150,27 @@ def _prefactor(log_pre: complex, r: float) -> complex:
     return cmath.exp(log_pre)
 
 
+def _finite(value: complex, r: float) -> complex:
+    """value, the kernel or a derivative at r; DomainError where it passes
+    the float64 range."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"the kernel at r={r} passes the float64 range")
+    return value
+
+
 def green0_eval(space: SpaceDescriptor, s: complex, r: float) -> complex:
     """Green kernel g0(s, r) at geodesic distance r >= _MIN_R."""
     a, b, c, log_pre, z = _green0_point(space, complex(s), float(r))
-    return _prefactor(log_pre, r) * gauss_2f1(a, b, c, z)
+    return _finite(_prefactor(log_pre, r) * gauss_2f1(a, b, c, z), r)
 
 
 def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
     """g0(s, r) at every distance in the array r, in one array pass.
 
-    Agrees with green0_eval point by point and takes the same 2F1 branch
-    at every point (hyper._gauss_2f1_many, which sums the points of each
-    branch together).  The normalization and the 2F1 parameters are computed
-    once.
+    Agrees with green0_eval point by point: the one 2F1 entry
+    (hyper._gauss_2f1_core) applies the same branch rule to the array of
+    z and sums the points of each branch together.  The normalization and
+    the 2F1 parameters are computed once.
     """
     s = complex(s)
     r = np.asarray(r, dtype=float)
@@ -174,9 +182,13 @@ def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
     over = (log_c - a * L).real > _LOG_MAX  # the bound of _prefactor
     if np.any(over):
         raise DomainError(f"the kernel's prefactor at r={r[over][0]} passes the float64 range")
-    F, log_p = _gauss_2f1_many(a, b, c, -np.exp(-L + math.log(2.0)))
-    # the Pfaff factor (1 - z)^(-a) joins the prefactor's exponent
-    return np.exp(log_c - a * (L + log_p)) * F
+    F = _gauss_2f1_core(a, b, c, -np.exp(-L + math.log(2.0)), 0)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the range raises below
+        g = np.exp(log_c - a * L) * F
+    bad = ~np.isfinite(g)
+    if np.any(bad):
+        raise DomainError(f"the kernel at r={r[bad][0]} passes the float64 range")
+    return g
 
 
 def _log_sinh_many(r: np.ndarray) -> np.ndarray:
@@ -193,7 +205,7 @@ def green0_derivatives(
     """The kernel and its first two radial derivatives, in closed form."""
     log_pre, (g, dg, ddg) = _green0_shape(space, complex(s), float(r))
     pre = _prefactor(log_pre, r)
-    return pre * g, pre * dg, pre * ddg
+    return _finite(pre * g, r), _finite(pre * dg, r), _finite(pre * ddg, r)
 
 
 def _green0_point(

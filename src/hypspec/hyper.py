@@ -50,10 +50,11 @@ terminating polynomial.  Each has one table (_Table) per parameter
 triple, in LRU caches of _CACHE_SIZE entries next to _params, which also
 keep the connections' Gamma products.  A table grows on demand to the
 terms the current point needs, capped at _MAX_TERMS (_Table.grow), so a
-first call builds about what it sums and later points only read.  One
-scalar summation (_sum) and one array summation (_sum_many) read every
-table; _gauss_2f1_many applies the branch rule to an array of z, each
-point leaving its sum at the term where _sum would.
+first call builds about what it sums and later points only read.
+_gauss_2f1_core is the one entry, for a scalar z or a real 1-d array of
+z: it states the branch rule once and hands the branch helpers one
+summation, _sum for a scalar or _sum_many for an array, which sums the
+points of a branch together, each leaving at the term where _sum would.
 
 The first two z-derivatives come from the same pass (_gauss_2f1_core at
 order 2), term by term: the termwise form of d/dz 2F1(a, b; c; z) =
@@ -157,10 +158,16 @@ def _near_int(z: complex, tol: float = _INT_SNAP) -> int | None:
     return None
 
 
-def _terminates(a: complex, b: complex) -> bool:
-    """Whether gauss_2f1 sums 2F1(a, b; c; z) as a polynomial."""
-    return (_near_nonpositive_int(a, _TERMINATING_SNAP)
-            or _near_nonpositive_int(b, _TERMINATING_SNAP))
+def _factorial(k: int) -> tuple[float, int]:
+    """k! as f 2^e, with e = 0 (f = float(k!)) up to 170!, the last
+    factorial in the float64 range."""
+    big = math.factorial(k)
+    e = max(big.bit_length() - 1020, 0)
+    return float(big >> e), e
+
+
+def _ldexp(v: complex, e: int) -> complex:
+    return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
 
 
 def _in_near_int_band(d: complex) -> bool:
@@ -177,14 +184,10 @@ def _params(
     near-integer band, and (lower parameter, integer gap, upper
     parameter) when a - b snaps to an integer (the logarithmic series;
     else None)."""
-    degree = None
-    if _terminates(a, b):
-        ma = _near_int(a, _TERMINATING_SNAP)
-        mb = _near_int(b, _TERMINATING_SNAP)
-        if ma is not None and ma <= 0 and (mb is None or mb > 0 or ma >= mb):
-            degree = -ma
-        else:
-            degree = -mb  # type: ignore[operator]
+    # the polynomial ends at the first of a, b at a non-positive integer
+    ends = [-m for m in (_near_int(a, _TERMINATING_SNAP), _near_int(b, _TERMINATING_SNAP))
+            if m is not None and m <= 0]
+    degree = min(ends, default=None)
     hi, lo = (b, a) if (b - a).real >= 0 else (a, b)
     m = _near_int(hi - lo)
     gap = None if m is None else (lo, m, hi)
@@ -262,11 +265,14 @@ class _LogTable(_Table):
         self.ratio, self.w1, self.w2, self.c0, self.c1, self.c2 = [], [], [], [], [], []
         # finite part: Gamma(c)/Gamma(b) sum_{n<m} (a)_n (m-n-1)! / (n! Gamma(c-a-n)) z^{-n}
         scale = _gamma(c) * _rgamma(b)
+        if not (scale and cmath.isfinite(scale)):
+            raise DomainError(f"Gamma({c})/Gamma({b}) of the 1/z connection passes the float64 range")
         self.fin = []
         poch = 1.0 + 0j  # (a)_n / n!
         rgam = _rgamma(c - a)  # 1/Gamma(c-a-n)
         for n in range(m):
-            coef = scale * poch * math.factorial(m - n - 1) * rgam
+            f, e = _factorial(m - n - 1)
+            coef = _ldexp(scale * poch * f * rgam, e)
             self.fin.append((coef, coef * (a + n), coef * (a + n) * (a + n + 1)))
             poch *= (a + n) / (n + 1.0)
             rgam *= c - a - n - 1.0
@@ -286,7 +292,8 @@ class _LogTable(_Table):
             lead = _rgamma(x)
             psi = (_digamma(1.0), _digamma(m + 1.0), _digamma(b), _digamma(b + 1.0),
                    _digamma(b + 2.0), _digamma(x))
-        self.pre = _gamma(c) * (-1) ** m * rgam_a * lead / math.factorial(m)
+        f, e = _factorial(m)  # m! = f 2^e, the power of 2 applied first
+        self.pre = _ldexp(_gamma(c) * (-1) ** m * rgam_a, -e) * lead / f
         self._terms = self._coefficients(m, b, x, psi)
 
     def _coefficients(self, m, b, x, psi):
@@ -415,9 +422,7 @@ def _sum_many(
     return out, 0j, 0j
 
 
-def _pfaff(
-    a: complex, b: complex, c: complex, z: complex, w: complex, order: int
-) -> tuple[complex, complex, complex]:
+def _pfaff(a, b, c, z, w, order: int, total):
     """Pfaff map: 2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; w), w = z/(z-1).
 
     The same map takes (ab/c) 2F1(a+1, b+1; c+1; z) to b (1-z)^(-a-1)
@@ -428,7 +433,7 @@ def _pfaff(
     a = 5.76, |w| = 0.75.)
     """
     P = (1.0 - z) ** (-a)
-    s0, s1, s2 = _sum(_power_table(a, c - b, c, True), w, order)
+    s0, s1, s2 = total(_power_table(a, c - b, c, True), w, order)
     if order == 0:
         return P * s0, 0j, 0j
     u = 1.0 / (1.0 - z)
@@ -446,15 +451,22 @@ def _generic_series(a: complex, b: complex, c: complex):
              _PowerTable(b, b - c + 1, b - a + 1, False)))
 
 
-def _inf_connection_generic(a, b, c, z, order: int):
-    """z -> 1/z connection, valid when a - b is not an integer, at a
-    scalar z by _sum or at an array of z by _sum_many.
+def _inf_connection(a, b, c, gap, z, order: int, total):
+    """z -> 1/z connection: the logarithmic series when a - b snaps to an
+    integer (gap, from _params), else the generic one."""
+    if gap is None:
+        return _inf_connection_generic(a, b, c, z, order, total)
+    return _inf_connection_integer(*gap, c, z, order, total)
+
+
+def _inf_connection_generic(a, b, c, z, order: int, total):
+    """z -> 1/z connection, valid when a - b is not an integer, with each
+    series summed by total (_sum or _sum_many).
 
     Each term is a power series in 1/z times (-z)^(-e), so its k-th term
     is a multiple of (-z)^(-e-k), whose z-derivatives are -(e+k)/z and
     (e+k)(e+k+1)/z^2 times itself.
     """
-    total = _sum_many if isinstance(z, np.ndarray) else _sum
     x, F, dF, ddF = 1 / z, 0j, 0j, 0j
     for g, e, tab in _generic_series(a, b, c):
         pre = g * (-z) ** (-e)
@@ -466,15 +478,12 @@ def _inf_connection_generic(a, b, c, z, order: int):
     return F, dF, ddF
 
 
-def _inf_connection_integer(a, m: int, b, c, z, order: int):
+def _inf_connection_integer(a, m: int, b, c, z, order: int, total):
     """z -> 1/z connection for b = a + m, m a non-negative integer (see
-    _LogTable), at a scalar z by _sum or at an array of z by _sum_many."""
+    _LogTable), with the series summed by total (_sum or _sum_many)."""
     tab = _log_table(a, m, b, c)
     u = 1 / z
-    if isinstance(z, np.ndarray):
-        t0, t1, t2 = _sum_many(tab, u, order, np.log(-z))
-    else:
-        t0, t1, t2 = _sum(tab, u, order, cmath.log(-z))
+    t0, t1, t2 = total(tab, u, order, cmath.log(-z) if total is _sum else np.log(-z))
     f0, f1, f2, un = 0j, 0j, 0j, 1.0
     for coef, coef1, coef2 in tab.fin:
         f0 += coef * un
@@ -495,64 +504,37 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
 
     Takes complex parameters and a real z <= 0 (a float, or a complex
     with zero imaginary part).  Raises DomainError for any other z
-    (z > 0, Im z != 0 or NaN) and PoleOfGamma when c is a non-positive
-    integer.
+    (z > 0, Im z != 0 or NaN) or where Gamma(c)/Gamma(b) of the
+    logarithmic 1/z connection passes the float64 range, and PoleOfGamma
+    when c is a non-positive integer.
     """
     return _gauss_2f1_core(complex(a), complex(b), complex(c), complex(z), 0)[0]
 
 
-def _gauss_2f1_core(
-    a: complex, b: complex, c: complex, z: complex, order: int
-) -> tuple[complex, complex, complex]:
-    """(F, dF/dz, d2F/dz2) of 2F1(a, b; c; z) at order 2, for complex
-    parameters and real z <= 0; the branch rule of gauss_2f1.  At order 0
-    only F is computed and the derivative slots hold 0."""
+def _gauss_2f1_core(a: complex, b: complex, c: complex, z, order: int):
+    """(F, dF/dz, d2F/dz2) of 2F1(a, b; c; z) for complex parameters, by
+    the branch rule of gauss_2f1, at a complex z on the axis z <= 0, or at
+    order 0 at a real 1-d array of such z, whose points each branch sums
+    together.  At order 0 the derivative slots hold 0."""
     pole, degree, band, gap = _params(a, b, c)
     if pole:
         raise PoleOfGamma(f"2F1 undefined: c={c} is a non-positive integer")
-    if not (z.imag == 0 and z.real <= 0):  # NaN fails too
-        raise DomainError(f"z={z} is not a real number <= 0")
-    if z == 0:
-        if order == 0:
-            return 1.0 + 0j, 0j, 0j
-        return 1.0 + 0j, a * b / c, a * (a + 1) * b * (b + 1) / (c * (c + 1))
+    many = isinstance(z, np.ndarray)
+    inside = (z.imag == 0) & (z.real <= 0)  # NaN fails too
+    if not (inside.all() if many else inside):
+        raise DomainError(f"z={z[~inside][0] if many else z} is not a real number <= 0")
+    total = _sum_many if many else _sum
     if degree is not None:
-        return _sum(_power_table(a, b, c, False), z, order, degree=degree)
+        return total(_power_table(a, b, c, False), z, order, degree=degree)
     w = z / (z - 1.0)
     # 1/z beats Pfaff everywhere past the edge, except in the near-integer
     # band while the Pfaff series still converges (|z| <= 9)
-    if abs(z) < _INF_EDGE or (band and abs(w) <= _THRESHOLD):
-        return _pfaff(a, b, c, z, w, order)
-    # the logarithmic series when a - b snaps to an integer
-    if gap is not None:
-        return _inf_connection_integer(*gap, c, z, order)
-    return _inf_connection_generic(a, b, c, z, order)
-
-
-def _gauss_2f1_many(
-    a: complex, b: complex, c: complex, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """gauss_2f1 at every point of the real 1-d array z <= 0, by its
-    branch rule, as (F, log(1 - z)) with 2F1(a, b; c; z) = (1 - z)^(-a) F:
-    the points of each branch are summed together by _sum_many, and the
-    Pfaff factor is left to the caller (log(1 - z) is 0 off the Pfaff
-    points, where F is the 2F1)."""
-    if not np.all(z <= 0):
-        raise DomainError("every z must be a real number <= 0")
-    pole, degree, band, gap = _params(a, b, c)
-    if pole:
-        raise PoleOfGamma(f"2F1 undefined: c={c} is a non-positive integer")
-    log_p = np.zeros(z.shape)
-    if degree is not None:
-        return _sum_many(_power_table(a, b, c, False), z, degree=degree)[0], log_p
-    w = z / (z - 1.0)
-    pfaff = z > -_INF_EDGE
-    if band:
-        pfaff |= np.abs(w) <= _THRESHOLD
-    F = np.empty(z.shape, dtype=complex)
-    F[pfaff] = _sum_many(_power_table(a, c - b, c, True), w[pfaff])[0]
-    log_p[pfaff] = np.log1p(-z[pfaff])
-    inf = z[~pfaff]
-    F[~pfaff] = (_inf_connection_generic(a, b, c, inf, 0) if gap is None
-                 else _inf_connection_integer(*gap, c, inf, 0))[0]
-    return F, log_p
+    pfaff = (abs(z) < _INF_EDGE) | (band & (abs(w) <= _THRESHOLD))
+    if not many:
+        if pfaff:
+            return _pfaff(a, b, c, z, w, order, total)
+        return _inf_connection(a, b, c, gap, z, order, total)
+    F, inf = np.empty(z.shape, complex), ~pfaff
+    F[pfaff] = _pfaff(a, b, c, z[pfaff], w[pfaff], 0, total)[0]
+    F[inf] = _inf_connection(a, b, c, gap, z[inf], 0, total)[0]
+    return F, 0j, 0j

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hypspec.cli import main, to_json
+from hypspec.errors import TruncationWarning
 from hypspec.orbits import boost_matrix
 
 
@@ -572,3 +579,132 @@ def test_library_errors_exit_3(monkeypatch, capsys, argv, error):
     doc = json.loads(out)
     assert list(doc) == ["error"]
     assert doc["error"]["type"] == error and doc["error"]["message"]
+
+
+def test_green_large_integer_gap_ends_in_a_structured_error(capsys):
+    # a - b = 199: the finite part of the logarithmic series once took
+    # 198! as a float (OverflowError traceback); the 2F1 is now summed, and
+    # the kernel at r = 0.5, 2F1 = 2.79e117 times a prefactor of about
+    # 1e235, passes the float64 range
+    code, out = run(capsys, "green", "--field", "C", "--n", "200", "--s", "1",
+                    "--r-grid", "0.5:1:2")
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "DomainError", "message": "the kernel at r=0.5 passes the float64 range"}
+
+
+def test_green_kernel_past_the_float64_range_is_a_domain_error(capsys):
+    # the prefactor guard passes at r = 1e-3 and its product with the 2F1
+    # overflows; this once printed "re": "inf" and exited 0
+    code, out = run(capsys, "green", "--field", "R", "--n", "94", "--s", "1",
+                    "--r-grid", "1e-3:50:6", "--log")
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "DomainError", "message": "the kernel at r=0.001 passes the float64 range"}
+
+
+def complex_text(re_part, im_part):
+    return f"{re_part!r}{im_part:+}i"
+
+
+# spectral parameters on both sides of Re s = 0
+SPECTRAL = st.builds(complex_text, st.floats(-4.0, 6.0), st.sampled_from([0.0, -1.5, 0.3, 2.0]))
+RADIUS = st.floats(1e-6, 500.0)
+
+
+@st.composite
+def green_argv(draw):
+    field = draw(st.sampled_from("RCHO"))
+    n = draw(st.integers(1, 3 if field == "O" else 256))
+    start, stop = sorted([draw(RADIUS), draw(RADIUS)])
+    grid = f"{start!r}:{stop!r}:{draw(st.integers(1, 8))}"
+    return (["green", "--field", field, "--n", str(n), f"--s={draw(SPECTRAL)}", "--r-grid", grid]
+            + ["--log"] * draw(st.booleans()))
+
+
+@st.composite
+def resolvent_argv(draw):
+    n = draw(st.integers(2, 12))
+    argv = ["resolvent", "--n", str(n), "--p", str(draw(st.integers(0, n))),
+            "--order", str(draw(st.integers(1, 40)))]
+    if draw(st.booleans()):
+        lo = draw(st.floats(-2.0, 4.0))
+        return argv + [f"--scan={lo!r}:{lo + draw(st.floats(0.0, 2.0))!r}:{draw(st.integers(1, 3))}"]
+    argv.append(f"--s={draw(SPECTRAL)}")
+    if draw(st.booleans()):
+        argv.append("--signs=" + draw(st.sampled_from(["+", "-", "+-", "--"])))
+    return argv + ["--t-grid", f"{draw(st.floats(0.5, 6.0))!r}:8:{draw(st.integers(1, 4))}"]
+
+
+@st.composite
+def bounds_argv(draw):
+    return ["bounds", "--field", draw(st.sampled_from("RCHO")), "--n", str(draw(st.integers(1, 300))),
+            "--p", str(draw(st.integers(0, 40))), f"--delta={draw(st.floats(-5.0, 1e3))!r}"]
+
+
+@st.composite
+def alpha_argv(draw):
+    return ["alpha", "--field", draw(st.sampled_from("RCHO")), "--n", str(draw(st.integers(1, 300)))]
+
+
+@st.composite
+def group_doc(draw):
+    """A malformed group document, or a valid one of one or two boosts."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(MALFORMED_GROUPS))
+    n = draw(st.integers(2, 3))
+    gens = [{"label": f"g{i}", "matrix": [[format(v, ".17g") for v in row]
+                                          for row in boost_matrix(n, t)]}
+            for i, t in enumerate(draw(st.lists(st.floats(0.05, 6.0), min_size=1, max_size=2)))]
+    return {"model": {"type": "real_hyperboloid", "n": n}, "generators": gens}
+
+
+@st.composite
+def delta_argv(draw):
+    """delta's argv, with the group document in place of the file name."""
+    return ["delta", draw(group_doc()), "--max-len", str(draw(st.integers(1, 6)))]
+
+
+# the values of a kernel: the green and resolvent rows, the kernel grid's
+# block norms and psi
+KERNEL_KEYS = re.compile(r"re|im|residual|total_norm|block\d+_norm|psi|psi_sigma_min")
+
+
+def kernel_values(doc):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if KERNEL_KEYS.fullmatch(key) and not isinstance(value, (dict, list)):
+                yield key, value
+            yield from kernel_values(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from kernel_values(value)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(alpha_argv(), bounds_argv(), green_argv(), resolvent_argv(), delta_argv()))
+def test_cli_contract(tmp_path, argv):
+    # every argv exits 0, 2, 3 or 4, exits 3 and 4 with a JSON error, and
+    # exit 0 prints no NaN and no infinite kernel value; the truncation
+    # warning of a low --order is the designed one, every other warning an
+    # error
+    if argv[0] == "delta":
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(argv[1]))
+        argv = ["delta", "--group-file", str(path), *argv[2:]]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.filterwarnings("ignore", category=TruncationWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
+    if code in (3, 4):
+        doc = json.loads(out.getvalue())
+        assert list(doc) == ["error"] and doc["error"]["type"], argv
+    elif code == 0:
+        assert '"nan"' not in out.getvalue(), argv
+        bad = [kv for kv in kernel_values(json.loads(out.getvalue())) if kv[1] in ("inf", "-inf")]
+        assert not bad, (argv, bad)

@@ -106,7 +106,7 @@ def test_branch_cut_rejected():
             hyper._gauss_2f1_core(0.5 + 0j, 0.7 + 0j, 1.3 + 0j, complex(z), 2)
         if not isinstance(z, complex):
             with pytest.raises(DomainError):
-                hyper._gauss_2f1_many(0.5 + 0j, 0.7 + 0j, 1.3 + 0j, np.array([-1.0, z]))
+                hyper._gauss_2f1_core(0.5 + 0j, 0.7 + 0j, 1.3 + 0j, np.array([-1.0, z]), 0)
 
 
 def test_no_convergence_budget(monkeypatch):
@@ -459,7 +459,26 @@ def test_log_series_past_the_gamma_overflow(monkeypatch, a, m, c):
     with monkeypatch.context() as mp:
         mp.setattr(hyper, "_MAX_TERMS", 170)
         with pytest.raises(NoConvergence):
-            _inf_connection_integer(a, m, a + m, c, z, 0)
+            _inf_connection_integer(a, m, a + m, c, z, 0, hyper._sum)
     ref = complex(mpmath.hyp2f1(a, a + m, c, z))
-    val = _inf_connection_integer(a, m, a + m, c, z, 0)[0]
+    val = _inf_connection_integer(a, m, a + m, c, z, 0, hyper._sum)[0]
     assert val == pytest.approx(ref, rel=5e-13)
+
+
+@pytest.mark.parametrize("a, m, c, z", [
+    # the kernel's 2F1 on C^200 at s = 1 and r = 0.5 (mpmath 2.78853887527544e117)
+    (-98.5, 199, 2.0, -1.0 / math.sinh(0.5) ** 2),
+    (-90.25, 190, 1.5, -5.0),
+    (-98.5, 199, 1.0 + 0.5j, -20.0),
+])
+def test_log_series_with_a_gap_past_170_factorial(a, m, c, z):
+    # the finite part's (m - 1)! passes the float64 range from m = 172 on;
+    # it once ended in OverflowError
+    got = gauss_2f1(a + m, a, c, z)
+    assert got == pytest.approx(complex(mpmath.hyp2f1(a + m, a, c, z)), rel=1e-12)
+
+
+def test_log_series_gamma_ratio_past_the_float64_range():
+    # 1/Gamma(180.5) underflows: the 2F1 is not a silent 0 or NaN
+    with pytest.raises(DomainError):
+        gauss_2f1(0.5, 180.5, 2.0, -4.0)
