@@ -46,11 +46,12 @@ Every branch sums power series with z-independent coefficients: the
 Pfaff series in w = z/(z-1), the generic connection's two series in
 1/z, the logarithmic series in 1/z (its terms before the poles carry
 log(-z) next to a digamma combination) with its finite part, and the
-terminating polynomial.  Each has one table (_Table) per parameter
-triple, in LRU caches of _CACHE_SIZE entries next to _params, which also
-keep the connections' Gamma products.  A table grows on demand to the
-terms the current point needs, capped at _MAX_TERMS (_Table.grow), so a
-first call builds about what it sums and later points only read.
+terminating polynomial.  One _Triple per parameter triple, in one LRU
+cache of _CACHE_SIZE entries, holds what the branch rule reads of
+(a, b, c) and, built on first use, each series' table (_Table), grown
+on demand from its coefficient rows to the terms the current point
+needs, capped at _MAX_TERMS (_Table.grow): a first call builds about
+what it sums and later points only read.
 _gauss_2f1_core is the one entry, for a scalar z or a real 1-d array of
 z: it states the branch rule once and hands the branch helpers one
 summation, _sum for a scalar or _sum_many for an array, which sums the
@@ -102,8 +103,8 @@ _INF_EDGE = 3.0
 # a - b this close to an integer, but outside the snap, makes the generic
 # 1/z connection cancel digits
 _NEAR_INT_BAND = 1e-2
-# parameter triples each constants cache keeps.  A kernel table uses one
-# key per cache for all its radii; the most distinct keys measured over a
+# parameter triples the triple cache keeps.  A kernel table uses one
+# triple for all its radii; the most distinct triples measured over a
 # whole benchmark run are 6 (orbit-delta's kernels), so 16 holds every
 # working set seen with room for interleaved callers.
 _CACHE_SIZE = 16
@@ -174,106 +175,143 @@ def _in_near_int_band(d: complex) -> bool:
     return _INT_SNAP <= abs(d - round(d.real)) < _NEAR_INT_BAND
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _params(
-    a: complex, b: complex, c: complex
-) -> tuple[bool, int | None, bool, tuple[complex, int, complex] | None]:
-    """What the branch rule reads of (a, b, c) alone: whether c sits at a
-    pole of Gamma, the degree of the terminating polynomial (None when
-    the series does not terminate), whether a - b lies in the
-    near-integer band, and (lower parameter, integer gap, upper
-    parameter) when a - b snaps to an integer (the logarithmic series;
-    else None)."""
-    # the polynomial ends at the first of a, b at a non-positive integer
-    ends = [-m for m in (_near_int(a, _TERMINATING_SNAP), _near_int(b, _TERMINATING_SNAP))
-            if m is not None and m <= 0]
-    degree = min(ends, default=None)
-    hi, lo = (b, a) if (b - a).real >= 0 else (a, b)
-    m = _near_int(hi - lo)
-    gap = None if m is None else (lo, m, hi)
-    return _near_nonpositive_int(c), degree, _in_near_int_band(a - b), gap
-
-
 class _Table:
-    """The z-independent coefficients of one series, grown on demand.  At
-    its argument x, P_0 = 1 and P_(k+1) = P_k ratio[k] x; term k of F is
-    P_k, of F' P_k w1[k] and of F'' P_k w2[k], and for k < pole_from (the
-    logarithmic series) P_k (L + c0[k]), P_k w1[k] (L + c1[k]) and
-    P_k w2[k] (L + c2[k]), L = log(-z).  A sum stops at the first term
-    from `first` on at most _SERIES_TOL max(|partial sum|, floor) in
-    every sum it keeps."""
+    """The z-independent coefficients of one series, grown on demand from
+    an iterator of rows (ratio, w1, w2) or, for the logarithmic series,
+    (ratio, w1, w2, c0, c1, c2).  At its argument x, P_0 = 1 and
+    P_(k+1) = P_k ratio[k] x; term k of F is P_k, of F' P_k w1[k] and of
+    F'' P_k w2[k], and for k < pole_from P_k (L + c0[k]),
+    P_k w1[k] (L + c1[k]) and P_k w2[k] (L + c2[k]), L = log(-z).  A sum
+    stops at the first term from `first` on at most
+    _SERIES_TOL max(|partial sum|, floor) in every sum it keeps."""
 
-    pole_from = 0
-    first = 0
-    floor = 1.0
-    c0 = c1 = c2 = ()
-
-    def grow(self, k: int, order: int, limit: int, ax: float) -> int:
-        """The number of terms summable at this order, past term k and at
-        most limit.  A table that ends at k is first extended to the terms
-        a geometric series at |x| = ax needs, and by at least max(4, k // 4)."""
-        if len(self.w2 if order else self.ratio) <= k:
-            need = limit if ax >= 1.0 else 2 + int(_LOG_TOL / math.log(ax)) if ax else 2
-            self._extend(min(limit, max(need, k + max(4, k // 4))), order)
-        return min(len(self.w2 if order else self.ratio), limit)
-
-
-class _PowerTable(_Table):
-    """The series sum_k t_k x^k of 2F1(a, b; c; x), ratio[k] =
-    (a+k)(b+k)/((c+k)(k+1)), with derivative weights g_k =
-    (a+k)(b+k)/(c+k) and g_k g_(k+1) (those of F' and F''), or, when
-    raised (the Pfaff series), q_k = (a+k)/(c+k) and q_k q_(k+1)."""
-
-    def __init__(self, a: complex, b: complex, c: complex, raised: bool):
-        self.params = a, b, c, raised
-        self.ratio, self.w1, self.w2 = [], [], []
-
-    def _extend(self, n: int, order: int) -> None:
-        a, b, c, raised = self.params
-        self.ratio += [(a + k) * (b + k) / ((c + k) * (k + 1)) for k in range(len(self.ratio), n)]
-        if order:
-            w1 = self.w1
-            w1 += [(a + k) / (c + k) if raised else (a + k) * (b + k) / (c + k)
-                   for k in range(len(w1), n + 1)]
-            self.w2 += [w1[k] * w1[k + 1] for k in range(len(self.w2), n)]
-
-
-_power_table = functools.lru_cache(maxsize=_CACHE_SIZE)(_PowerTable)
-
-
-class _LogTable(_Table):
-    """The logarithmic 1/z connection of 2F1(a, b; c; z) for b = a + m,
-    m a non-negative integer: the finite part `fin` ((coefficient of
-    (-z)^(-a-n), times e, times e(e+1)), e = a + n, n < m), the prefactor
-    `pre` and the table of the logarithmic series, which reads the upper
-    parameter b as given and 1/Gamma(a) as (b-1) ... (b-m) / Gamma(b).
-
-    Where x = c - b - k sits at a pole of Gamma (c - b snaps to an
-    integer j0, and then for k >= j0) the terms are their finite limits,
-    plain powers.  The ratios carry 1/Gamma(x) with the coefficient,
-    bounded where 1/Gamma(x) alone overflows (k ~ 170).  Before the poles
-    term k is p_k (L + psi(k+1) + psi(m+k+1) - psi(y) - psi(x)) (-z)^(-y),
-    L = log(-z), y = b + k; its derivatives raise psi(y) to psi(y+1) and
-    psi(y+2), each advanced by its own recurrence (psi(x) backwards), so
-    nothing cancels as a or b nears a non-positive integer.
-    """
-
-    first = 2
-    floor = 1e-300
-
-    def __init__(self, a: complex, m: int, b: complex, c: complex):
+    def __init__(self, rows, pole_from=0, first=0, floor=1.0):
+        self._rows = rows
+        self.pole_from, self.first, self.floor = pole_from, first, floor
         self.ratio, self.w1, self.w2, self.c0, self.c1, self.c2 = [], [], [], [], [], []
+
+    def grow(self, k: int, limit: int, ax: float) -> int:
+        """The number of terms summable past term k, at most limit.  A
+        table that ends at k is first extended to the terms a geometric
+        series at |x| = ax needs, and by at least max(4, k // 4)."""
+        if len(self.ratio) <= k:
+            need = limit if ax >= 1.0 else 2 + int(_LOG_TOL / math.log(ax)) if ax else 2
+            n = min(limit, max(need, k + max(4, k // 4)))
+            rows = itertools.islice(self._rows, n - len(self.ratio))
+            columns = self.ratio, self.w1, self.w2, self.c0, self.c1, self.c2
+            for column, values in zip(columns, zip(*rows)):
+                column += values
+        return min(len(self.ratio), limit)
+
+
+def _power_rows(a: complex, b: complex, c: complex, raised: bool):
+    """(ratio, w1, w2) of term k = 0, 1, ... of the series sum_k t_k x^k
+    of 2F1(a, b; c; x): ratio[k] = (a+k)(b+k)/((c+k)(k+1)), with
+    derivative weights g_k = (a+k)(b+k)/(c+k) and g_k g_(k+1) (those of
+    F' and F''), or, when raised (the Pfaff series), q_k = (a+k)/(c+k)
+    and q_k q_(k+1)."""
+    weights = ((a + k) / (c + k) if raised else (a + k) * (b + k) / (c + k)
+               for k in itertools.count())
+    g = next(weights)
+    for k, g_next in enumerate(weights):
+        yield (a + k) * (b + k) / ((c + k) * (k + 1)), g, g * g_next
+        g = g_next
+
+
+def _log_rows(m: int, b: complex, x: complex, psi, pole_from):
+    """(ratio, w1, w2, c0, c1, c2) of term k = 0, 1, ... of the
+    logarithmic series (see _Triple.log)."""
+    if psi is not None:
+        # psi(k+1), psi(m+k+1), psi(y), psi(y+1), psi(y+2), psi(x)
+        psi_k, psi_mk, psi_b, psi_b1, psi_b2, psi_x = psi
+    combos = (0j, 0j, 0j)  # unread from the poles on
+    for k in itertools.count():
+        y = b + k
+        if k < pole_from:
+            combos = (psi_k + psi_mk - psi_b - psi_x, psi_k + psi_mk - psi_b1 - psi_x,
+                      psi_k + psi_mk - psi_b2 - psi_x)
+        r = -y / ((m + k + 1.0) * (k + 1.0))
+        x -= 1.0
+        if k + 1 != pole_from:  # at x = 0 the limit is 1 = 1/Gamma(1)
+            r *= x
+        if k + 1 < pole_from:
+            psi_k += 1.0 / (k + 1.0)
+            psi_mk += 1.0 / (m + k + 1.0)
+            psi_b += 1.0 / y
+            psi_b1 += 1.0 / (y + 1.0)
+            psi_b2 += 1.0 / (y + 2.0)
+            psi_x -= 1.0 / x
+        yield (r, y, y * (y + 1.0)) + combos
+
+
+class _Triple:
+    """One parameter triple (a, b, c): what the branch rule reads of it
+    (c at a pole of Gamma, the degree of the terminating polynomial or
+    None, a - b in the near-integer band, and (lower parameter, integer
+    gap, upper parameter) when a - b snaps to an integer, else None) and,
+    built on first use, the table of each series summed at it."""
+
+    def __init__(self, a: complex, b: complex, c: complex):
+        self.a, self.b, self.c = a, b, c
+        self.pole = _near_nonpositive_int(c)
+        # the polynomial ends at the first of a, b at a non-positive integer
+        ends = [-m for m in (_near_int(a, _TERMINATING_SNAP), _near_int(b, _TERMINATING_SNAP))
+                if m is not None and m <= 0]
+        self.degree = min(ends, default=None)
+        self.band = _in_near_int_band(a - b)
+        hi, lo = (b, a) if (b - a).real >= 0 else (a, b)
+        m = _near_int(hi - lo)
+        self.gap = None if m is None else (lo, m, hi)
+
+    @functools.cached_property
+    def pfaff(self) -> _Table:
+        """The Pfaff series 2F1(a, c-b; c; w), with raised weights."""
+        return _Table(_power_rows(self.a, self.c - self.b, self.c, True))
+
+    @functools.cached_property
+    def polynomial(self) -> _Table:
+        return _Table(_power_rows(self.a, self.b, self.c, False))
+
+    @functools.cached_property
+    def generic(self):
+        """(Gamma product, exponent e, table) of each term of the generic
+        1/z connection, a power series in 1/z times (-z)^(-e), e = a or b."""
+        a, b, c = self.a, self.b, self.c
+        g = _gamma(c)
+        return ((g * _gamma(b - a) * _rgamma(b) * _rgamma(c - a), a,
+                 _Table(_power_rows(a, a - c + 1, a - b + 1, False))),
+                (g * _gamma(a - b) * _rgamma(a) * _rgamma(c - b), b,
+                 _Table(_power_rows(b, b - c + 1, b - a + 1, False))))
+
+    @functools.cached_property
+    def log(self):
+        """(finite part, prefactor, table) of the logarithmic 1/z connection
+        for b = a + m, m a non-negative integer (a, m, b = gap; a DomainError
+        raised here is not kept).  The finite part holds the coefficient of
+        (-z)^(-e), times e and e(e+1), e = a + n, n < m; the table reads the
+        upper parameter b as given and 1/Gamma(a) as (b-1)...(b-m)/Gamma(b).
+
+        Where x = c - b - k sits at a pole of Gamma (c - b snaps to an
+        integer j0, and then for k >= j0) the terms are their finite limits,
+        plain powers.  The ratios carry 1/Gamma(x) with the coefficient,
+        bounded where 1/Gamma(x) alone overflows (k ~ 170).  Before the
+        poles term k is p_k (L + psi(k+1) + psi(m+k+1) - psi(y) - psi(x))
+        (-z)^(-y), L = log(-z), y = b + k; its derivatives raise psi(y) to
+        psi(y+1) and psi(y+2), each advanced by its own recurrence (psi(x)
+        backwards), so nothing cancels as a or b nears a non-positive integer.
+        """
+        (a, m, b), c = self.gap, self.c
         # finite part: Gamma(c)/Gamma(b) sum_{n<m} (a)_n (m-n-1)! / (n! Gamma(c-a-n)) z^{-n}
         scale = _gamma(c) * _rgamma(b)
         if not (scale and cmath.isfinite(scale)):
             raise DomainError(f"Gamma({c})/Gamma({b}) of the 1/z connection passes the float64 range")
-        self.fin = []
+        fin = []
         poch = 1.0 + 0j  # (a)_n / n!
         rgam = _rgamma(c - a)  # 1/Gamma(c-a-n)
         for n in range(m):
             f, e = _factorial(m - n - 1)
             coef = _ldexp(scale * poch * f * rgam, e)
-            self.fin.append((coef, coef * (a + n), coef * (a + n) * (a + n + 1)))
+            fin.append((coef, coef * (a + n), coef * (a + n) * (a + n + 1)))
             poch *= (a + n) / (n + 1.0)
             rgam *= c - a - n - 1.0
         # 1/Gamma(a) = (b-1) ... (b-m) / Gamma(b): a's distance to a pole of
@@ -283,51 +321,21 @@ class _LogTable(_Table):
             rgam_a *= b - j
         j0 = _near_int(c - b, _TERMINATING_SNAP)
         x = c - b if j0 is None else complex(j0)
-        self.pole_from = math.inf if j0 is None else max(j0, 0)
+        pole_from = math.inf if j0 is None else max(j0, 0)
         # the first coefficient 1/(m! Gamma(x)), or at the pole x = -i the
         # limit (-1)^i i! / m!
-        if self.pole_from == 0:
+        if pole_from == 0:
             lead, psi = (-1) ** j0 * math.factorial(-j0), None
         else:
             lead = _rgamma(x)
             psi = (_digamma(1.0), _digamma(m + 1.0), _digamma(b), _digamma(b + 1.0),
                    _digamma(b + 2.0), _digamma(x))
         f, e = _factorial(m)  # m! = f 2^e, the power of 2 applied first
-        self.pre = _ldexp(_gamma(c) * (-1) ** m * rgam_a, -e) * lead / f
-        self._terms = self._coefficients(m, b, x, psi)
-
-    def _coefficients(self, m, b, x, psi):
-        """(ratio, w1, w2, c0, c1, c2) of term k = 0, 1, ..."""
-        pole_from = self.pole_from
-        if psi is not None:
-            # psi(k+1), psi(m+k+1), psi(y), psi(y+1), psi(y+2), psi(x)
-            psi_k, psi_mk, psi_b, psi_b1, psi_b2, psi_x = psi
-        combos = (0j, 0j, 0j)  # unread from the poles on
-        for k in itertools.count():
-            y = b + k
-            if k < pole_from:
-                combos = (psi_k + psi_mk - psi_b - psi_x, psi_k + psi_mk - psi_b1 - psi_x,
-                          psi_k + psi_mk - psi_b2 - psi_x)
-            r = -y / ((m + k + 1.0) * (k + 1.0))
-            x -= 1.0
-            if k + 1 != pole_from:  # at x = 0 the limit is 1 = 1/Gamma(1)
-                r *= x
-            if k + 1 < pole_from:
-                psi_k += 1.0 / (k + 1.0)
-                psi_mk += 1.0 / (m + k + 1.0)
-                psi_b += 1.0 / y
-                psi_b1 += 1.0 / (y + 1.0)
-                psi_b2 += 1.0 / (y + 2.0)
-                psi_x -= 1.0 / x
-            yield (r, y, y * (y + 1.0)) + combos
-
-    def _extend(self, n: int, order: int) -> None:
-        rows = itertools.islice(self._terms, n - len(self.ratio))
-        for column, values in zip((self.ratio, self.w1, self.w2, self.c0, self.c1, self.c2), zip(*rows)):
-            column += values
+        pre = _ldexp(_gamma(c) * (-1) ** m * rgam_a, -e) * lead / f
+        return fin, pre, _Table(_log_rows(m, b, x, psi, pole_from), pole_from, 2, 1e-300)
 
 
-_log_table = functools.lru_cache(maxsize=_CACHE_SIZE)(_LogTable)
+_triple = functools.lru_cache(maxsize=_CACHE_SIZE)(_Triple)
 
 
 def _sum(
@@ -346,9 +354,9 @@ def _sum(
     tiny, loose = tol * U, tol * (1.0 + 1e-9)
     ratio, w1, w2, c0, c1, c2 = tab.ratio, tab.w1, tab.w2, tab.c0, tab.c1, tab.c2
     P, s0, s1, s2 = 1.0 + 0j, 0j, 0j, 0j
-    k, n = 0, len(w2 if order else ratio)
+    k, n = 0, len(ratio)
     while k < limit:
-        n = min(n, limit) if n > k else tab.grow(k, order, limit, abs(x))
+        n = min(n, limit) if n > k else tab.grow(k, limit, abs(x))
         if k < pole_from:  # terms with log(-z)
             n = min(n, pole_from)
             for k in range(k, n):
@@ -399,7 +407,7 @@ def _sum_many(
     out, P, s0 = np.empty(len(x), complex), np.ones(len(x), complex), np.zeros(len(x), complex)
     active, k, n = np.arange(len(x)), 0, len(tab.ratio)
     while k < limit and active.size:
-        n = min(n, limit) if n > k else tab.grow(k, 0, limit, float(np.abs(x).max()))
+        n = min(n, limit) if n > k else tab.grow(k, limit, float(np.abs(x).max()))
         for k in range(k, n):
             t0 = P * (L + tab.c0[k]) if k < tab.pole_from else P
             s0 += t0
@@ -422,7 +430,7 @@ def _sum_many(
     return out, 0j, 0j
 
 
-def _pfaff(a, b, c, z, w, order: int, total):
+def _pfaff(t: _Triple, z, w, order: int, total):
     """Pfaff map: 2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; w), w = z/(z-1).
 
     The same map takes (ab/c) 2F1(a+1, b+1; c+1; z) to b (1-z)^(-a-1)
@@ -432,34 +440,23 @@ def _pfaff(a, b, c, z, w, order: int, total):
     instead cancels digits near |z| = 3: 3.9e-12 relative in F'' at
     a = 5.76, |w| = 0.75.)
     """
-    P = (1.0 - z) ** (-a)
-    s0, s1, s2 = total(_power_table(a, c - b, c, True), w, order)
+    P = (1.0 - z) ** (-t.a)
+    s0, s1, s2 = total(t.pfaff, w, order)
     if order == 0:
         return P * s0, 0j, 0j
-    u = 1.0 / (1.0 - z)
+    u, b = 1.0 / (1.0 - z), t.b
     return P * s0, b * P * u * s1, b * (b + 1) * P * u * u * s2
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _generic_series(a: complex, b: complex, c: complex):
-    """(Gamma product, exponent e, table) of each term of the generic 1/z
-    connection, a power series in 1/z times (-z)^(-e), e = a or b."""
-    g = _gamma(c)
-    return ((g * _gamma(b - a) * _rgamma(b) * _rgamma(c - a), a,
-             _PowerTable(a, a - c + 1, a - b + 1, False)),
-            (g * _gamma(a - b) * _rgamma(a) * _rgamma(c - b), b,
-             _PowerTable(b, b - c + 1, b - a + 1, False)))
-
-
-def _inf_connection(a, b, c, gap, z, order: int, total):
+def _inf_connection(t: _Triple, z, order: int, total):
     """z -> 1/z connection: the logarithmic series when a - b snaps to an
-    integer (gap, from _params), else the generic one."""
-    if gap is None:
-        return _inf_connection_generic(a, b, c, z, order, total)
-    return _inf_connection_integer(*gap, c, z, order, total)
+    integer (t.gap), else the generic one."""
+    if t.gap is None:
+        return _inf_connection_generic(t, z, order, total)
+    return _inf_connection_integer(t, z, order, total)
 
 
-def _inf_connection_generic(a, b, c, z, order: int, total):
+def _inf_connection_generic(t: _Triple, z, order: int, total):
     """z -> 1/z connection, valid when a - b is not an integer, with each
     series summed by total (_sum or _sum_many).
 
@@ -468,7 +465,7 @@ def _inf_connection_generic(a, b, c, z, order: int, total):
     (e+k)(e+k+1)/z^2 times itself.
     """
     x, F, dF, ddF = 1 / z, 0j, 0j, 0j
-    for g, e, tab in _generic_series(a, b, c):
+    for g, e, tab in t.generic:
         pre = g * (-z) ** (-e)
         s0, s1, s2 = total(tab, x, order)
         F += pre * s0
@@ -478,21 +475,22 @@ def _inf_connection_generic(a, b, c, z, order: int, total):
     return F, dF, ddF
 
 
-def _inf_connection_integer(a, m: int, b, c, z, order: int, total):
+def _inf_connection_integer(t: _Triple, z, order: int, total):
     """z -> 1/z connection for b = a + m, m a non-negative integer (see
-    _LogTable), with the series summed by total (_sum or _sum_many)."""
-    tab = _log_table(a, m, b, c)
+    _Triple.log), with the series summed by total (_sum or _sum_many)."""
+    a, _, b = t.gap
+    fin, pre, tab = t.log
     u = 1 / z
     t0, t1, t2 = total(tab, u, order, cmath.log(-z) if total is _sum else np.log(-z))
     f0, f1, f2, un = 0j, 0j, 0j, 1.0
-    for coef, coef1, coef2 in tab.fin:
+    for coef, coef1, coef2 in fin:
         f0 += coef * un
         if order:
             f1 += coef1 * un
             f2 += coef2 * un
         un *= u
     Q = (-z) ** (-a)
-    P = tab.pre * (-z) ** (-b)
+    P = pre * (-z) ** (-b)
     F = Q * f0 + P * t0
     if order == 0:
         return F, 0j, 0j
@@ -516,25 +514,25 @@ def _gauss_2f1_core(a: complex, b: complex, c: complex, z, order: int):
     the branch rule of gauss_2f1, at a complex z on the axis z <= 0, or at
     order 0 at a real 1-d array of such z, whose points each branch sums
     together.  At order 0 the derivative slots hold 0."""
-    pole, degree, band, gap = _params(a, b, c)
-    if pole:
+    t = _triple(a, b, c)
+    if t.pole:
         raise PoleOfGamma(f"2F1 undefined: c={c} is a non-positive integer")
     many = isinstance(z, np.ndarray)
     inside = (z.imag == 0) & (z.real <= 0)  # NaN fails too
     if not (inside.all() if many else inside):
         raise DomainError(f"z={z[~inside][0] if many else z} is not a real number <= 0")
     total = _sum_many if many else _sum
-    if degree is not None:
-        return total(_power_table(a, b, c, False), z, order, degree=degree)
+    if t.degree is not None:
+        return total(t.polynomial, z, order, degree=t.degree)
     w = z / (z - 1.0)
     # 1/z beats Pfaff everywhere past the edge, except in the near-integer
     # band while the Pfaff series still converges (|z| <= 9)
-    pfaff = (abs(z) < _INF_EDGE) | (band & (abs(w) <= _THRESHOLD))
+    pfaff = (abs(z) < _INF_EDGE) | (t.band & (abs(w) <= _THRESHOLD))
     if not many:
         if pfaff:
-            return _pfaff(a, b, c, z, w, order, total)
-        return _inf_connection(a, b, c, gap, z, order, total)
+            return _pfaff(t, z, w, order, total)
+        return _inf_connection(t, z, order, total)
     F, inf = np.empty(z.shape, complex), ~pfaff
-    F[pfaff] = _pfaff(a, b, c, z[pfaff], w[pfaff], 0, total)[0]
-    F[inf] = _inf_connection(a, b, c, gap, z[inf], 0, total)[0]
+    F[pfaff] = _pfaff(t, z[pfaff], w[pfaff], 0, total)[0]
+    F[inf] = _inf_connection(t, z[inf], 0, total)[0]
     return F, 0j, 0j

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypspec import hyper
 from hypspec.errors import DomainError, NoConvergence, PoleOfGamma
 from hypspec.green import green0_derivatives, green0_eval
-from hypspec.hyper import _inf_connection_integer, gauss_2f1
+from hypspec.hyper import _inf_connection_integer, _triple, gauss_2f1
 from hypspec.spaces import make_space
 
 mpmath.mp.dps = 30
@@ -280,7 +280,8 @@ def derivative_scales(a, b, c, z):
 
 def check_derivatives(branch, a, b, c, z):
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    _, degree, _, gap = hyper._params(a, b, c)
+    t = _triple(a, b, c)
+    degree, gap = t.degree, t.gap
     assert (degree is not None) == (branch == "terminating")
     if branch in ("generic", "log"):
         assert (gap is not None) == (branch == "log")
@@ -356,7 +357,7 @@ def test_screened_stopping_test_stops_at_the_same_term():
     # _sum evaluates the test only below a bound on the partial sum; the
     # sums equal those that test every term, bit for bit
     a, b, c = 0.3 + 0.2j, 1.7 - 0.4j, 2.1 + 0.3j
-    tab = hyper._power_table(a, b, c, False)
+    tab = _triple(a, b, c).polynomial
     for x in np.concatenate([np.linspace(-0.75, -0.01, 40), np.linspace(0.01, 0.75, 40)]):
         x = complex(x)
         assert hyper._sum(tab, x, 0)[0] == series_testing_every_term(a, b, c, x)
@@ -459,9 +460,9 @@ def test_log_series_past_the_gamma_overflow(monkeypatch, a, m, c):
     with monkeypatch.context() as mp:
         mp.setattr(hyper, "_MAX_TERMS", 170)
         with pytest.raises(NoConvergence):
-            _inf_connection_integer(a, m, a + m, c, z, 0, hyper._sum)
+            _inf_connection_integer(_triple(a, a + m, c), z, 0, hyper._sum)
     ref = complex(mpmath.hyp2f1(a, a + m, c, z))
-    val = _inf_connection_integer(a, m, a + m, c, z, 0, hyper._sum)[0]
+    val = _inf_connection_integer(_triple(a, a + m, c), z, 0, hyper._sum)[0]
     assert val == pytest.approx(ref, rel=5e-13)
 
 
