@@ -57,6 +57,16 @@ z: it states the branch rule once and hands the branch helpers one
 summation, _sum for a scalar or _sum_many for an array, which sums the
 points of a branch together, each leaving at the term where _sum would.
 
+A series stops neither before k passes -Re p for each of its
+parameters p with Re p < 0 (_first) nor while its terms still grow
+(|ratio_k x| >= 1): before that its terms can fall below the stop test
+and grow again (at c = -99.3, the R^256 kernel at s = -100.3, a stop
+there left the value 28 orders of magnitude off).  Each sum also
+returns U, the moduli of its terms; the core raises NumericalError
+where the branch's bound on its rounding error passes 1e-7 of the
+value (_CANCEL), so terms that cancel to noise are not returned as a
+value.
+
 The first two z-derivatives come from the same pass (_gauss_2f1_core at
 order 2), term by term: the termwise form of d/dz 2F1(a, b; c; z) =
 (ab/c) 2F1(a+1, b+1; c+1; z), never the hypergeometric equation.  Term
@@ -81,18 +91,26 @@ import cmath
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, PoleOfGamma
+from .errors import DomainError, NoConvergence, NumericalError, PoleOfGamma
 
 __all__ = ["gauss_2f1"]
 
 # every series stops at the first term below _SERIES_TOL relative to its
-# partial sum, or raises NoConvergence after _MAX_TERMS terms
+# partial sum (see _Table), or raises NoConvergence after _MAX_TERMS terms
 _SERIES_TOL = 1e-14
 _LOG_TOL = math.log(_SERIES_TOL)
 _MAX_TERMS = 10000
+# a 2F1 whose bound on the rounding error of its sums, err 2^-53 (err the
+# moduli of the terms, times the branch's prefactors), passes 1e-7 of its
+# value raises NumericalError.  The bound was at most 12 times the
+# rounding unit over the benchmark workloads and 1.6e6 times over the
+# test suite; a 1e-6 limit let errors of 1.6e-7 through.
+_CANCEL = 1e-7 * 2.0 ** 53
+_NORMAL = sys.float_info.min  # the smallest normal float64
 # largest |argument| at which a series is summed
 _THRESHOLD = 0.9
 _INT_SNAP = 1e-8
@@ -183,7 +201,8 @@ class _Table:
     F'' P_k w2[k], and for k < pole_from P_k (L + c0[k]),
     P_k w1[k] (L + c1[k]) and P_k w2[k] (L + c2[k]), L = log(-z).  A sum
     stops at the first term from `first` on at most
-    _SERIES_TOL max(|partial sum|, floor) in every sum it keeps."""
+    _SERIES_TOL max(|partial sum|, floor) in every sum it keeps, after
+    which the terms shrink (|ratio[k] x| < 1)."""
 
     def __init__(self, rows, pole_from=0, first=0, floor=1.0):
         self._rows = rows
@@ -204,6 +223,13 @@ class _Table:
         return min(len(self.ratio), limit)
 
 
+def _first(least: int, *params: complex) -> int:
+    """The first term at which a series may stop: from `least` on and past
+    k = -Re p for each parameter p of its ratios with Re p < 0, before
+    which its terms can fall below the stop test and grow again."""
+    return max([least] + [math.ceil(-p.real) + 1 for p in params if p.real < 0])
+
+
 def _power_rows(a: complex, b: complex, c: complex, raised: bool):
     """(ratio, w1, w2) of term k = 0, 1, ... of the series sum_k t_k x^k
     of 2F1(a, b; c; x): ratio[k] = (a+k)(b+k)/((c+k)(k+1)), with
@@ -216,6 +242,11 @@ def _power_rows(a: complex, b: complex, c: complex, raised: bool):
     for k, g_next in enumerate(weights):
         yield (a + k) * (b + k) / ((c + k) * (k + 1)), g, g * g_next
         g = g_next
+
+
+def _power_series(a: complex, b: complex, c: complex, raised: bool = False) -> _Table:
+    """The table of the series of 2F1(a, b; c; x) (_power_rows)."""
+    return _Table(_power_rows(a, b, c, raised), first=_first(0, a, b, c))
 
 
 def _log_rows(m: int, b: complex, x: complex, psi, pole_from):
@@ -266,22 +297,24 @@ class _Triple:
     @functools.cached_property
     def pfaff(self) -> _Table:
         """The Pfaff series 2F1(a, c-b; c; w), with raised weights."""
-        return _Table(_power_rows(self.a, self.c - self.b, self.c, True))
+        return _power_series(self.a, self.c - self.b, self.c, True)
 
     @functools.cached_property
     def polynomial(self) -> _Table:
-        return _Table(_power_rows(self.a, self.b, self.c, False))
+        return _power_series(self.a, self.b, self.c)
 
     @functools.cached_property
     def generic(self):
         """(Gamma product, exponent e, table) of each term of the generic
         1/z connection, a power series in 1/z times (-z)^(-e), e = a or b."""
         a, b, c = self.a, self.b, self.c
+        # as two ratios, whose product neither underflows nor overflows
+        # where the Gamma values themselves are far out (c = b = -100.5)
         g = _gamma(c)
-        return ((g * _gamma(b - a) * _rgamma(b) * _rgamma(c - a), a,
-                 _Table(_power_rows(a, a - c + 1, a - b + 1, False))),
-                (g * _gamma(a - b) * _rgamma(a) * _rgamma(c - b), b,
-                 _Table(_power_rows(b, b - c + 1, b - a + 1, False))))
+        return ((g * _rgamma(b) * (_gamma(b - a) * _rgamma(c - a)), a,
+                 _power_series(a, a - c + 1, a - b + 1)),
+                (g * _rgamma(a) * (_gamma(a - b) * _rgamma(c - b)), b,
+                 _power_series(b, b - c + 1, b - a + 1)))
 
     @functools.cached_property
     def log(self):
@@ -303,8 +336,9 @@ class _Triple:
         (a, m, b), c = self.gap, self.c
         # finite part: Gamma(c)/Gamma(b) sum_{n<m} (a)_n (m-n-1)! / (n! Gamma(c-a-n)) z^{-n}
         scale = _gamma(c) * _rgamma(b)
-        if not (scale and cmath.isfinite(scale)):
-            raise DomainError(f"Gamma({c})/Gamma({b}) of the 1/z connection passes the float64 range")
+        if not (cmath.isfinite(scale) and math.hypot(scale.real, scale.imag) >= _NORMAL):
+            raise DomainError(f"Gamma({c})/Gamma({b}) of the 1/z connection leaves the normal "
+                              "float64 range")
         fin = []
         poch = 1.0 + 0j  # (a)_n / n!
         rgam = _rgamma(c - a)  # 1/Gamma(c-a-n)
@@ -323,16 +357,18 @@ class _Triple:
         x = c - b if j0 is None else complex(j0)
         pole_from = math.inf if j0 is None else max(j0, 0)
         # the first coefficient 1/(m! Gamma(x)), or at the pole x = -i the
-        # limit (-1)^i i! / m!
+        # limit (-1)^i i! / m!, i! = lead 2^e_lead
         if pole_from == 0:
-            lead, psi = (-1) ** j0 * math.factorial(-j0), None
+            lead, e_lead = _factorial(-j0)
+            lead, psi = (-1) ** j0 * lead, None
         else:
-            lead = _rgamma(x)
+            lead, e_lead = _rgamma(x), 0
             psi = (_digamma(1.0), _digamma(m + 1.0), _digamma(b), _digamma(b + 1.0),
                    _digamma(b + 2.0), _digamma(x))
-        f, e = _factorial(m)  # m! = f 2^e, the power of 2 applied first
-        pre = _ldexp(_gamma(c) * (-1) ** m * rgam_a, -e) * lead / f
-        return fin, pre, _Table(_log_rows(m, b, x, psi, pole_from), pole_from, 2, 1e-300)
+        f, e = _factorial(m)  # m! = f 2^e, the powers of 2 applied first
+        pre = _ldexp(_gamma(c) * (-1) ** m * rgam_a, e_lead - e) * lead / f
+        first = _first(2, b, b - c + 1.0)
+        return fin, pre, _Table(_log_rows(m, b, x, psi, pole_from), pole_from, first, 1e-300)
 
 
 _triple = functools.lru_cache(maxsize=_CACHE_SIZE)(_Triple)
@@ -340,13 +376,15 @@ _triple = functools.lru_cache(maxsize=_CACHE_SIZE)(_Triple)
 
 def _sum(
     tab: _Table, x: complex, order: int, L: complex = 0j, degree: int | None = None
-) -> tuple[complex, complex, complex]:
-    """(F, F', F'') of the series `tab` at x (F' and F'' 0 at order 0),
-    L = log(-z) for the logarithmic series.  Stops by the test of _Table
-    or after the z^degree term of a terminating polynomial; raises
+) -> tuple[complex, complex, complex, float]:
+    """(F, F', F'', U) of the series `tab` at x (F' and F'' 0 at order 0),
+    L = log(-z) for the logarithmic series, U the floor plus the moduli
+    of the terms of F, so U 2^-53 bounds the rounding error of F.  Stops
+    by the test of _Table once the terms shrink (|ratio[k] x| < 1), or
+    after the z^degree term of a terminating polynomial; raises
     NoConvergence past _MAX_TERMS terms.  The test is only evaluated for
-    terms below _SERIES_TOL U (with 1e-9 of room for rounding): U, the
-    floor plus the moduli of the terms so far, bounds max(|s0|, floor).
+    terms below _SERIES_TOL U (with 1e-9 of room for rounding), as U
+    bounds max(|s0|, floor).
     """
     limit = _MAX_TERMS if degree is None else degree + 1
     first = tab.first if degree is None else limit
@@ -368,16 +406,18 @@ def _sum(
                 p = abs(t0)
                 U += p
                 if (p <= loose * U and (p <= tol * abs(s0) or p <= tiny) and k >= first
-                        and (order == 0 or (abs(t1) <= tol * abs(s1) and abs(t2) <= tol * abs(s2)))):
-                    return s0, s1, s2
+                        and (order == 0 or (abs(t1) <= tol * abs(s1) and abs(t2) <= tol * abs(s2)))
+                        and abs(ratio[k] * x) < 1.0):
+                    return s0, s1, s2, U
                 P *= ratio[k] * x
         elif order == 0:
             for k in range(k, n):
                 s0 += P
                 p = abs(P)
                 U += p
-                if p <= loose * U and (p <= tol * abs(s0) or p <= tiny) and k >= first:
-                    return s0, s1, s2
+                if (p <= loose * U and (p <= tol * abs(s0) or p <= tiny) and k >= first
+                        and abs(ratio[k] * x) < 1.0):
+                    return s0, s1, s2, U
                 P *= ratio[k] * x
         else:
             for k in range(k, n):
@@ -386,38 +426,42 @@ def _sum(
                 p = abs(P)
                 U += p
                 if (p <= loose * U and (p <= tol * abs(s0) or p <= tiny) and k >= first
-                        and abs(t1) <= tol * abs(s1) and abs(t2) <= tol * abs(s2)):
-                    return s0, s1, s2
+                        and abs(t1) <= tol * abs(s1) and abs(t2) <= tol * abs(s2)
+                        and abs(ratio[k] * x) < 1.0):
+                    return s0, s1, s2, U
                 P *= ratio[k] * x
         k = n
     if degree is None:
         raise NoConvergence(f"2F1 series did not converge within {limit} terms at argument {x}")
-    return s0, s1, s2
+    return s0, s1, s2, U
 
 
 def _sum_many(
     tab: _Table, x: np.ndarray, order: int = 0, L=0.0, degree: int | None = None
-) -> tuple[np.ndarray, complex, complex]:
+) -> tuple[np.ndarray, complex, complex, np.ndarray]:
     """_sum at order 0 at every point of the 1-d array x (L an array of
-    log(-z) for the logarithmic series), as (F, 0, 0).  Each point leaves
-    the sum at the term where _sum would; the points still summing are
-    kept together, so no (points x terms) array is formed."""
+    log(-z) for the logarithmic series), as (F, 0, 0, U).  Each point
+    leaves the sum at the term where _sum would; the points still summing
+    are kept together, so no (points x terms) array is formed."""
     limit = _MAX_TERMS if degree is None else degree + 1
     first = tab.first if degree is None else limit
     out, P, s0 = np.empty(len(x), complex), np.ones(len(x), complex), np.zeros(len(x), complex)
+    U, Uout = np.full(len(x), tab.floor), np.empty(len(x))
     active, k, n = np.arange(len(x)), 0, len(tab.ratio)
     while k < limit and active.size:
         n = min(n, limit) if n > k else tab.grow(k, limit, float(np.abs(x).max()))
         for k in range(k, n):
             t0 = P * (L + tab.c0[k]) if k < tab.pole_from else P
             s0 += t0
+            p = np.abs(t0)
+            U += p
             if k >= first:
-                p = np.abs(t0)
                 done = (p <= _SERIES_TOL * np.abs(s0)) | (p <= _SERIES_TOL * tab.floor)
                 if done.any():
-                    out[active[done]] = s0[done]
+                    done[done] = np.abs(tab.ratio[k] * x[done]) < 1.0
+                    out[active[done]], Uout[active[done]] = s0[done], U[done]
                     keep = ~done
-                    active, x, P, s0 = active[keep], x[keep], P[keep], s0[keep]
+                    active, x, P, s0, U = active[keep], x[keep], P[keep], s0[keep], U[keep]
                     if np.ndim(L):
                         L = L[keep]
                     if not active.size:
@@ -426,8 +470,8 @@ def _sum_many(
         k = n
     if active.size and degree is None:
         raise NoConvergence(f"2F1 series did not converge within {limit} terms at argument {x[0]}")
-    out[active] = s0
-    return out, 0j, 0j
+    out[active], Uout[active] = s0, U
+    return out, 0j, 0j, Uout
 
 
 def _pfaff(t: _Triple, z, w, order: int, total):
@@ -441,11 +485,11 @@ def _pfaff(t: _Triple, z, w, order: int, total):
     a = 5.76, |w| = 0.75.)
     """
     P = (1.0 - z) ** (-t.a)
-    s0, s1, s2 = total(t.pfaff, w, order)
+    s0, s1, s2, U = total(t.pfaff, w, order)
     if order == 0:
-        return P * s0, 0j, 0j
+        return P * s0, 0j, 0j, abs(P) * U
     u, b = 1.0 / (1.0 - z), t.b
-    return P * s0, b * P * u * s1, b * (b + 1) * P * u * u * s2
+    return P * s0, b * P * u * s1, b * (b + 1) * P * u * u * s2, abs(P) * U
 
 
 def _inf_connection(t: _Triple, z, order: int, total):
@@ -464,15 +508,16 @@ def _inf_connection_generic(t: _Triple, z, order: int, total):
     is a multiple of (-z)^(-e-k), whose z-derivatives are -(e+k)/z and
     (e+k)(e+k+1)/z^2 times itself.
     """
-    x, F, dF, ddF = 1 / z, 0j, 0j, 0j
+    x, F, dF, ddF, err = 1 / z, 0j, 0j, 0j, 0.0
     for g, e, tab in t.generic:
         pre = g * (-z) ** (-e)
-        s0, s1, s2 = total(tab, x, order)
+        s0, s1, s2, U = total(tab, x, order)
         F += pre * s0
+        err += abs(pre) * U
         if order:
             dF -= pre * (e * s0 + x * s1) * x
             ddF += pre * (e * (e + 1) * s0 + x * (2.0 * (e + 1) * s1 + x * s2)) * x * x
-    return F, dF, ddF
+    return F, dF, ddF, err
 
 
 def _inf_connection_integer(t: _Triple, z, order: int, total):
@@ -481,20 +526,22 @@ def _inf_connection_integer(t: _Triple, z, order: int, total):
     a, _, b = t.gap
     fin, pre, tab = t.log
     u = 1 / z
-    t0, t1, t2 = total(tab, u, order, cmath.log(-z) if total is _sum else np.log(-z))
-    f0, f1, f2, un = 0j, 0j, 0j, 1.0
+    t0, t1, t2, U = total(tab, u, order, cmath.log(-z) if total is _sum else np.log(-z))
+    f0, f1, f2, un, fa = 0j, 0j, 0j, 1.0, 0.0
     for coef, coef1, coef2 in fin:
-        f0 += coef * un
+        term = coef * un
+        f0 += term
+        fa += abs(term)
         if order:
             f1 += coef1 * un
             f2 += coef2 * un
         un *= u
     Q = (-z) ** (-a)
     P = pre * (-z) ** (-b)
-    F = Q * f0 + P * t0
+    F, err = Q * f0 + P * t0, abs(Q) * fa + abs(P) * U
     if order == 0:
-        return F, 0j, 0j
-    return F, -(Q * f1 + P * t1) * u, (Q * f2 + P * t2) * u * u
+        return F, 0j, 0j, err
+    return F, -(Q * f1 + P * t1) * u, (Q * f2 + P * t2) * u * u, err
 
 
 def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
@@ -503,8 +550,11 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     Takes complex parameters and a real z <= 0 (a float, or a complex
     with zero imaginary part).  Raises DomainError for any other z
     (z > 0, Im z != 0 or NaN) or where Gamma(c)/Gamma(b) of the
-    logarithmic 1/z connection passes the float64 range, and PoleOfGamma
-    when c is a non-positive integer.
+    logarithmic 1/z connection leaves the normal float64 range, PoleOfGamma
+    when c is a non-positive integer, NoConvergence where a series does
+    not converge within _MAX_TERMS terms, and NumericalError where the
+    terms cancel so far that the bound on the rounding error passes 1e-7
+    of the value (_CANCEL).
     """
     return _gauss_2f1_core(complex(a), complex(b), complex(c), complex(z), 0)[0]
 
@@ -523,16 +573,22 @@ def _gauss_2f1_core(a: complex, b: complex, c: complex, z, order: int):
         raise DomainError(f"z={z[~inside][0] if many else z} is not a real number <= 0")
     total = _sum_many if many else _sum
     if t.degree is not None:
-        return total(t.polynomial, z, order, degree=t.degree)
-    w = z / (z - 1.0)
-    # 1/z beats Pfaff everywhere past the edge, except in the near-integer
-    # band while the Pfaff series still converges (|z| <= 9)
-    pfaff = (abs(z) < _INF_EDGE) | (t.band & (abs(w) <= _THRESHOLD))
-    if not many:
-        if pfaff:
-            return _pfaff(t, z, w, order, total)
-        return _inf_connection(t, z, order, total)
-    F, inf = np.empty(z.shape, complex), ~pfaff
-    F[pfaff] = _pfaff(t, z[pfaff], w[pfaff], 0, total)[0]
-    F[inf] = _inf_connection(t, z[inf], 0, total)[0]
-    return F, 0j, 0j
+        F, dF, ddF, err = total(t.polynomial, z, order, degree=t.degree)
+    else:
+        w = z / (z - 1.0)
+        # 1/z beats Pfaff everywhere past the edge, except in the
+        # near-integer band while the Pfaff series still converges (|z| <= 9)
+        pfaff = (abs(z) < _INF_EDGE) | (t.band & (abs(w) <= _THRESHOLD))
+        if not many:
+            F, dF, ddF, err = (_pfaff(t, z, w, order, total) if pfaff
+                               else _inf_connection(t, z, order, total))
+        else:
+            F, err, inf = np.empty(z.shape, complex), np.empty(z.shape), ~pfaff
+            F[pfaff], dF, ddF, err[pfaff] = _pfaff(t, z[pfaff], w[pfaff], 0, total)
+            F[inf], _, _, err[inf] = _inf_connection(t, z[inf], 0, total)
+    # err 2^-53 bounds the rounding error of the sums in F
+    cancelled = err > _CANCEL * abs(F)
+    if cancelled.any() if many else cancelled:
+        raise NumericalError(f"2F1({a}, {b}; {c}; z) at z={z[cancelled][0] if many else z} "
+                             "cancels: its rounding error may pass 1e-7 of its value")
+    return F, dF, ddF

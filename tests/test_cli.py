@@ -7,10 +7,12 @@ import shlex
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hypspec import hyper
 from hypspec.cli import main, to_json
 from hypspec.errors import TruncationWarning
 from hypspec.orbits import boost_matrix
@@ -591,6 +593,39 @@ def test_green_large_integer_gap_ends_in_a_structured_error(capsys):
     assert code == 3
     assert json.loads(out)["error"] == {
         "type": "DomainError", "message": "the kernel at r=0.5 passes the float64 range"}
+
+
+def mp_kernel(d, n, s, r):
+    """g0(s, r) = C(s) (2 sinh^2 r)^(-a) 2F1(a, b; s+1; -1/sinh^2 r) by mpmath."""
+    s, r = mpmath.mpf(s), mpmath.mpf(r)
+    m_alpha, dn = d * (n - 1), d * n
+    a, b, c = (s + m_alpha / 2 + d - 1) / 2, (s + 1) / 2 - mpmath.mpf(m_alpha) / 4, s + 1
+    C = (2 ** a * max(dn - 2, 1) * mpmath.gamma(a) * mpmath.gamma(c - b)
+         / (4 * mpmath.pi ** (mpmath.mpf(dn) / 2) * mpmath.gamma(c)))
+    sh2 = mpmath.sinh(r) ** 2
+    return complex(C * (2 * sh2) ** -a * mpmath.hyp2f1(a, b, c, -1 / sh2))
+
+
+def test_green_at_large_negative_s_matches_mpmath(capsys):
+    # R^256 at s = -100.3 (c = -99.3): the kernel at r = 1 once came back
+    # 28 orders of magnitude off with exit 0
+    code, out = run(capsys, "green", "--field", "R", "--n", "256", "--s=-100.3",
+                    "--r-grid", "0.5:1.5:3")
+    assert code == 0
+    with mpmath.workdps(30):
+        for row in json.loads(out)["rows"]:
+            ref = mp_kernel(1, 256, -100.3, row["r"])
+            assert abs(complex(row["re"], row["im"]) - ref) <= 1e-10 * abs(ref)
+
+
+def test_cancelled_series_is_a_numerical_failure(monkeypatch, capsys):
+    # a 2F1 whose rounding error bound passes the cancellation threshold
+    # (here made 0) ends in exit 4 with a JSON body
+    monkeypatch.setattr(hyper, "_CANCEL", 0.0)
+    code, out = run(capsys, "green", "--field", "R", "--n", "3", "--s", "1", "--r-grid", "1:2:2")
+    assert code == 4
+    error = json.loads(out)["error"]
+    assert error["type"] == "NumericalError" and "cancels" in error["message"]
 
 
 def test_green_kernel_past_the_float64_range_is_a_domain_error(capsys):

@@ -71,3 +71,14 @@ def test_green_loads_scipy_special_only():
 def test_resolvent_report_loads_scipy_integrate():
     mods = loaded_after(["resolvent", "--n", "5", "--p", "1", "--s", "1"])
     assert "scipy.integrate" in mods
+
+
+def test_package_re_exports_every_module_name():
+    # each module states its public names once, in its __all__
+    import importlib
+
+    for name in ("spaces", "bounds", "hyper", "green", "resolvent", "orbits"):
+        module = importlib.import_module(f"hypspec.{name}")
+        for public in module.__all__:
+            assert getattr(hypspec, public, None) is getattr(module, public), (name, public)
+            assert public in hypspec.__all__
