@@ -236,12 +236,13 @@ def _power_rows(a: complex, b: complex, c: complex, raised: bool):
     derivative weights g_k = (a+k)(b+k)/(c+k) and g_k g_(k+1) (those of
     F' and F''), or, when raised (the Pfaff series), q_k = (a+k)/(c+k)
     and q_k q_(k+1)."""
-    weights = ((a + k) / (c + k) if raised else (a + k) * (b + k) / (c + k)
-               for k in itertools.count())
-    g = next(weights)
-    for k, g_next in enumerate(weights):
-        yield (a + k) * (b + k) / ((c + k) * (k + 1)), g, g * g_next
-        g = g_next
+    k = 0
+    g = (a + k) / (c + k) if raised else (a + k) * (b + k) / (c + k)
+    while True:
+        k1 = k + 1
+        g1 = (a + k1) / (c + k1) if raised else (a + k1) * (b + k1) / (c + k1)
+        yield (a + k) * (b + k) / ((c + k) * k1), g, g * g1
+        k, g = k1, g1
 
 
 def _power_series(a: complex, b: complex, c: complex, raised: bool = False) -> _Table:
