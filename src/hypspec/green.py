@@ -225,7 +225,8 @@ def _green0_shape(
     space: SpaceDescriptor, s: complex, r: float
 ) -> tuple[complex, tuple[complex, complex, complex]]:
     """log of the prefactor of g0, and g0, g0' and g0'' divided by the
-    prefactor, which stay finite where the prefactor underflows."""
+    prefactor, which stay finite where the prefactor underflows;
+    DomainError where one of them passes the float64 range."""
     a, b, c, log_pre, z = _green0_point(space, s, r)
     # F and its first two z-derivatives from one pass over each series
     F0, F1, F2 = _gauss_2f1_core(a, b, c, complex(z), 2)
@@ -234,13 +235,17 @@ def _green0_shape(
     zp = -Lp * z
     zpp = (Lp * Lp - Lpp) * z
     dg = -a * Lp * F0 + zp * F1
+    # (a Lp)^2 as a product: past the float64 range it is inf, not an
+    # OverflowError, and the check below raises
     ddg = (
-        (a * Lp) ** 2 * F0
+        a * Lp * (a * Lp) * F0
         - a * Lpp * F0
         - 2.0 * a * Lp * zp * F1
         + zpp * F1
         + zp * zp * F2
     )
+    if not (cmath.isfinite(F0) and cmath.isfinite(dg) and cmath.isfinite(ddg)):
+        raise DomainError(f"the kernel's derivatives at r={r} pass the float64 range")
     return log_pre, (F0, dg, ddg)
 
 

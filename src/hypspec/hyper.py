@@ -62,10 +62,16 @@ parameters p with Re p < 0 (_first) nor while its terms still grow
 (|ratio_k x| >= 1): before that its terms can fall below the stop test
 and grow again (at c = -99.3, the R^256 kernel at s = -100.3, a stop
 there left the value 28 orders of magnitude off).  Each sum also
-returns U, the moduli of its terms; the core raises NumericalError
-where the branch's bound on its rounding error passes 1e-7 of the
-value (_CANCEL), so terms that cancel to noise are not returned as a
-value.
+returns U, the moduli of its terms, and err 2^-53, err being U times
+the branch's prefactors, estimates the rounding error of the value; it
+is not a bound.  Against mpmath at 40 digits, on 1195 accepted random
+points the true error passed it at 84% of them, by up to 520 times,
+but never passed 5.9e-14 (err leaves out the prefactor powers, the
+Gamma values and the rounding of each term's product); on 120 draws
+over negative c whose estimate lay between 1e-10 and 1e-7 of |F| the
+true error was at most 0.44 of it.  So the core raises NumericalError
+where the estimate passes 1e-7 of the value (_CANCEL), and terms that
+cancel to noise are not returned as a value.
 
 The first two z-derivatives come from the same pass (_gauss_2f1_core at
 order 2), term by term: the termwise form of d/dz 2F1(a, b; c; z) =
@@ -104,9 +110,9 @@ __all__ = ["gauss_2f1"]
 _SERIES_TOL = 1e-14
 _LOG_TOL = math.log(_SERIES_TOL)
 _MAX_TERMS = 10000
-# a 2F1 whose bound on the rounding error of its sums, err 2^-53 (err the
-# moduli of the terms, times the branch's prefactors), passes 1e-7 of its
-# value raises NumericalError.  The bound was at most 12 times the
+# a 2F1 whose estimate of the rounding error of its sums, err 2^-53 (err
+# the moduli of the terms, times the branch's prefactors), passes 1e-7 of
+# its value raises NumericalError.  The estimate was at most 12 times the
 # rounding unit over the benchmark workloads and 1.6e6 times over the
 # test suite; a 1e-6 limit let errors of 1.6e-7 through.
 _CANCEL = 1e-7 * 2.0 ** 53
@@ -380,7 +386,7 @@ def _sum(
 ) -> tuple[complex, complex, complex, float]:
     """(F, F', F'', U) of the series `tab` at x (F' and F'' 0 at order 0),
     L = log(-z) for the logarithmic series, U the floor plus the moduli
-    of the terms of F, so U 2^-53 bounds the rounding error of F.  Stops
+    of the terms of F, so U 2^-53 estimates the rounding error of F.  Stops
     by the test of _Table once the terms shrink (|ratio[k] x| < 1), or
     after the z^degree term of a terminating polynomial; raises
     NoConvergence past _MAX_TERMS terms.  The test is only evaluated for
@@ -545,6 +551,23 @@ def _inf_connection_integer(t: _Triple, z, order: int, total):
     return F, -(Q * f1 + P * t1) * u, (Q * f2 + P * t2) * u * u, err
 
 
+def _branch(t: _Triple, z, order: int, total):
+    """(F, F', F'', err) of the triple t at z by the branch rule of
+    gauss_2f1, each series summed by total (_sum or _sum_many)."""
+    if t.degree is not None:
+        return total(t.polynomial, z, order, degree=t.degree)
+    w = z / (z - 1.0)
+    # 1/z beats Pfaff everywhere past the edge, except in the
+    # near-integer band while the Pfaff series still converges (|z| <= 9)
+    pfaff = (abs(z) < _INF_EDGE) | (t.band & (abs(w) <= _THRESHOLD))
+    if total is _sum:
+        return _pfaff(t, z, w, order, total) if pfaff else _inf_connection(t, z, order, total)
+    F, err, inf = np.empty(z.shape, complex), np.empty(z.shape), ~pfaff
+    F[pfaff], dF, ddF, err[pfaff] = _pfaff(t, z[pfaff], w[pfaff], 0, total)
+    F[inf], _, _, err[inf] = _inf_connection(t, z[inf], 0, total)
+    return F, dF, ddF, err
+
+
 def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric function 2F1(a, b; c; z) on the negative real axis.
 
@@ -554,8 +577,8 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     logarithmic 1/z connection leaves the normal float64 range, PoleOfGamma
     when c is a non-positive integer, NoConvergence where a series does
     not converge within _MAX_TERMS terms, and NumericalError where the
-    terms cancel so far that the bound on the rounding error passes 1e-7
-    of the value (_CANCEL).
+    terms cancel so far that the estimate of the rounding error passes
+    1e-7 of the value (_CANCEL).
     """
     return _gauss_2f1_core(complex(a), complex(b), complex(c), complex(z), 0)[0]
 
@@ -572,23 +595,24 @@ def _gauss_2f1_core(a: complex, b: complex, c: complex, z, order: int):
     inside = (z.imag == 0) & (z.real <= 0)  # NaN fails too
     if not (inside.all() if many else inside):
         raise DomainError(f"z={z[~inside][0] if many else z} is not a real number <= 0")
-    total = _sum_many if many else _sum
-    if t.degree is not None:
-        F, dF, ddF, err = total(t.polynomial, z, order, degree=t.degree)
-    else:
-        w = z / (z - 1.0)
-        # 1/z beats Pfaff everywhere past the edge, except in the
-        # near-integer band while the Pfaff series still converges (|z| <= 9)
-        pfaff = (abs(z) < _INF_EDGE) | (t.band & (abs(w) <= _THRESHOLD))
-        if not many:
-            F, dF, ddF, err = (_pfaff(t, z, w, order, total) if pfaff
-                               else _inf_connection(t, z, order, total))
+    # a power past the float64 range raises OverflowError on a scalar and,
+    # under errstate, FloatingPointError on an array: a true overflow of F
+    try:
+        if many:
+            with np.errstate(over="raise"):
+                F, dF, ddF, err = _branch(t, z, order, _sum_many)
         else:
-            F, err, inf = np.empty(z.shape, complex), np.empty(z.shape), ~pfaff
-            F[pfaff], dF, ddF, err[pfaff] = _pfaff(t, z[pfaff], w[pfaff], 0, total)
-            F[inf], _, _, err[inf] = _inf_connection(t, z[inf], 0, total)
-    # err 2^-53 bounds the rounding error of the sums in F
-    cancelled = err > _CANCEL * abs(F)
+            F, dF, ddF, err = _branch(t, z, order, _sum)
+    except (OverflowError, FloatingPointError) as exc:
+        where = f"z in [{z.min()}, {z.max()}]" if many else f"z={z}"
+        raise DomainError(f"2F1({a}, {b}; {c}; z) at {where} passes the float64 range") from exc
+    # err 2^-53 estimates the rounding error of the sums in F.  Near the
+    # top of the float64 range _CANCEL |F| is inf, which no err passes.
+    if many:
+        with np.errstate(over="ignore"):
+            cancelled = err > _CANCEL * abs(F)
+    else:
+        cancelled = err > _CANCEL * abs(F)
     if cancelled.any() if many else cancelled:
         raise NumericalError(f"2F1({a}, {b}; {c}; z) at z={z[cancelled][0] if many else z} "
                              "cancels: its rounding error may pass 1e-7 of its value")

@@ -79,7 +79,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -120,43 +120,27 @@ __all__ = [
 ]
 
 
-def _exterior_matrix(Y: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Derivation extension of an antisymmetric n x n matrix to
-    Lambda^p(R^n), integer-valued when Y is.
+def _rotation_actions(n: int, p: int, pairs: Iterable[tuple[int, int]]):
+    """The action on Lambda^p(R^n) of the rotation E_ij = e_i e_j^T -
+    e_j e_i^T, for each (i, j), i < j, of pairs in turn, as a dim_v x
+    dim_v integer-valued float matrix.
 
-    Basis: p-element subsets of {0..n-1} in lexicographic order.
+    Basis: p-element subsets of {0..n-1} in lexicographic order.  In
+    closed form, E_ij sends e_I to (-1)^m e_J, J = I xor {i, j}, when
+    exactly one of i and j lies in I, where m counts the elements of I
+    strictly between i and j, negated when i lies in I; it sends every
+    other e_I to 0.
     """
     basis = list(itertools.combinations(range(n), p))
-    index = {I: i for i, I in enumerate(basis)}
-    dim = len(basis)
-    out = np.zeros((dim, dim))
-    for col, I in enumerate(basis):
-        for t, it in enumerate(I):
-            for j in range(n):
-                y = Y[j, it]
-                if y == 0 or j in I:
-                    continue
-                J = list(I)
-                J[t] = j
-                sign = 1
-                k = t
-                while k > 0 and J[k] < J[k - 1]:
-                    J[k], J[k - 1] = J[k - 1], J[k]
-                    sign = -sign
-                    k -= 1
-                while k < p - 1 and J[k] > J[k + 1]:
-                    J[k], J[k + 1] = J[k + 1], J[k]
-                    sign = -sign
-                    k += 1
-                out[index[tuple(J)], col] += sign * y
-    return out
-
-
-def _so_generator(n: int, i: int, j: int) -> np.ndarray:
-    Y = np.zeros((n, n))
-    Y[i, j] = 1
-    Y[j, i] = -1
-    return Y
+    index = {I: k for k, I in enumerate(basis)}
+    for i, j in pairs:
+        out = np.zeros((len(basis), len(basis)))
+        for col, I in enumerate(basis):
+            if (i in I) != (j in I):
+                sign = (-1) ** sum(i < k < j for k in I)
+                J = tuple(sorted(set(I) ^ {i, j}))
+                out[index[J], col] = -sign if i in I else sign
+        yield out
 
 
 @dataclass(frozen=True)
@@ -213,13 +197,11 @@ def e_element_values(n: int, p: int) -> tuple[int, ...]:
 def build_tau_p_action(n: int, p: int) -> TauPAction:
     """Construct the representation data for Lambda^p of SO(n), integer-valued."""
     _check_degree(n, p)
-    ys = tuple(_exterior_matrix(_so_generator(n, 0, r), n, p) for r in range(1, n))
+    ys = tuple(_rotation_actions(n, p, [(0, r) for r in range(1, n)]))
     dim = math.comb(n, p)
     omega_m = np.zeros((dim, dim))
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            m = _exterior_matrix(_so_generator(n, i, j), n, p)
-            omega_m += m @ m
+    for m in _rotation_actions(n, p, itertools.combinations(range(1, n), 2)):
+        omega_m += m @ m
     mA = np.zeros((dim, dim))
     for y in ys:
         mA += y @ y

@@ -5,15 +5,17 @@ import math
 import re
 import shlex
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hypspec import hyper
-from hypspec.cli import main, to_json
+from hypspec.cli import OutputEnvelope, main, to_json
 from hypspec.errors import TruncationWarning
 from hypspec.orbits import boost_matrix
 
@@ -350,6 +352,22 @@ def test_float_serialization_17_digits():
     assert to_json({"x": 2.0 + 0.25j}) == '{"x": {"re": 2, "im": 0.25}}'
 
 
+def test_rare_encodings():
+    # non-finite floats are strings, a Fraction is its exact text, and an
+    # unknown type is an error, not a repr
+    assert to_json([math.nan, math.inf, -math.inf, np.float64("-inf")]) == \
+        '["nan", "inf", "-inf", "-inf"]'
+    assert to_json({"q": Fraction(-3, 4)}) == '{"q": "-3/4"}'
+    with pytest.raises(TypeError, match="cannot serialize"):
+        to_json({"x": {1, 2}})
+    # CSV writes booleans as true/false, None as an empty cell, and no rows
+    # as nothing
+    rows = [{"ok": True, "v": None, "x": 0.5}, {"ok": False, "v": 1, "x": 2.0}]
+    assert OutputEnvelope("t", {}, rows, format="csv").render() == \
+        "ok,v,x\ntrue,,0.5\nfalse,1,2\n"
+    assert OutputEnvelope("t", {}, [], format="csv").render() == ""
+
+
 def test_json_escapes_control_characters(capsys):
     assert to_json('a"b\\c\n\x00\x1f\x7f') == '"a\\"b\\\\c\\u000a\\u0000\\u001f\x7f"'
     code, out = run(capsys, "green", "--field", "R", "--n", "3", "--s", "1",
@@ -638,22 +656,45 @@ def test_green_kernel_past_the_float64_range_is_a_domain_error(capsys):
         "type": "DomainError", "message": "the kernel at r=0.001 passes the float64 range"}
 
 
+def test_green_2f1_past_the_float64_range_is_a_domain_error(capsys):
+    # (-z)^65 of the 1/z connection overflows at |z| ~ 1e186; this once
+    # ended in a traceback (OverflowError, exit 1)
+    code, out = run(capsys, "green", "--field", "R", "--n", "134", "--s=-64.2734072396132",
+                    "--r-grid", "6.88e-94:7e-94:2")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError" and "passes the float64 range" in error["message"]
+
+
+def test_green_gamma_pole_next_to_the_holomorphy_boundary(capsys):
+    # a = (s + 1)/2 is within 1e-12 of the pole of Gamma at 0
+    code, out = run(capsys, "green", "--field", "R", "--n", "3", "--s=-0.9999999999999",
+                    "--r-grid", "1:2:2")
+    assert code == 4
+    assert json.loads(out)["error"]["type"] == "PoleOfGamma"
+
+
 def complex_text(re_part, im_part):
     return f"{re_part!r}{im_part:+}i"
 
 
 # spectral parameters on both sides of Re s = 0
-SPECTRAL = st.builds(complex_text, st.floats(-4.0, 6.0), st.sampled_from([0.0, -1.5, 0.3, 2.0]))
-RADIUS = st.floats(1e-6, 500.0)
+IM_PARTS = st.sampled_from([0.0, -1.5, 0.3, 2.0])
+SPECTRAL = st.builds(complex_text, st.floats(-4.0, 6.0), IM_PARTS)
+# log-uniform radii over the kernel's documented domain, r >= 1e-154
+RADIUS = st.floats(math.log(1e-154), math.log(500.0)).map(math.exp)
 
 
 @st.composite
 def green_argv(draw):
     field = draw(st.sampled_from("RCHO"))
     n = draw(st.integers(1, 3 if field == "O" else 256))
+    # Re s down to the holomorphy boundary -m_alpha/2
+    m_alpha = {"R": 1, "C": 2, "H": 4, "O": 8}[field] * (n - 1)
+    s = complex_text(draw(st.floats(min(-m_alpha / 2, -4.0), 6.0)), draw(IM_PARTS))
     start, stop = sorted([draw(RADIUS), draw(RADIUS)])
     grid = f"{start!r}:{stop!r}:{draw(st.integers(1, 8))}"
-    return (["green", "--field", field, "--n", str(n), f"--s={draw(SPECTRAL)}", "--r-grid", grid]
+    return (["green", "--field", field, "--n", str(n), f"--s={s}", "--r-grid", grid]
             + ["--log"] * draw(st.booleans()))
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypspec import hyper
-from hypspec.errors import DegenerateFit, DomainError, PoleOfGamma
+from hypspec.errors import DegenerateFit, DomainError, HypspecError, PoleOfGamma
 from hypspec.green import (
     decay_rate_fit,
     green0_derivatives,
@@ -155,6 +155,66 @@ def test_kernel_past_the_float64_range():
             evaluate(space, 1.0, 1e-3)
     with pytest.raises(DomainError, match="the kernel at r=0.001 passes"):
         green0_eval_many(space, 1.0, np.array([1.0, 1e-3]))
+
+
+def test_overflow_past_the_float64_range_is_a_domain_error():
+    # each once escaped as a bare exception or a NaN: an OverflowError of a
+    # 2F1 power (-z)^(-e) and of (a L')^2 in the kernel's second derivative,
+    # an overflow RuntimeWarning of numpy's power, and a residual of NaN
+    # where F'' overflowed to inf
+    calls = [
+        lambda: green0_derivatives(make_space(Field.QUATERNION, 9), 6, 1.335253255739801e-117),
+        lambda: green0_derivatives(make_space(Field.OCTONION, 2), 13.472760749752538,
+                                   8.334060001131363e-154),
+        lambda: green0_eval_many(make_space(Field.REAL, 72), -29.541218672582758,
+                                 np.array([6.08389239133784e-39, 6.7e-39])),
+        lambda: green0_ode_residual(make_space(Field.COMPLEX, 90), -57.05662430874344,
+                                    0.010399752843632086),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="float64 range"):
+            call()
+
+
+def test_gamma_pole_next_to_the_holomorphy_boundary():
+    # on real spaces rho = m_alpha/2, so a = (s + rho)/2 is within 1e-12 of
+    # the pole at 0 just above Re s = -m_alpha/2
+    with pytest.raises(PoleOfGamma, match="pole"):
+        green0_eval(H3, -1 + 1e-13, 1.0)
+    with pytest.raises(PoleOfGamma, match="pole"):
+        plancherel_prefactor(H3, -1.0)
+
+
+# Under the suite's warnings-as-errors, every call over the documented
+# domain (r >= 1e-154, Re s above the holomorphy boundary -m_alpha/2)
+# returns finite values or raises a hypspec error.
+@st.composite
+def documented_domain(draw):
+    field = draw(st.sampled_from(list(Field)))
+    n = 2 if field is Field.OCTONION else draw(st.integers(2, 256 // make_space(field, 2).d))
+    space = make_space(field, n)
+    lo = -space.m_alpha / 2
+    re = draw(st.floats(lo, 20.0, exclude_min=True))
+    im = draw(st.one_of(st.just(0.0), st.floats(-20.0, 20.0)))
+    r = math.exp(draw(st.floats(math.log(1e-154), math.log(500.0))))
+    return space, complex(re, im), max(r, 1e-154)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(documented_domain(), st.sampled_from(["eval", "derivatives", "many", "residual"]))
+def test_documented_domain_gives_values_or_hypspec_errors(point, entry):
+    space, s, r = point
+    calls = {
+        "eval": lambda: [green0_eval(space, s, r)],
+        "derivatives": lambda: green0_derivatives(space, s, r),
+        "many": lambda: green0_eval_many(space, s, np.geomspace(r, 500.0, 3)),
+        "residual": lambda: [green0_ode_residual(space, s, r)],
+    }
+    try:
+        values = calls[entry]()
+    except HypspecError:
+        return
+    assert all(cmath.isfinite(v) for v in values), (space, s, r, entry, values)
 
 
 def test_derivatives_match_h3_closed_form():

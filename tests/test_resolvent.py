@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -72,6 +73,44 @@ def test_taup_antisymmetric_and_normalized():
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
                 assert np.trace(gi @ gj) / 2 == pytest.approx(-(i == j))
+
+
+def test_taup_is_a_representation_of_so_n():
+    # [E_0r, E_0s] = -E_rs and [E_rs, E_0r] = -E_0s, so [[Y_r, Y_s], Y_r] = Y_s
+    def bracket(x, y):
+        return x @ y - y @ x
+
+    for n in range(2, 9):
+        for p in range(n + 1):
+            ys = build_tau_p_action(n, p).y_matrices
+            for r, yr in enumerate(ys):
+                for s, y_s in enumerate(ys):
+                    if r != s:
+                        assert np.array_equal(bracket(bracket(yr, y_s), yr), y_s), (n, p, r, s)
+        # on 1-forms Y_r is the n x n generator E_0r itself
+        for r, y in enumerate(build_tau_p_action(n, 1).y_matrices, 1):
+            gen = np.zeros((n, n))
+            gen[0, r], gen[r, 0] = 1.0, -1.0
+            assert np.array_equal(y, gen), (n, r)
+
+
+def test_taup_exponentiates_to_the_compound_matrix():
+    # the brackets fix the representation only up to a change of basis:
+    # exp(t Y_r) is the p-th compound matrix (p x p minors, subsets in
+    # lexicographic order) of the rotation exp(t E_0r).  Both generators
+    # cube to minus themselves, so exp(t X) = 1 + sin t X + (1 - cos t) X^2.
+    def rotation(x, t=0.7):
+        return np.eye(len(x)) + math.sin(t) * x + (1 - math.cos(t)) * x @ x
+
+    for n in range(2, 7):
+        for p in range(n + 1):
+            basis = list(itertools.combinations(range(n), p))
+            for r, y in enumerate(build_tau_p_action(n, p).y_matrices, 1):
+                gen = np.zeros((n, n))
+                gen[0, r], gen[r, 0] = 1.0, -1.0
+                g = rotation(gen)
+                compound = [[np.linalg.det(g[np.ix_(J, I)]) for I in basis] for J in basis]
+                assert np.allclose(rotation(y), compound, rtol=0, atol=1e-12), (n, p, r)
 
 
 def test_omega_m_eigenvalues():
@@ -186,7 +225,7 @@ def test_production_paths_never_build_the_representation(monkeypatch, capsys, n,
         raise AssertionError("a production path built the dense representation")
 
     monkeypatch.setattr(resolvent, "build_tau_p_action", fail)
-    monkeypatch.setattr(resolvent, "_exterior_matrix", fail)
+    monkeypatch.setattr(resolvent, "_rotation_actions", fail)
     assert not hasattr(resolvent, "_block_structure")
     op = build_radial_operator(n, p)
     kern = frobenius_solve(op, cover_point(make_space(Field.REAL, n), p, 0.8))
