@@ -86,9 +86,13 @@ logarithmic series raises psi(a+m+k) to psi(a+m+k+1) and psi(a+m+k+2),
 which absorbs the derivative of the logarithm.  A series stops only
 when all three sums have converged.
 
-scipy.special is imported on the first Gamma-function call, not at
-import time: the exact-arithmetic parts of the package never need it.
-This module is the one place hypspec binds it.
+The Gamma functions that the connections and the Green kernel's
+constants need (_gamma, _rgamma, _digamma, _loggamma) are computed here
+for complex scalars, so no 2F1 or Green path imports a special-function
+library.  Against mpmath (|Re z| <= 60, |Im z| <= 40, and within 1e-12
+of the poles) the worst errors were 7.5e-14 relative for Gamma and
+1/Gamma, 7.2e-14 for log Gamma read through its exponential, and 1.8e-15
+for psi relative to max(1, |psi|).
 """
 
 from __future__ import annotations
@@ -134,41 +138,129 @@ _NEAR_INT_BAND = 1e-2
 _CACHE_SIZE = 16
 
 
-class _DeferredSpecial:
-    """Stand-in for scipy.special until first use.
+# Gamma, 1/Gamma, psi and log Gamma of complex scalars (DLMF 5.5.3,
+# 5.11.1, 5.11.2, 5.15.8).  Re z < 1/2 is reflected to 1 - z; Re z >= 1/2
+# is shifted up to |z| >= _STIRLING_EDGE, where the first term of
+# Stirling's series left out (the 13th) is about 6e-20.  Gamma, 1/Gamma
+# and log Gamma of a real argument go through math.gamma or math.lgamma.
+# At the non-positive integers 1/Gamma is 0 and the others NaN; a Gamma
+# past the float64 range is inf (with a NaN phase off the real axis).
+_STIRLING_EDGE = 8.0
+# past this |Im z|, sin(pi z) passes the float64 range and is taken as its
+# exponential part, a relative error below e^(-2 pi 200)
+_SINPI_EDGE = 200.0
+_LOG_PI = math.log(math.pi)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_NAN = complex(math.nan, math.nan)
+_OVERFLOW = complex(math.inf, math.nan)
 
-    The first attribute access imports scipy.special and rebinds the
-    module global _sp to it, so later calls look the function up on the
-    real module with no extra cost.
-    """
 
-    def __getattr__(self, name: str):
-        global _sp
-        from scipy import special
+def _log_sinpi(z: complex) -> complex:
+    """log sin(pi z) up to a multiple of 2 pi i.  Re z is first reduced to
+    r in [-1/2, 1/2], which is exact, so next to an integer the value
+    keeps its digits (pi z itself is rounded by an ulp of z)."""
+    n = round(z.real)
+    r, y = z.real - n, z.imag
+    if abs(y) < _SINPI_EDGE:
+        v = cmath.log(cmath.sin(complex(math.pi * r, math.pi * y)))
+    else:  # sin w = (i/2) e^(-iw) (1 - e^(2iw)) for Im w > 0, conjugated for Im w < 0
+        v = complex(math.pi * abs(y) - math.log(2.0), math.copysign(math.pi * (0.5 - r), y))
+    return v + complex(0.0, math.pi * (n % 2))  # sin(pi z) = (-1)^n sin(pi r)
 
-        _sp = special
-        return getattr(special, name)
+
+def _log_gamma(z: complex) -> complex:
+    """log Gamma(z) off the poles, up to a multiple of 2 pi i."""
+    if z.real < 0.5:
+        return _LOG_PI - _log_sinpi(z) - _log_gamma(1.0 - z)
+    prod = 1.0
+    while abs(z) < _STIRLING_EDGE:
+        prod *= z
+        z += 1.0
+    r = 1.0 / z
+    r2 = r * r
+    # B_2k / (2k (2k-1)) r^(2k-1), k = 1..12
+    series = r * (1 / 12 + r2 * (-1 / 360 + r2 * (1 / 1260 + r2 * (-1 / 1680 + r2 * (
+        1 / 1188 + r2 * (-691 / 360360 + r2 * (1 / 156 + r2 * (-3617 / 122400 + r2 * (
+            43867 / 244188 + r2 * (-174611 / 125400 + r2 * (854513 / 63756 + r2 * (
+                -236364091 / 1506960))))))))))))
+    lg = (z - 0.5) * (cmath.log(z) - 1.0) + (_HALF_LOG_2PI - 0.5) + series
+    return lg if prod == 1.0 else lg - cmath.log(prod)
 
 
-_sp = _DeferredSpecial()
+def _exp(w: complex) -> complex:
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        return _OVERFLOW
+
+
+def _is_pole(z: complex) -> bool:
+    return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
 def _gamma(z: complex) -> complex:
-    return complex(_sp.gamma(z))
+    if z.imag == 0.0:
+        try:
+            return complex(math.gamma(z.real))
+        except ValueError:  # a pole
+            return _NAN
+        except OverflowError:
+            pass
+    return _exp(_log_gamma(z))
 
 
 def _rgamma(z: complex) -> complex:
-    return complex(_sp.rgamma(z))
+    if _is_pole(z):
+        return 0j
+    if z.imag == 0.0:
+        try:
+            g = math.gamma(z.real)
+            if g:  # not underflowed
+                return complex(1.0 / g)
+        except OverflowError:
+            pass
+    return _exp(-_log_gamma(z))
+
+
+def _loggamma(z: complex) -> complex:
+    """Principal-branch log Gamma up to a multiple of 2 pi i: every caller
+    takes its exponential."""
+    if z.imag == 0.0:
+        x = z.real
+        try:
+            v = math.lgamma(x)
+        except ValueError:  # a pole
+            return _NAN
+        except OverflowError:
+            return complex(math.inf)
+        # Gamma(x) < 0 where floor(x) is negative and odd
+        return complex(v, math.pi if x < 0.0 and math.floor(x) % 2 else 0.0)
+    return _log_gamma(z)
 
 
 def _digamma(z: complex) -> complex:
-    return complex(_sp.digamma(z))
-
-
-def _loggamma(z: complex):
-    """Principal branch of log Gamma, as the numpy scalar scipy returns
-    (a complex() conversion would nearly double the cost per call)."""
-    return _sp.loggamma(z)
+    if _is_pole(z):
+        return _NAN
+    psi = 0j
+    if z.real < 0.5:  # psi(z) = psi(1 - z) - pi cot(pi z)
+        r, y = z.real - round(z.real), z.imag
+        if abs(y) < _SINPI_EDGE:
+            w = complex(math.pi * r, math.pi * y)
+            psi -= math.pi * cmath.cos(w) / cmath.sin(w)
+        else:  # cot(pi z) -> -i sign(Im z)
+            psi += complex(0.0, math.copysign(math.pi, y))
+        z = 1.0 - z
+    while abs(z) < _STIRLING_EDGE:
+        psi -= 1.0 / z
+        z += 1.0
+    r = 1.0 / z
+    r2 = r * r
+    # B_2k / (2k) r^(2k), k = 1..12
+    series = r2 * (1 / 12 + r2 * (-1 / 120 + r2 * (1 / 252 + r2 * (-1 / 240 + r2 * (
+        1 / 132 + r2 * (-691 / 32760 + r2 * (1 / 12 + r2 * (-3617 / 8160 + r2 * (
+            43867 / 14364 + r2 * (-174611 / 6600 + r2 * (854513 / 3036 + r2 * (
+                -236364091 / 65520))))))))))))
+    return psi + cmath.log(z) - 0.5 * r - series
 
 
 def _near_nonpositive_int(z: complex, tol: float = _INT_SNAP) -> bool:
@@ -489,9 +581,10 @@ def _pfaff(t: _Triple, z, w, order: int, total):
     and the second derivative likewise, so both come from the terms of
     the one series.  (Differentiating the series in w by the chain rule
     instead cancels digits near |z| = 3: 3.9e-12 relative in F'' at
-    a = 5.76, |w| = 0.75.)
+    a = 5.76, |w| = 0.75.)  On an array the factor is formed as
+    exp(-a log1p(-z)), which costs about two thirds of the power.
     """
-    P = (1.0 - z) ** (-t.a)
+    P = (1.0 - z) ** (-t.a) if total is _sum else np.exp(-t.a * np.log1p(-z))
     s0, s1, s2, U = total(t.pfaff, w, order)
     if order == 0:
         return P * s0, 0j, 0j, abs(P) * U

@@ -1,5 +1,7 @@
-"""scipy is loaded on first use: each CLI command imports only what it
-computes with.  Every check runs in a fresh interpreter, because
+"""Each CLI command imports only what it computes with: the Green
+kernel, 2F1 and orbit paths load no scipy at all (hyper computes its
+Gamma functions itself), and scipy.integrate is loaded on first use by
+the resolvent report.  Every check runs in a fresh interpreter, because
 sys.modules in the test process already holds whatever other tests
 imported."""
 
@@ -26,15 +28,43 @@ _SCRIPT = textwrap.dedent("""
 """)
 
 
-def loaded_after(*argvs):
-    """Module names in sys.modules after `import hypspec.cli` and main(argv)
-    for each argv, in a fresh interpreter."""
+# every 2F1 branch, the kernel's derivatives and its array path; each
+# assert checks that the branch built what needs a Gamma function
+_LIBRARY_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import numpy as np
+    from hypspec import gauss_2f1, green0_derivatives, green0_eval_many, make_space
+    from hypspec.hyper import _triple
+    gauss_2f1(-3.0, 0.5, 1.5, -2.0)
+    assert _triple(-3 + 0j, 0.5 + 0j, 1.5 + 0j).degree == 3
+    gauss_2f1(0.3, 0.7 + 0.2j, 2.25, -1.5)
+    assert "pfaff" in vars(_triple(0.3 + 0j, 0.7 + 0.2j, 2.25 + 0j))
+    gauss_2f1(0.3, 0.7 + 0.2j, 2.25, -50.0)
+    assert "generic" in vars(_triple(0.3 + 0j, 0.7 + 0.2j, 2.25 + 0j))
+    gauss_2f1(0.25, 2.25, 1.5 + 0.5j, -50.0)
+    assert "log" in vars(_triple(0.25 + 0j, 2.25 + 0j, 1.5 + 0.5j))
+    space = make_space("C", 2)
+    green0_derivatives(space, 1.5 + 0.5j, 0.7)
+    green0_eval_many(space, 1.5, np.geomspace(0.1, 10.0, 5))
+    print(json.dumps(sorted(sys.modules)))
+""")
+
+
+def _run(script, *args):
+    """Module names in sys.modules after running script with args, in a
+    fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(argvs)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout))
+
+
+def loaded_after(*argvs):
+    """Module names in sys.modules after `import hypspec.cli` and main(argv)
+    for each argv, in a fresh interpreter."""
+    return _run(_SCRIPT, json.dumps(argvs))
 
 
 def scipy_modules(mods):
@@ -61,11 +91,11 @@ def test_exact_and_orbit_commands_load_no_scipy():
     assert scipy_modules(mods) == []
 
 
-def test_green_loads_scipy_special_only():
+def test_green_loads_no_scipy():
     mods = loaded_after(["green", "--field", "C", "--n", "2", "--s", "1.5",
                          "--r-grid", "0.1:10:5", "--log"])
-    assert "scipy.special" in mods
-    assert "scipy.integrate" not in mods
+    assert scipy_modules(mods) == []
+    assert scipy_modules(_run(_LIBRARY_SCRIPT)) == []
 
 
 def test_resolvent_report_loads_scipy_integrate():
