@@ -59,10 +59,6 @@ class TailBoundExceeded(NumericalError):
     """Truncated series evaluated below its validity threshold."""
 
 
-class StiffIntegration(NumericalError):
-    """ODE integrator failed to reach the requested endpoint."""
-
-
 class FitFailure(NumericalError):
     """Power-law fit residual exceeded tolerance."""
 

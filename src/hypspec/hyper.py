@@ -696,6 +696,8 @@ def _gauss_2f1_core(a: complex, b: complex, c: complex, z, order: int):
                 F, dF, ddF, err = _branch(t, z, order, _sum_many)
         else:
             F, dF, ddF, err = _branch(t, z, order, _sum)
+            if not cmath.isfinite(F):  # Python complex sums pass inf (and NaN) on silently
+                raise OverflowError
     except (OverflowError, FloatingPointError) as exc:
         where = f"z in [{z.min()}, {z.max()}]" if many else f"z={z}"
         raise DomainError(f"2F1({a}, {b}; {c}; z) at {where} passes the float64 range") from exc

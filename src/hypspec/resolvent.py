@@ -55,11 +55,15 @@ new algorithmic content and are rejected):
     matrices, `block_ode_residual` / `form_ode_residual` check the radial
     equation and `decay_check` fits the far-field decay.
 
-5.  `psi_coefficient` integrates the 2B-state system
-    y' = sum_i u_i(t) K_i y (`RadialOperator.ode_matrices`, which
-    `apply_blocks` reads too) down to small t with DOP853, in scipy's
-    compiled dop853: its stepping loop runs in Fortran, where the Python
-    loop of `solve_ivp` cost more than the arithmetic.  It extracts the
+5.  `psi_coefficient` reads the kernel near t = 0 from its local
+    Frobenius basis there.  In y = tanh^2(t/2) the block equation is
+    Fuchsian with singular points y = 0, 1 and infinity only, so the
+    series of the 2B local solutions at y = 0 (exponents 0 and (2-n)/2 on
+    one eigenvector of D_a - S, 1 and -n/2 on the other, with a log y
+    term where a recurrence divisor is exactly 0) converge for every
+    t > 0; matched to the decaying series at one t >= 1, they give the
+    kernel on [1e-3, 1e-2] without integration (Coddington and Levinson,
+    Theory of Ordinary Differential Equations, ch. 4).  It extracts the
     coefficient of the t^(2-n) singularity, one number psi
     (`psi_extract` expands it to the matrix psi I).  For p >= 1 the
     kernel also carries *stronger* transverse singular sectors (up to
@@ -90,8 +94,8 @@ from .errors import (
     DegenerateFit,
     DomainError,
     FitFailure,
+    NumericalError,
     ResonanceDetected,
-    StiffIntegration,
     TailBoundExceeded,
     TruncationWarning,
     UnsupportedField,
@@ -720,70 +724,188 @@ def decay_check(kernel: FrobeniusKernel, t_grid: Sequence[float]) -> float:
     return decay_rate_fit(samples)
 
 
-# psi_coefficient integrates from _PSI_T down to _PSI_T0 with relative
-# tolerance _PSI_RTOL, allowing _PSI_MAX_STEPS dop853 steps between two
-# output times before StiffIntegration
+# psi_coefficient reads the kernel on 8 points of [_PSI_T0, 10 _PSI_T0]
+# from the local basis at t = 0, matched to the series at
+# t* = min(max(1, 2 t_min), _PSI_T).  The basis series run until their
+# terms fall below _PSI_SERIES_TOL at the largest y = tanh^2(t/2) taken; a
+# match whose rounding passes _PSI_MATCH_RTOL of the kernel raises
+# NumericalError
 _PSI_T0 = 1e-3
 _PSI_T = 4.0
-_PSI_RTOL = 1e-11
-_PSI_MAX_STEPS = 100_000
+_PSI_SERIES_TOL = 1e-17
+_PSI_MATCH_RTOL = 1e-7
 
 
-def _real_form(K: np.ndarray) -> np.ndarray:
-    """Real matrices acting on the interleaved (re, im) view of a complex
-    vector as the complex matrices K (last two axes) act on the vector."""
-    R = np.empty(K.shape[:-2] + (2 * K.shape[-2], 2 * K.shape[-1]))
-    R[..., 0::2, 0::2] = R[..., 1::2, 1::2] = K.real
-    R[..., 0::2, 1::2] = -K.imag
-    R[..., 1::2, 0::2] = K.imag
-    return R
+def _eigenbasis(op: RadialOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, V, M): the eigenvalues lam of D_a - S, D_a = diag(a), in
+    closed form (0, and -n when B = 2), their eigenvectors as the columns
+    of V in block coordinates, and V^-1 (D_a + S) V."""
+    B = len(op.block_mult)
+    V = np.ones((B, B))
+    if B == 2:
+        i, o, _, _ = _block_layout(op.n, op.p, B)
+        V[i, 1], V[o, 1] = op.n - op.p, -op.p
+    lam = np.array([0.0, -op.n][:B])
+    return lam, V, np.linalg.solve(V, (np.diag(op.block_a) + op.block_s) @ V)
+
+
+def _frobenius_seeds(n: int, B: int) -> list[tuple[int, float, bool]]:
+    """(eigenvector, exponent r in y, log seed) of each local solution:
+    exponents 0 and (2-n)/2 on eigenvalue 0, and 1 and -n/2 on -n.  At
+    n = 2, r = 0 is a double root and the second solution starts as log y."""
+    seeds = [(0, 0.0, False), (0, (2 - n) / 2, n == 2)]
+    return seeds + [(1, 1.0, False), (1, -n / 2, False)][:2 * B - 2]
+
+
+def _local_basis(op: RadialOperator, s: complex, mus: Sequence[complex],
+                 t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2B local solutions at t = 0 and their first two t-derivatives
+    at the times t: (V, phi, size), phi[d, i] the d-th derivatives at t[i]
+    as a B x 2B matrix in the eigenbasis of D_a - S, whose vectors are the
+    columns of V (`_eigenbasis`), and size the same sums over the moduli
+    of their terms.  A value past the float64 range raises NumericalError.
+
+    In y = tanh^2(t/2), with theta = y d/dy, the equation of
+    `apply_blocks` reads L0(theta) f + y L1(theta) f + y^2 L2(theta) f = 0,
+    L0(r) = 2r^2 + (n-2)r + (D_a - S), L1(r) = -4r^2 - 2(s^2 - shift) and
+    L2(r) = 2r^2 - (n-2)r + (D_a + S): Fuchsian, with singular points
+    y = 0, 1 and infinity only, so the series converge for every t > 0.
+    Each solution is sum_k z^(r+k) (c_k + g_k log z) in z = y / y_top
+    (y_top the largest y taken, so the terms fall with k), its vectors
+    following a three-term recurrence whose divisors
+    2(r+k)^2 + (n-2)(r+k) + lam are exact.  Where one is 0 the solution
+    takes a log z term; a resonance that would need log^2 z raises
+    NumericalError.  d/dt = (2 / sinh t) theta.
+    """
+    n = op.n
+    B = len(op.block_mult)
+    lam, V, M = _eigenbasis(op)
+    sigma = s * s - op._shift
+    y = np.tanh(np.asarray(t, dtype=float) / 2.0) ** 2
+    y_top = float(y.max())
+    # near y = 1 (t -> oo) the solutions grow as (1 - y)^(beta - |Re mu|),
+    # so their coefficients as k^(gamma - 1), gamma = |Re mu| - beta
+    gamma = max(0.0, max(abs(m.real) for m in mus) - float(op.beta))
+    K = math.ceil(math.log(_PSI_SERIES_TOL) / math.log(y_top))
+    while K * math.log(y_top) + gamma * math.log(K) > math.log(_PSI_SERIES_TOL):
+        K += 1
+    K += 4
+    seeds = _frobenius_seeds(n, B)
+    r = np.array([rj for _, rj, _ in seeds])
+    rho = r + np.arange(K + 1)[:, None]                             # (K+1, 2B)
+    d = (2.0 * rho * rho + (n - 2) * rho)[..., None] + lam          # (K+1, 2B, B)
+    res = d == 0.0
+    res[0] = False
+    divisor = np.where(res, np.inf, d)
+    dl0 = (4.0 * rho + (n - 2))[..., None]
+    # -L1(rho - 1) and -L2(rho - 2) without D_a + S, and their derivatives
+    # in rho, in z: times y_top and y_top^2
+    r1, r2 = rho - 1.0, rho - 2.0
+    l1 = (y_top * (4.0 * r1 * r1 + 2.0 * sigma))[..., None]
+    dl1 = (y_top * 8.0 * r1)[..., None]
+    l2 = (y_top ** 2 * ((n - 2) * r2 - 2.0 * r2 * r2))[..., None]
+    dl2 = (y_top ** 2 * ((n - 2) - 4.0 * r2))[..., None]
+    m2 = -y_top ** 2 * M.T
+
+    # x[k + 1] = (c_k, g_k) of every solution, after a row of zeros for
+    # level -1; the g_k stay 0 until a log term starts
+    x = np.zeros((K + 2, 2, len(seeds), B), dtype=complex)
+    for j, (i, _, log) in enumerate(seeds):
+        x[1, int(log), j, i] = 1.0
+    logs = any(log for _, _, log in seeds)
+    has_res = res.any(axis=(1, 2))
+    for k in range(1, K + 1):
+        rhs = l1[k] * x[k] + l2[k] * x[k - 1] + x[k - 1] @ m2
+        rhs_c, rhs_g = rhs
+        if logs:
+            rhs_c += dl1[k] * x[k, 1] + dl2[k] * x[k - 1, 1]
+        gk = rhs_g / divisor[k]
+        if has_res[k]:
+            # the resonant entry of c is free (fixed to 0) and a new log
+            # term takes the obstruction: L0'(rho) g_k = rhs_c there
+            q = res[k]
+            dq = np.broadcast_to(dl0[k], q.shape)[q]
+            tol = 1e-8 * max(1.0, float(np.abs(rhs_c).max()))
+            if (np.abs(rhs_g[q]) > tol).any() or ((dq == 0) & (np.abs(rhs_c[q]) > tol)).any():
+                raise NumericalError(f"the local basis at t = 0 needs a log^2 term at level {k} "
+                                     f"(n = {n}); not supported")
+            gk[q] = rhs_c[q] / np.where(dq == 0, np.inf, dq)
+            logs = logs or bool(gk.any())
+        x[k + 1] = rhs_c - dl0[k] * gk, gk
+        x[k + 1, 0] /= divisor[k]
+    c, g = x[1:, 0], x[1:, 1]
+    rho = rho[..., None]
+
+    # theta^m of each term: z^rho [(rho^m c + m rho^(m-1) g) + rho^m g log z],
+    # summed, and the same sums of moduli
+    z = y / y_top
+    tables = np.stack([c, g, rho * c + g, rho * g, rho * rho * c + 2.0 * rho * g, rho * rho * g],
+                      axis=1).reshape(K + 1, -1)
+    powers = z[:, None] ** np.arange(K + 1)
+    logz = np.log(z)[:, None, None, None]
+    sh = np.sinh(t)[:, None, None]
+    ch = np.cosh(t)[:, None, None]
+    out = []
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            lead = (z[:, None] ** r)[:, None, :, None]
+            # sign -1 for the moduli: log z <= 0, and d2/dt2 takes -2 cosh t theta
+            for table, sign in ((tables, 1.0), (np.abs(tables), -1.0)):
+                sums = (powers @ table).reshape(len(z), 3, 2, len(seeds), B)
+                theta = lead * (sums[:, :, 0] + sign * logz * sums[:, :, 1])
+                out.append(np.stack([theta[:, 0], 2.0 / sh * theta[:, 1],
+                                     (4.0 * theta[:, 2] - sign * 2.0 * ch * theta[:, 1]) / (sh * sh)]))
+        except FloatingPointError:
+            raise NumericalError(f"the local basis at t = {min(t):.3g} passes the float64 range "
+                                 f"(n = {n})") from None
+    phi, size = (a.transpose(0, 1, 3, 2) for a in out)
+    return V, phi, size
+
+
+def _local_kernel(op: RadialOperator, kernel: FrobeniusKernel,
+                  t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(V, phi, size, coef): the local basis at the times t (`_local_basis`)
+    and the kernel's coefficients in it, from its value and derivative on
+    the series at t* = min(max(1, 2 t_min), _PSI_T).  The kernel's k-th
+    t-derivative at t[i] has block coefficients V phi[k, i] coef.
+
+    The kernel at t* is a sum of terms far larger than itself where it
+    decays like e^(-mu t) and the local solutions grow like e^(mu t), or
+    where the series of a solution that vanishes fast at y = 1 cancel
+    (large n); where the rounding of those terms would pass
+    _PSI_MATCH_RTOL of the kernel, NumericalError is raised.
+    """
+    t_star = min(max(1.0, 2.0 * kernel.t_min), _PSI_T)
+    f0, df0, _ = kernel_blocks(kernel, t_star)
+    V, phi, size = _local_basis(op, kernel.cover.s, kernel.exponents, np.append(t, t_star))
+    match = np.concatenate([V @ phi[0, -1], V @ phi[1, -1]])
+    data = np.concatenate([f0, df0])
+    coef = np.linalg.solve(match, data)
+    terms = np.concatenate([np.abs(V) @ size[0, -1], np.abs(V) @ size[1, -1]]) @ np.abs(coef)
+    cancel = float(terms.max() / np.abs(data).max())
+    if cancel * 2.0 ** -53 > _PSI_MATCH_RTOL:
+        raise NumericalError(f"the kernel at t* = {t_star:.3g} is a sum of terms {cancel:.3g} "
+                             "times larger: psi would lose its digits")
+    return V, phi[:, :-1], size[:, :-1], coef
 
 
 def psi_coefficient(op: RadialOperator, kernel: FrobeniusKernel) -> tuple[complex, float]:
     """The t^(2-n) singularity coefficient of the kernel, as one number.
 
-    Integrates the block system y' = sum_i u_i(t) K_i y
-    (`RadialOperator.ode_matrices`) from t = 4 down to 1e-3 with initial data
-    from the series, projects onto the spherically averaged sector (ker T,
-    the trace average), fits the power law, and extrapolates
-    vol(S^(n-1)) t^(n-2) F(t) to t -> 0.
-
-    The integrator is DOP853 (Hairer, Norsett and Wanner, Solving Ordinary
-    Differential Equations I), in scipy's compiled dop853
-    (`scipy.integrate.ode`) on the real view of the complex state: the
-    stepping runs in Fortran and each right-hand side is two small matrix
-    products, where `solve_ivp`'s Python stepping loop cost more than the
-    arithmetic.  A failed call raises StiffIntegration.
+    Reads the kernel at 8 points of [1e-3, 1e-2] from the local basis at
+    t = 0, matched to the series at one t* (`_local_kernel`), projects
+    onto the spherically averaged sector (ker T, the trace average), fits
+    the power law, and extrapolates vol(S^(n-1)) t^(n-2) F(t) to t -> 0.
 
     Returns (psi, fitted_singularity_exponent); the coefficient matrix
     is psi times the identity.
     """
-    # deferred: importing scipy.integrate takes longer than most CLI
-    # calls, and this is the only function that integrates an ODE
-    from scipy.integrate import ode
-
     n = op.n
-    B = len(op.block_mult)
-    f0, df0, _ = kernel_blocks(kernel, _PSI_T)
-    K = _real_form(op.ode_matrices(kernel.cover.s)).reshape(4 * 4 * B, 4 * B)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return op.ode_coefficients(t) @ (K @ y).reshape(4, 4 * B)
-
     t_eval = np.geomspace(_PSI_T0, min(10 * _PSI_T0, 0.8 * _PSI_T), 8)[::-1]
-    solver = ode(rhs).set_integrator("dop853", rtol=_PSI_RTOL, atol=1e-14, nsteps=_PSI_MAX_STEPS)
-    solver.set_initial_value(np.concatenate([f0, df0]).view(float), _PSI_T)
-    y = np.empty((len(t_eval), 2 * B), dtype=complex)
-    with warnings.catch_warnings():
-        # dop853 reports a failed call as a UserWarning "dop853: <reason>"
-        warnings.filterwarnings("error", "dop853", UserWarning)
-        for i, t in enumerate(t_eval):
-            try:
-                y[i] = solver.integrate(t).view(complex)
-            except UserWarning as exc:
-                raise StiffIntegration(f"downward integration failed at t={t:.3g}: {exc}") from None
-
-    g = op.sphere_average(y[:, :B].T)
+    V, phi, _, coef = _local_kernel(op, kernel, t_eval)
+    # average each eigenvector first: the one of the t^-n sector averages
+    # to exactly 0, so that sector never enters the sum
+    g = op.sphere_average(V) @ (phi[0] @ coef).T
     scaled = g * vol_sphere(n) * t_eval ** (n - 2)
     logt = np.log(t_eval)
     logn = np.log(np.abs(g))

@@ -4,8 +4,9 @@ The library runs on block coefficients with closed-form constants; the
 dense helpers derive the same objects from the integer-valued
 representation (`RadialOperator.taup`) so the tests can compare the two.
 The two solver references are the straightforward forms of the
-library's hot loops: the Frobenius recursion one (block, level) at a
-time, and psi through `solve_ivp`.
+library's solvers: the Frobenius recursion one (block, level) at a
+time, and psi by integrating the block equation down to the window with
+`solve_ivp`, where the library sums the local basis at t = 0.
 """
 
 import math
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from hypspec import resolvent
-from hypspec.errors import FitFailure, ResonanceDetected, StiffIntegration
+from hypspec.errors import FitFailure, ResonanceDetected
 from hypspec.green import vol_sphere
 from hypspec.resolvent import kernel_blocks
 
@@ -121,14 +122,19 @@ def recursion_reference(op, cover, L=40):
     return coef_a, coef_b, margin, has_log
 
 
+# psi_reference's tolerances, tight and its own: about 0.3 s per call
+PSI_REF_RTOL = 1e-13
+PSI_REF_ATOL = 1e-40
+
+
 def psi_reference(op, kernel):
-    """`psi_coefficient` through scipy's `solve_ivp` (its DOP853 stepped
-    in Python) on the complex state, with the right-hand side from
-    `RadialOperator.apply_blocks` and the same window (the library's
-    constants, read at call time), tolerance, fit and errors."""
+    """`psi_coefficient` by integration: scipy's `solve_ivp` (DOP853) from
+    the series at t = 4 down to the window, on the complex state, with the
+    right-hand side from `RadialOperator.apply_blocks`, the same window
+    (the library's constants, read at call time), fit and errors."""
     from scipy.integrate import solve_ivp
 
-    t0, T, rtol = resolvent._PSI_T0, resolvent._PSI_T, resolvent._PSI_RTOL
+    t0, T = resolvent._PSI_T0, resolvent._PSI_T
     n = op.n
     B = len(op.block_mult)
     s = kernel.cover.s
@@ -140,9 +146,9 @@ def psi_reference(op, kernel):
 
     t_eval = np.geomspace(t0, min(10 * t0, 0.8 * T), 8)[::-1]
     sol = solve_ivp(rhs, (T, t0), np.concatenate([f0, df0]), method="DOP853",
-                    rtol=rtol, atol=1e-14, t_eval=t_eval)
+                    rtol=PSI_REF_RTOL, atol=PSI_REF_ATOL, t_eval=t_eval)
     if not sol.success:
-        raise StiffIntegration(f"downward integration failed: {sol.message}")
+        raise RuntimeError(f"downward integration failed: {sol.message}")
 
     g = op.sphere_average(sol.y[:B])
     scaled = g * vol_sphere(n) * sol.t ** (n - 2)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypspec import hyper
-from hypspec.errors import DomainError, NoConvergence, NumericalError, PoleOfGamma
+from hypspec.errors import DomainError, HypspecError, NoConvergence, NumericalError, PoleOfGamma
 from hypspec.green import green0_derivatives, green0_eval
 from hypspec.hyper import _inf_connection_integer, _triple, gauss_2f1
 from hypspec.spaces import make_space
@@ -484,6 +484,19 @@ def test_log_series_gamma_ratio_past_the_float64_range():
     # 1/Gamma(180.5) underflows: the 2F1 is not a silent 0 or NaN
     with pytest.raises(DomainError):
         gauss_2f1(0.5, 180.5, 2.0, -4.0)
+
+
+def test_terminating_polynomial_past_the_float64_range():
+    # the degree-700 polynomial's terms pass 1e308: a scalar sum of Python
+    # complex terms once returned (nan+nanj) here, where the array sum raised
+    with pytest.raises(DomainError, match="passes the float64 range"):
+        gauss_2f1(-700, 1, 2, -2.5)
+    errors = []
+    for z in (-2.5 + 0j, np.array([-2.5])):
+        with pytest.raises(HypspecError) as info:
+            hyper._gauss_2f1_core(-700, 1, 2, z, 0)
+        errors.append(type(info.value))
+    assert errors == [DomainError, DomainError]
 
 
 # ------------------------------------- negative parameters, cancellation

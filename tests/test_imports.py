@@ -1,9 +1,9 @@
-"""Each CLI command imports only what it computes with: the Green
-kernel, 2F1 and orbit paths load no scipy at all (hyper computes its
-Gamma functions itself), and scipy.integrate is loaded on first use by
-the resolvent report.  Every check runs in a fresh interpreter, because
-sys.modules in the test process already holds whatever other tests
-imported."""
+"""Each CLI command imports only what it computes with: no command loads
+scipy, which only the tests depend on (hyper computes its Gamma
+functions itself, and psi sums the local basis at t = 0 where it once
+integrated with scipy.integrate).  Every check runs in a fresh
+interpreter, because sys.modules in the test process already holds
+whatever other tests imported."""
 
 import json
 import os
@@ -98,9 +98,10 @@ def test_green_loads_no_scipy():
     assert scipy_modules(_run(_LIBRARY_SCRIPT)) == []
 
 
-def test_resolvent_report_loads_scipy_integrate():
-    mods = loaded_after(["resolvent", "--n", "5", "--p", "1", "--s", "1"])
-    assert "scipy.integrate" in mods
+def test_resolvent_report_loads_no_scipy():
+    mods = loaded_after(["resolvent", "--n", "5", "--p", "1", "--s", "1"],
+                        ["resolvent", "--n", "2", "--p", "1", "--s", "1"])
+    assert scipy_modules(mods) == []
 
 
 def test_package_re_exports_every_module_name():

@@ -248,8 +248,6 @@ def test_expand_refuses_oversized_matrices_before_allocating():
 
 
 def test_block_pipeline_at_14_7_never_expands():
-    import scipy.integrate  # noqa: F401  (keep its import out of the traced peak)
-
     tracemalloc.start()
     try:
         op = build_radial_operator(14, 7)
