@@ -122,6 +122,11 @@ class QuadricModel:
             x = x.real
         return np.array(x, dtype=self.dtype)
 
+    def moved_cosh_distance(self, pts: np.ndarray, mat_t: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """cosh distances from base of the points pts @ mat_t, the rows pts
+        moved by the isometry whose transpose is mat_t."""
+        return self.batch_cosh_distance(pts @ mat_t, base)
+
 
 class RealHyperboloid(QuadricModel):
     """Unit hyperboloid in R^(n,1); admissible points have q(x) < 0."""
@@ -142,6 +147,11 @@ class RealHyperboloid(QuadricModel):
     def batch_cosh_distance(self, pts: np.ndarray, base: np.ndarray) -> np.ndarray:
         Jb = np.append(base[:-1], -base[-1])
         return -(pts @ Jb)
+
+    def moved_cosh_distance(self, pts: np.ndarray, mat_t: np.ndarray, base: np.ndarray) -> np.ndarray:
+        # -(p M^T) J b as one gemv, -p (M^T J b): the moved points are never formed
+        Jb = np.append(base[:-1], -base[-1])
+        return -(pts @ (mat_t @ Jb))
 
 
 class ComplexProjective(QuadricModel):
@@ -284,7 +294,15 @@ def _word_cap(max_words: Optional[int]) -> int:
     if max_words is not None:
         return max_words
     env = os.environ.get("HYPSPEC_MAX_WORDS")
-    return int(env) if env else _DEFAULT_WORD_CAP
+    if not env:
+        return _DEFAULT_WORD_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise DomainError(f"HYPSPEC_MAX_WORDS must be an integer >= 1, got {env!r}")
+    return cap
 
 
 def _blocks(n: int):
@@ -328,49 +346,63 @@ def _shell_distances(model: QuadricModel, pts: np.ndarray, base: np.ndarray, out
 
 def _extend_free(
     model: QuadricModel,
-    letters_t: list[np.ndarray],
+    m: int,
+    moves: list[tuple[int, np.ndarray]],
     prev_pts: np.ndarray,
     base: np.ndarray,
     size: int,
     keep: bool,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Distances of the next level under free reduction, and its points
-    if keep is set.
+    """Distances of a level built on prev_pts, a level of at most _CHUNK
+    words, and the level's points if keep is set.
 
-    Past the base point a level is m runs of equal length, one per last
-    letter, so the words that letter li may extend are the previous
-    level without the run of its inverse li ^ 1.  They are multiplied
-    block by block, in letter-major order, into a kept level's one
-    array of known size; otherwise each block's products become
-    distances at once and no point of the level is stored.  letters_t
-    holds the letters' transposes as contiguous arrays, so each block
-    product is one BLAS gemm; a block that lies on one side of the
-    skipped run is a view of the previous level, not a copy.
+    Past the base point prev_pts is m runs of equal length, one per
+    first letter.  Each move is a word u, given by its last letter li and
+    the transpose of its matrix M_u, and it extends the words of prev_pts
+    that do not start with li's inverse li ^ 1: all of them but one run,
+    taken as one block (a view of prev_pts when the run is at an end,
+    else a copy joined across it), so a block has one row only when the
+    words left are one.  Moves are walked in order and each block's
+    products written in that order: into a kept level's one array of
+    known size, or, for a level that is not kept, turned into distances
+    at once by model.moved_cosh_distance (one gemv on the real model),
+    so no point of that level is stored.
     """
     n = len(prev_pts)
-    run = n // len(letters_t)  # 0 at the base point: nothing to skip
+    run = n // m  # 0 at the base point: nothing to skip
     dists = np.empty(size)
     pts = np.empty((size, prev_pts.shape[1]), dtype=prev_pts.dtype) if keep else None
-    off = 0
-    for li, g_t in enumerate(letters_t):
+    width = n - run
+    for k, (li, mat_t) in enumerate(moves):
+        out = slice(k * width, (k + 1) * width)
         skip = (li ^ 1) * run
-        for rows in _blocks(n - run):
-            lo, hi = rows.start, rows.stop
-            if hi <= skip:
-                block = prev_pts[lo:hi]
-            elif lo >= skip:
-                block = prev_pts[lo + run:hi + run]
-            else:
-                block = np.concatenate((prev_pts[lo:skip], prev_pts[skip + run:hi + run]))
-            out = slice(off + lo, off + hi)
-            if keep:
-                np.matmul(block, g_t, out=pts[out])
-            else:
-                dists[out] = _stable_acosh(model.batch_cosh_distance(block @ g_t, base))
-        off += n - run
+        if skip == 0:
+            block = prev_pts[run:]
+        elif skip + run == n:
+            block = prev_pts[:skip]
+        else:
+            block = np.concatenate((prev_pts[:skip], prev_pts[skip + run:]))
+        if keep:
+            np.matmul(block, mat_t, out=pts[out])
+        else:
+            dists[out] = _stable_acosh(model.moved_cosh_distance(block, mat_t, base))
     if keep:
         _shell_distances(model, pts, base, dists)
     return dists, pts
+
+
+def _longer_moves(letters_t: list[np.ndarray], moves: list[tuple[int, np.ndarray]]):
+    """The words one letter longer than moves, in lexicographic order:
+    each letter g times every word that does not start with g's inverse,
+    M_(g u) = g M_u, kept as the transpose M_u^T g^T.  moves is m runs
+    of equal length, one per first letter, and the last letter of g u is
+    that of u."""
+    run = len(moves) // len(letters_t)
+    return [
+        (last, mat_t @ g_t)
+        for li, g_t in enumerate(letters_t)
+        for last, mat_t in moves[:(li ^ 1) * run] + moves[((li ^ 1) + 1) * run:]
+    ]
 
 
 def _extend_hashed(
@@ -413,13 +445,16 @@ def enumerate_orbit(
 
     Enumeration is lexicographic in the alphabet (g1, g1^-1, g2, ...),
     level by level.  Within the free-reduction policy only point orbits
-    are tracked: each kept level is written into one array of its known
-    size, a final level larger than one block is never stored (each
-    block of its products becomes distances at once), and distances are
-    computed in blocks of _CHUNK rows, each block multiplied by a
-    letter's contiguous transpose in one BLAS gemm.  At the
-    punctured-torus cap of ~10^7 words the peak is the second-to-last
-    level's points plus the distances.
+    are tracked.  The levels up to the stem, the deepest level of at
+    most _CHUNK words, are built by successive products, each written
+    into one array of its known size.  A level past the stem is never
+    stored as points.  Its words are u v, with v a stem word and u a
+    prefix, in lexicographic order; each prefix matrix M_u, one left
+    multiplication of a prefix a letter shorter, moves the stem points
+    whose words do not start with the inverse of u's last letter, and
+    that block becomes distances at once (_extend_free).  So the peak is
+    the distances plus the stem's points (at most _CHUNK rows) and the
+    m (m-1)^(k-1) prefix matrices of the level k letters past the stem.
     Under free reduction level l has exactly m (m-1)^(l-1) words for m
     letters, so the word cap is checked once, before anything is built;
     under matrix hashing it is checked after each level.  OrbitOverflow
@@ -431,6 +466,7 @@ def enumerate_orbit(
     base_pt = model.normalize(model.origin() if base is None else model.read(base, "base point"))
     letters = [g for pair in zip(gens.matrices, gens.inverses()) for g in pair]
     letters_t = [np.ascontiguousarray(g.T) for g in letters]
+    moves = list(enumerate(letters_t))  # the one-letter words, by last letter
     cap = _word_cap(max_words)
     blowup = CombinatorialBlowup(
         f"orbit enumeration exceeds the cap of {cap} words "
@@ -447,6 +483,7 @@ def enumerate_orbit(
             words += sizes[-1]
             if words > cap:
                 raise blowup
+        stem = sum(size <= _CHUNK for size in sizes)
 
     dists: list[np.ndarray] = [np.zeros(1)]
     total = 1
@@ -470,12 +507,12 @@ def enumerate_orbit(
         else:
             if not sizes[level - 1]:
                 break  # no generators: the orbit is the base point
-            # a final level that fits in one block is kept as well, so its
-            # distances come from one pass over it, never from one-row blocks
-            d, prev_pts = _extend_free(
-                model, letters_t, prev_pts, base_pt, sizes[level - 1],
-                keep=level < max_len or sizes[level - 1] <= _CHUNK,
-            )
+            if level > stem + 1:
+                moves = _longer_moves(letters_t, moves)
+            d, pts = _extend_free(model, m, moves, prev_pts, base_pt, sizes[level - 1],
+                                  keep=level <= stem)
+            if pts is not None:
+                prev_pts = pts
             total += len(d)
         if not np.isfinite(d).all():
             raise OrbitOverflow(

@@ -601,6 +601,17 @@ def test_library_errors_exit_3(monkeypatch, capsys, argv, error):
     assert doc["error"]["type"] == error and doc["error"]["message"]
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3", "0", "-5"])
+def test_delta_rejects_a_bad_word_cap_in_the_environment(monkeypatch, capsys, value):
+    # these once ended as a bare ValueError, or as a cap of -5 words
+    monkeypatch.setenv("HYPSPEC_MAX_WORDS", value)
+    code, out = run(capsys, "delta", "--group-file", str(GROUPS / "cyclic_h3.json"))
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError"
+    assert "HYPSPEC_MAX_WORDS" in error["message"]
+
+
 def test_green_large_integer_gap_ends_in_a_structured_error(capsys):
     # a - b = 199: the finite part of the logarithmic series once took
     # 198! as a float (OverflowError traceback); the 2F1 is now summed, and

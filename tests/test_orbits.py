@@ -264,10 +264,9 @@ def test_huge_max_len_raises_at_once():
 
 
 def test_enumeration_peak_memory():
-    # kept levels are written into one array of their known size and the
-    # final level's points are never stored: the peak is the level-11
-    # points, the distances and one block of temporaries
-    level_12_bytes = 4 * 3 ** 11 * 3 * 8
+    # levels past the stem (level 9, 26,244 words) are never stored as
+    # points: the peak is the distances, the stem's points, the prefix
+    # matrices and one block of temporaries
     tracemalloc.start()
     try:
         sample = enumerate_orbit(punctured_torus_group(), max_len=12)
@@ -275,7 +274,7 @@ def test_enumeration_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(sample.distances_by_length[-1]) == 4 * 3 ** 11
-    assert peak <= 1.25 * level_12_bytes
+    assert peak <= 1.3 * sum(d.nbytes for d in sample.distances_by_length)
 
 
 def test_estimate_delta_peak_memory():
@@ -292,25 +291,66 @@ def test_estimate_delta_peak_memory():
     assert peak <= 0.5 * last_shell_bytes
 
 
-def unchunked_distances(gens, max_len, base=None):
-    """Free-reduction enumeration as first written: each level's points in
-    one array, its distances in one pass over it, no blocks.  Products
+def successive_levels(gens, max_len, base=None):
+    """Each level's points by successive products, as first written: the
+    whole level in one array, with each word's first letter.  Products
     are taken with contiguous transposes (BLAS gemm), as enumerate_orbit
     takes them: on a transposed view numpy runs another loop, whose
     rounding differs by an ulp for generators without zero entries."""
     model = gens.model
     base_pt = model.normalize(model.read(base, "base") if base is not None else model.origin())
-    letters = [g for pair in zip(gens.matrices, gens.inverses()) for g in pair]
-    pts, last = base_pt[None, :], np.array([-1], dtype=np.int8)
-    dists = [np.zeros(1)]
+    letters_t = [np.ascontiguousarray(g.T)
+                 for pair in zip(gens.matrices, gens.inverses()) for g in pair]
+    pts, first = base_pt[None, :], np.array([-1], dtype=np.int8)
+    levels = []
     for _ in range(max_len):
-        parts, last_parts = [], []
-        for li, g in enumerate(letters):
-            mask = last != (li ^ 1)
-            parts.append(pts[mask] @ np.ascontiguousarray(g.T))
-            last_parts.append(np.full(np.count_nonzero(mask), li, dtype=np.int8))
-        pts, last = np.concatenate(parts), np.concatenate(last_parts)
-        dists.append(orbits._stable_acosh(model.batch_cosh_distance(pts, base_pt)))
+        parts, first_parts = [], []
+        for li, g_t in enumerate(letters_t):
+            mask = first != (li ^ 1)
+            parts.append(pts[mask] @ g_t)
+            first_parts.append(np.full(np.count_nonzero(mask), li, dtype=np.int8))
+        pts, first = np.concatenate(parts), np.concatenate(first_parts)
+        levels.append((pts, first))
+    return base_pt, letters_t, levels
+
+
+def successive_distances(gens, max_len, base=None):
+    """Every level's distances from its points by successive products, in
+    one pass over the level."""
+    base_pt, _, levels = successive_levels(gens, max_len, base)
+    return [np.zeros(1)] + [orbits._stable_acosh(gens.model.batch_cosh_distance(pts, base_pt))
+                            for pts, _ in levels]
+
+
+def unblocked_distances(gens, max_len, base=None):
+    """enumerate_orbit's association without its blocks: successive
+    products up to the stem, the deepest level of at most _CHUNK words,
+    and past it one product per prefix u, in lexicographic order, of
+    M_u = g M_u' (as the transpose M_u'^T g^T) into the stem points whose
+    words do not start with the inverse of u's last letter.  The cosh is
+    -p (M_u^T J b) on the real model and the moved points'
+    batch_cosh_distance on the complex one."""
+    model = gens.model
+    m = 2 * len(gens.matrices)
+    stem = sum(m * (m - 1) ** (level - 1) <= orbits._CHUNK for level in range(1, max_len + 1))
+    base_pt, letters_t, levels = successive_levels(gens, stem, base)
+    dists = [np.zeros(1)] + [orbits._stable_acosh(model.batch_cosh_distance(pts, base_pt))
+                             for pts, _ in levels]
+    stem_pts, stem_first = levels[-1] if levels else (base_pt[None, :], np.array([-1]))
+    Jb = model.form_matrix() @ base_pt  # read on the real model only
+    prefixes = [(li, li, g_t) for li, g_t in enumerate(letters_t)]  # (first, last, M^T)
+    for level in range(stem + 1, max_len + 1):
+        if level > stem + 1:
+            prefixes = [(li, last, mat_t @ g_t) for li, g_t in enumerate(letters_t)
+                        for first, last, mat_t in prefixes if first != li ^ 1]
+        cosh = []
+        for _, last, mat_t in prefixes:
+            rows = stem_pts[stem_first != (last ^ 1)]
+            if model.field is Field.REAL:
+                cosh.append(-(rows @ (mat_t @ Jb)))
+            else:
+                cosh.append(model.batch_cosh_distance(rows @ mat_t, base_pt))
+        dists.append(orbits._stable_acosh(np.concatenate(cosh)))
     return dists
 
 
@@ -338,27 +378,67 @@ def dense_translation():
     return GroupGenerators(m, (h @ boost_matrix(3, 1.3) @ np.linalg.inv(h),), ("a",))
 
 
-@pytest.mark.parametrize("chunk", [7, orbits._CHUNK])
-@pytest.mark.parametrize(
-    "gens, max_len, base",
-    [
-        (punctured_torus_group(), 7, None),
-        (schottky_pair(4.0), 6, None),
-        (cyclic_group(3, 3.0), 20, None),
-        (cyclic_group(2, 3.0), 12, [0.5, 0.0, math.sqrt(1.25)]),
-        (dense_translation(), 12, [0.3, -0.2, 0.1, math.sqrt(1.14)]),
-        (complex_pair(), 6, None),
-    ],
-)
-def test_chunking_is_invisible(monkeypatch, chunk, gens, max_len, base):
-    # a small odd block size puts block edges inside every letter's run
-    monkeypatch.setattr(orbits, "_CHUNK", chunk)
+def schottky_pair_at_angle(length, angle):
+    """boost_matrix(2, length) and its conjugate by the rotation by angle
+    about the base point: two translations whose axes meet there at that
+    angle (schottky_pair at pi/2)."""
+    a = boost_matrix(2, length)
+    rot = np.eye(3)
+    rot[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    return GroupGenerators(RealHyperboloid(2), (a, rot @ a @ rot.T), ("a", "b"))
+
+
+_CHUNK_CASES = [
+    (punctured_torus_group(), 7, None),
+    (schottky_pair(4.0), 6, None),
+    (cyclic_group(3, 3.0), 20, None),
+    (cyclic_group(2, 3.0), 12, [0.5, 0.0, math.sqrt(1.25)]),
+    (dense_translation(), 12, [0.3, -0.2, 0.1, math.sqrt(1.14)]),
+    (complex_pair(), 6, None),
+]
+
+
+def assert_unblocked(gens, max_len, base):
     sample = enumerate_orbit(gens, base=base, max_len=max_len)
-    ref = unchunked_distances(gens, max_len, base)
+    ref = unblocked_distances(gens, max_len, base)
     assert len(sample.distances_by_length) == len(ref)
     for got, want in zip(sample.distances_by_length, ref):
         assert np.array_equal(got, want)
     assert sample.n_words == sum(len(d) for d in ref)
+
+
+@pytest.mark.parametrize("chunk", [7, orbits._CHUNK])
+@pytest.mark.parametrize("gens, max_len, base", _CHUNK_CASES)
+def test_chunking_is_invisible(monkeypatch, chunk, gens, max_len, base):
+    # a small odd block size puts the stem of two generators at level 1,
+    # so every later level is walked prefix by prefix
+    monkeypatch.setattr(orbits, "_CHUNK", chunk)
+    assert_unblocked(gens, max_len, base)
+
+
+@pytest.mark.parametrize("gens", [punctured_torus_group(), schottky_pair(4.0)])
+def test_levels_past_the_stem_are_unblocked(gens):
+    # at the production block size two generators have their stem at level 9
+    assert_unblocked(gens, 11, None)
+
+
+@pytest.mark.parametrize(
+    "chunk, gens, max_len, base",
+    [(7, *case) for case in _CHUNK_CASES]
+    + [(orbits._CHUNK, schottky_pair_at_angle(length, angle), 11, None)
+       for length, angle in [(3.0, math.pi / 3), (4.0, 1.2), (6.0, math.pi / 2)]],
+)
+def test_prefix_products_match_successive_products(monkeypatch, chunk, gens, max_len, base):
+    # the association past the stem moves a real distance by at most an
+    # ulp (2 allowed) and a complex one by 2.3e-12 relative (1e-11 allowed)
+    monkeypatch.setattr(orbits, "_CHUNK", chunk)
+    sample = enumerate_orbit(gens, base=base, max_len=max_len)
+    ref = successive_distances(gens, max_len, base)
+    for got, want in zip(sample.distances_by_length, ref):
+        if gens.model.field is Field.REAL:
+            np.testing.assert_array_max_ulp(got, want, maxulp=2)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
 
 
 def test_overflowing_orbit_structured_error():
@@ -368,6 +448,19 @@ def test_overflowing_orbit_structured_error():
         estimate_delta(enumerate_orbit(cyclic_group(3, 3.0), max_len=400))
     sample = enumerate_orbit(cyclic_group(3, 3.0), max_len=236)
     assert sample.distances[-1] == pytest.approx(708.0, rel=1e-12)
+
+
+def test_overflow_on_the_streamed_levels(monkeypatch):
+    # at length 89 the words of length 8 lie at distances 707.1 to 712,
+    # across the float64 limit of cosh at 709.78: 7232 of the 8748 are
+    # finite on either path
+    gens = schottky_pair(89.0)
+    with pytest.raises(OrbitOverflow, match="word length 8"):
+        enumerate_orbit(gens, max_len=9)  # every level kept: successive products
+    monkeypatch.setattr(orbits, "_CHUNK", 7)  # the stem is level 1
+    with pytest.raises(OrbitOverflow, match="word length 8"):
+        enumerate_orbit(gens, max_len=9)
+    assert enumerate_orbit(gens, max_len=7).distances[-1] == pytest.approx(623.0, rel=1e-12)
 
 
 def test_inverse_symmetry_of_sample():
@@ -571,16 +664,6 @@ def periodic_word_delta(gens, max_m=10):
     grid = np.linspace(0.0, 1.0, 101)
     below = [k for k, x in enumerate(grid) if determinant(x) < 0.0]
     return brentq(determinant, grid[below[-1]], grid[below[-1] + 1], xtol=1e-15)
-
-
-def schottky_pair_at_angle(length, angle):
-    """boost_matrix(2, length) and its conjugate by the rotation by angle
-    about the base point: two translations whose axes meet there at that
-    angle (schottky_pair at pi/2)."""
-    a = boost_matrix(2, length)
-    rot = np.eye(3)
-    rot[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
-    return GroupGenerators(RealHyperboloid(2), (a, rot @ a @ rot.T), ("a", "b"))
 
 
 # About 5x the worst |bisection - oracle| over these examples, 4.0e-9 at
@@ -883,6 +966,13 @@ def test_word_cap_from_environment(monkeypatch):
         enumerate_orbit(schottky_pair(4.0), max_len=8)
     monkeypatch.setenv("HYPSPEC_MAX_WORDS", "100000")
     enumerate_orbit(schottky_pair(4.0), max_len=8)
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3", "2e7", "0", "-5", "1.5"])
+def test_word_cap_from_environment_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("HYPSPEC_MAX_WORDS", value)
+    with pytest.raises(DomainError, match="HYPSPEC_MAX_WORDS must be an integer >= 1"):
+        enumerate_orbit(schottky_pair(4.0), max_len=2)
 
 
 def test_pullback_green_identity_only_sample():
