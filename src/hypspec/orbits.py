@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -122,10 +123,13 @@ class QuadricModel:
             x = x.real
         return np.array(x, dtype=self.dtype)
 
-    def moved_cosh_distance(self, pts: np.ndarray, mat_t: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """cosh distances from base of the points pts @ mat_t, the rows pts
-        moved by the isometry whose transpose is mat_t."""
-        return self.batch_cosh_distance(pts @ mat_t, base)
+    def moved_distances(self, parts: list[np.ndarray], mat_t: np.ndarray, base: np.ndarray,
+                        out: np.ndarray) -> None:
+        """Distances from base of the rows of parts, in order, moved by the
+        isometry whose transpose is mat_t, written into out: the parts are
+        joined into one block, moved by one product and turned into cosh
+        distances."""
+        _stable_acosh(self.batch_cosh_distance(_joined(parts) @ mat_t, base), out=out)
 
 
 class RealHyperboloid(QuadricModel):
@@ -148,10 +152,18 @@ class RealHyperboloid(QuadricModel):
         Jb = np.append(base[:-1], -base[-1])
         return -(pts @ Jb)
 
-    def moved_cosh_distance(self, pts: np.ndarray, mat_t: np.ndarray, base: np.ndarray) -> np.ndarray:
-        # -(p M^T) J b as one gemv, -p (M^T J b): the moved points are never formed
+    def moved_distances(self, parts: list[np.ndarray], mat_t: np.ndarray, base: np.ndarray,
+                        out: np.ndarray) -> None:
+        # -(p M^T) J b as p (-(M^T J b)), one gemv per part straight into its
+        # slice of out: neither the moved points nor a joined block are formed,
+        # and negating the vector is exact, so each row has the bits of -(p v)
         Jb = np.append(base[:-1], -base[-1])
-        return -(pts @ (mat_t @ Jb))
+        v = -(mat_t @ Jb)
+        start = 0
+        for part in parts:
+            np.matmul(part, v, out=out[start:start + len(part)])
+            start += len(part)
+        _stable_acosh(out, out=out)
 
 
 class ComplexProjective(QuadricModel):
@@ -178,19 +190,24 @@ class ComplexProjective(QuadricModel):
         return np.abs(ip) / np.sqrt(qx * qb)
 
 
-def _stable_acosh(c: np.ndarray) -> np.ndarray:
-    """arccosh of an array of cosh values that the caller gives up: a
-    float64 array is overwritten with max(c - 1, 0)."""
-    # log1p(delta + sqrt(delta + 2) sqrt(delta)), the root split so it stays
-    # finite wherever cosh does; the steps run in place, in this order
-    delta = np.asarray(c, dtype=float)
-    np.subtract(delta, 1.0, out=delta)
-    np.maximum(delta, 0.0, out=delta)
-    root = np.add(delta, 2.0)
-    np.sqrt(root, out=root)
-    root *= np.sqrt(delta)
-    root += delta
-    return np.log1p(root, out=root)
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The rows of parts, in order, as one array: the part itself when
+    there is one, else a copy."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _stable_acosh(c: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """arccosh of a float64 array of cosh values that the caller gives up,
+    written into out (c itself if out is None) and returned; c is
+    overwritten with max(c, 1).
+
+    Two array passes: the clamp sends a cosh that rounding put below 1 to
+    distance 0, and np.arccosh does the rest, within an ulp of the exact
+    value from 1 up (on glibc's acosh) and finite up to the largest
+    double (arccosh(DBL_MAX) = 710.48).  NaN and inf pass through, so an
+    overflowed cosh stays not finite."""
+    np.maximum(c, 1.0, out=c)
+    return np.arccosh(c, out=c if out is None else out)
 
 
 def distance(model: QuadricModel, x: Sequence, y: Sequence) -> float:
@@ -292,7 +309,10 @@ def _quantize(mats: np.ndarray) -> np.ndarray:
 
 def _word_cap(max_words: Optional[int]) -> int:
     if max_words is not None:
-        return max_words
+        if (not isinstance(max_words, numbers.Integral) or isinstance(max_words, bool)
+                or max_words < 1):
+            raise DomainError(f"max_words must be an integer >= 1, got {max_words!r}")
+        return int(max_words)
     env = os.environ.get("HYPSPEC_MAX_WORDS")
     if not env:
         return _DEFAULT_WORD_CAP
@@ -341,7 +361,7 @@ def _shell_distances(model: QuadricModel, pts: np.ndarray, base: np.ndarray, out
     """Distances of pts from base, written into out block by block, so the
     cosh and acosh temporaries stay at _CHUNK rows."""
     for rows in _blocks(len(pts)):
-        out[rows] = _stable_acosh(model.batch_cosh_distance(pts[rows], base))
+        _stable_acosh(model.batch_cosh_distance(pts[rows], base), out=out[rows])
 
 
 def _extend_free(
@@ -360,13 +380,15 @@ def _extend_free(
     first letter.  Each move is a word u, given by its last letter li and
     the transpose of its matrix M_u, and it extends the words of prev_pts
     that do not start with li's inverse li ^ 1: all of them but one run,
-    taken as one block (a view of prev_pts when the run is at an end,
-    else a copy joined across it), so a block has one row only when the
-    words left are one.  Moves are walked in order and each block's
-    products written in that order: into a kept level's one array of
-    known size, or, for a level that is not kept, turned into distances
-    at once by model.moved_cosh_distance (one gemv on the real model),
-    so no point of that level is stored.
+    as the views of prev_pts on either side of it.  A view of one row is
+    joined to the other by a copy, because BLAS rounds a one-row product
+    differently, so a part has one row only when the words left are one.
+    Moves are walked in order and each move's products written in that
+    order: into a kept level's one array of known size, as one block
+    joined from the parts, or, for a level that is not kept, turned into
+    distances at once by model.moved_distances (on the real model one
+    gemv per part, written into the output slice, so not even the joined
+    block is formed), so no point of that level is stored.
     """
     n = len(prev_pts)
     run = n // m  # 0 at the base point: nothing to skip
@@ -376,16 +398,13 @@ def _extend_free(
     for k, (li, mat_t) in enumerate(moves):
         out = slice(k * width, (k + 1) * width)
         skip = (li ^ 1) * run
-        if skip == 0:
-            block = prev_pts[run:]
-        elif skip + run == n:
-            block = prev_pts[:skip]
-        else:
-            block = np.concatenate((prev_pts[:skip], prev_pts[skip + run:]))
+        parts = [part for part in (prev_pts[:skip], prev_pts[skip + run:]) if len(part)]
+        if min(map(len, parts)) == 1:
+            parts = [_joined(parts)]
         if keep:
-            np.matmul(block, mat_t, out=pts[out])
+            np.matmul(_joined(parts), mat_t, out=pts[out])
         else:
-            dists[out] = _stable_acosh(model.moved_cosh_distance(block, mat_t, base))
+            model.moved_distances(parts, mat_t, base, dists[out])
     if keep:
         _shell_distances(model, pts, base, dists)
     return dists, pts
@@ -514,7 +533,7 @@ def enumerate_orbit(
             if pts is not None:
                 prev_pts = pts
             total += len(d)
-        if not np.isfinite(d).all():
+        if not d.max() < math.inf:  # distances are >= 0, and NaN propagates
             raise OrbitOverflow(
                 f"orbit distances stop being finite at word length {level} "
                 f"(max_len={max_len} is beyond double precision for this group)"
@@ -547,7 +566,9 @@ def _shell_sum(d: np.ndarray, shift: float, s: float) -> tuple[float, float]:
         w *= -s
         np.exp(w, out=w)
         total += float(w.sum())
-        dot += float(w @ part)
+        # not w @ part: a BLAS dot splits a long vector across threads, and
+        # its bits would follow the thread count
+        dot += float(np.einsum("i,i->", w, part))
     return total, dot
 
 
@@ -578,7 +599,9 @@ def _log_shell_sum(d: np.ndarray, d_min: float, s: float) -> tuple[float, float]
 
 def _safeguarded_newton(fn, lo: float, hi: float, x: float) -> float:
     """Root of fn in [lo, hi], given fn(lo) >= 0 > fn(hi), starting at x;
-    fn returns the value and the derivative.  Newton steps that leave the
+    fn returns the value and the derivative.  fn is evaluated only inside
+    the bracket, so fn(hi) < 0 need not be known when fn(x) < 0: the
+    first step makes x the upper end.  Newton steps that leave the
     bracket are replaced by bisection, so this converges wherever
     bisection does."""
     if not lo < x < hi:
@@ -617,9 +640,13 @@ def estimate_delta(sample: OrbitSample) -> DeltaEstimate:
     geometric series whose ratio is the geometric mean of the last
     k <= 4 shell ratios; that mean telescopes to (T_last / T_(last-k))^(1/k),
     so only two shells enter.  The root of log T_last - log T_(last-k)
-    is bracketed as before and found by a Newton iteration safeguarded
-    by bisection, with the derivative -(<d>_last - <d>_(last-k)) from the
-    same pass.  (The field keeps its name: it is the CLI's key.)
+    is found by a Newton iteration safeguarded by bisection, with the
+    derivative -(<d>_last - <d>_(last-k)) from the same pass, starting
+    at growth_fit.  The ratio there is evaluated first: where it is below
+    1, growth_fit is the bracket's upper end, and only elsewhere is that
+    end found by doubling from max(1, 2 growth_fit).  Either way the
+    points evaluated, each once, are those of a search that brackets
+    first.  (The field keeps its name: it is the CLI's key.)
     Each pass streams a shell through blocks of at most _CHUNK + 1
     distances in one reused buffer (_shell_sum), so beyond the sample
     the sums hold about half a megabyte, whatever the shell's size.  At
@@ -629,20 +656,24 @@ def estimate_delta(sample: OrbitSample) -> DeltaEstimate:
     derivative decides.
     """
     shells = sample.distances_by_length
-    ends = np.array([(d.min(), d.max()) for d in shells])
-    rounded = np.round(ends, 12)
-    n_radii = len(np.unique(rounded))
-    if n_radii == 2:
-        # rounding is monotone, so a third radius can only lie strictly
-        # inside a shell whose ends round to the two radii found
-        first, last = rounded.min(), rounded.max()
-        inner = (np.round(d, 12) for d, (a, b) in zip(shells, rounded) if a != b)
-        n_radii += any(((r > first) & (r < last)).any() for r in inner)
-    if n_radii < 3:
-        raise DegenerateFit("need at least three distinct radii")
-    r_complete = float(ends[-1, 0])
-    if r_complete <= 0:
-        r_complete = float(ends.max())
+    lows = np.array([d.min() for d in shells])
+    r_complete = float(lows[-1])
+    # each shell's largest distance is read only where the smallest ones
+    # leave the radii check or the completeness radius open
+    if len(np.unique(np.round(lows, 12))) < 3 or r_complete <= 0:
+        ends = np.column_stack((lows, [d.max() for d in shells]))
+        rounded = np.round(ends, 12)
+        n_radii = len(np.unique(rounded))
+        if n_radii == 2:
+            # rounding is monotone, so a third radius can only lie strictly
+            # inside a shell whose ends round to the two radii found
+            first, last = rounded.min(), rounded.max()
+            inner = (np.round(d, 12) for d, (a, b) in zip(shells, rounded) if a != b)
+            n_radii += any(((r > first) & (r < last)).any() for r in inner)
+        if n_radii < 3:
+            raise DegenerateFit("need at least three distinct radii")
+        if r_complete <= 0:
+            r_complete = float(ends.max())
     lo, hi = _FIT_WINDOW[0] * r_complete, _FIT_WINDOW[1] * r_complete
     grid = np.linspace(lo, hi, 64)
     counts = sample.count_by_radius(grid)
@@ -657,8 +688,9 @@ def estimate_delta(sample: OrbitSample) -> DeltaEstimate:
         raise DegenerateFit("need at least two word-length shells")
     k = min(_TAIL_SHELLS, len(shells) - 2)
     top, bottom = shells[-1], shells[-1 - k]
-    top_min, bottom_min = float(ends[-1, 0]), float(ends[-1 - k, 0])
+    top_min, bottom_min = float(lows[-1]), float(lows[-1 - k])
 
+    @functools.lru_cache(maxsize=None)  # Newton's first point is evaluated before it
     def tail_log_ratio(s: float) -> tuple[float, float]:
         # k times the log of the tail ratio, and its derivative in s
         log_top, mean_top = _log_shell_sum(top, top_min, s)
@@ -671,11 +703,16 @@ def estimate_delta(sample: OrbitSample) -> DeltaEstimate:
     if f_lo < 0.0 or (f_lo == 0.0 and tail_log_ratio(s_lo)[1] < 0.0):
         bisection = 0.0  # the tail already converges at s = 0, or turns there
     else:
-        while tail_log_ratio(s_hi)[0] >= 0.0:
-            s_hi *= 2.0
-            if s_hi > 1e3:
-                raise DegenerateFit("tail ratio never drops below 1")
-        # the growth fit estimates the same exponent: a close first guess
+        # the growth fit estimates the same exponent: a close first guess,
+        # and Newton's first point.  Where the ratio is below 1 there, that
+        # point becomes the upper end and s_hi is never read, so the doubling
+        # search runs only where it is not (or where Newton starts at the
+        # midpoint, growth_fit <= 0)
+        if not 0.0 < growth or tail_log_ratio(growth)[0] >= 0.0:
+            while tail_log_ratio(s_hi)[0] >= 0.0:
+                s_hi *= 2.0
+                if s_hi > 1e3:
+                    raise DegenerateFit("tail ratio never drops below 1")
         bisection = _safeguarded_newton(tail_log_ratio, s_lo, s_hi, growth)
     return DeltaEstimate(
         growth_fit=growth,

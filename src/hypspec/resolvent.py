@@ -305,12 +305,6 @@ class RadialOperator:
             self.__dict__["_w_table"] = rows  # a cache, beside the frozen fields
         return rows[:L + 1, :, :L + 1]
 
-    def w_series(self, past: np.ndarray) -> np.ndarray:
-        """sum_k W_k(x_(l-k)) on coefficient vectors, past[k-1] = x_(l-k)."""
-        l = len(past)
-        even, odd = self._w_rows(l)[l, :, l - 1::-1] @ past
-        return self._w_scale * even + self.block_s @ odd
-
     @functools.cached_property
     def _shift(self) -> float:
         """alpha_p plus the SO(n) Casimir scalar p(n-p)."""

@@ -29,6 +29,14 @@ def w_apply(op, k, X):
     return 4.0 * k * tp.sandwich(X)
 
 
+def w_series(op, past):
+    """sum_k W_k(x_(l-k)) on block coefficient vectors, past[k-1] = x_(l-k),
+    from the operator's weight table: one level of the recursion."""
+    l = len(past)
+    even, odd = op._w_rows(l)[l, :, l - 1::-1] @ past
+    return op._w_scale * even + op.block_s @ odd
+
+
 def operator_series_error(op, s, t, X=None):
     """Relative mismatch between the q-series form of the conjugated
     operator and its direct evaluation at time t, on a probe matrix;
@@ -72,7 +80,7 @@ def block_structure(tp):
 
 def recursion_reference(op, cover, L=40):
     """The block recursion of `frobenius_solve`, one (block, level) at a
-    time through `RadialOperator.w_series`, with every check in the loop
+    time through `w_series`, with every check in the loop
     and the library's resonance floor and snap (read at call time).
 
     Returns (coef_a, coef_b, resonance_margin, has_log_terms) and raises
@@ -93,8 +101,8 @@ def recursion_reference(op, cover, L=40):
         a[0, j] = 1.0
         for l in range(1, L + 1):
             lam = mu + l
-            rhs_a = op.w_series(a[l - 1::-1])
-            rhs_b = op.w_series(b[l - 1::-1])
+            rhs_a = w_series(op, a[l - 1::-1])
+            rhs_b = w_series(op, b[l - 1::-1])
             dvec = (lam * lam - s * s) - e
             res = np.abs(dvec) <= snap_abs
             if res.any() and abs(lam) < resonance_floor:

@@ -25,7 +25,7 @@ from hypspec.resolvent import (
 )
 from hypspec.spaces import Field, make_space
 
-from dense_oracle import block_structure, w_apply
+from dense_oracle import block_structure, w_apply, w_series
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -102,7 +102,7 @@ def test_block_constants_reproduce_dense_maps(deg, k):
         assert np.array_equal(tp.sandwich(P), op.expand(op.block_s @ c))
         past = np.zeros((k, B))
         past[-1] = c  # W_k alone: past[k-1] = x_(l-k)
-        assert np.array_equal(w_apply(op, k, P), op.expand(op.w_series(past)))
+        assert np.array_equal(w_apply(op, k, P), op.expand(w_series(op, past)))
 
 
 def test_block_constants_closed_form():

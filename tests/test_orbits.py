@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -84,6 +89,41 @@ def test_distance_isometry_invariance():
             d0 = distance(m, v, w)
             d1 = distance(m, g @ v, g @ w)
             assert abs(d0 - d1) < 1e-9
+
+
+def test_stable_acosh_is_finite_up_to_the_largest_double():
+    # cosh from 2**1023 (distance 709.78) to the largest double (710.48)
+    c = np.array([2.0 ** 1023, np.finfo(float).max])
+    d = orbits._stable_acosh(c.copy())
+    assert np.isfinite(d).all()
+    assert d[1] == pytest.approx(math.log(2.0) + math.log(np.finfo(float).max), rel=1e-15)
+
+
+def test_stable_acosh_clamps_rounding_below_one_to_zero():
+    c = np.array([1.0, np.nextafter(1.0, 0.0), 1.0 - 1e-12, 0.5])
+    assert np.array_equal(orbits._stable_acosh(c), np.zeros(4))
+
+
+def test_stable_acosh_writes_into_out_and_keeps_nan_and_inf():
+    c = np.array([math.cosh(2.0), math.nan, math.inf])
+    out = np.full(3, -1.0)
+    assert orbits._stable_acosh(c, out=out) is out
+    assert out[0] == pytest.approx(2.0, rel=1e-15)
+    assert math.isnan(out[1]) and out[2] == math.inf
+
+
+def test_stable_acosh_within_an_ulp_of_mpmath():
+    # log-uniform over the whole float64 range above 1, and the cancelling
+    # region just above 1
+    rng = np.random.default_rng(20)
+    c = np.concatenate([
+        np.exp(rng.uniform(0.0, math.log(np.finfo(float).max), 400)),
+        1.0 + rng.uniform(0.0, 1e-6, 200),
+    ])
+    got = orbits._stable_acosh(c.copy())
+    with mpmath.workprec(120):
+        want = np.array([float(mpmath.acosh(mpmath.mpf(float(x)))) for x in c])
+    np.testing.assert_array_max_ulp(got, want, maxulp=1)
 
 
 def test_generator_form_validation():
@@ -450,9 +490,16 @@ def test_overflowing_orbit_structured_error():
     assert sample.distances[-1] == pytest.approx(708.0, rel=1e-12)
 
 
+def test_distances_past_709_78_stay_finite():
+    # cosh 710 = 1.1e308 is finite, so its distance must be: no
+    # OrbitOverflow from distance 709.78 (cosh 2**1023) on
+    sample = enumerate_orbit(cyclic_group(2, 355.0), max_len=2)
+    assert sample.distances_by_length[-1] == pytest.approx([710.0, 710.0], rel=1e-15)
+
+
 def test_overflow_on_the_streamed_levels(monkeypatch):
     # at length 89 the words of length 8 lie at distances 707.1 to 712,
-    # across the float64 limit of cosh at 709.78: 7232 of the 8748 are
+    # across the float64 limit of cosh at 710.48: 8352 of the 8748 are
     # finite on either path
     gens = schottky_pair(89.0)
     with pytest.raises(OrbitOverflow, match="word length 8"):
@@ -755,6 +802,22 @@ def shell_sample(*shells):
                               shells, sum(map(len, shells)))
 
 
+@pytest.mark.parametrize("shells, radii_ok", [
+    (([0.0], [2.0, 2.0], [2.0, 2.0]), False),
+    (([0.0], [0.0, 2.0], [0.0, 2.0]), False),
+    (([0.0], [1.0, 1.5], [1.0, 1.0]), True),  # the third radius is a shell's largest
+    (([0.0], [0.0, 1.0, 2.0], [0.0, 2.0]), True),  # or strictly inside a shell
+    (([0.0], [1.0], [2.0]), True),  # three smallest distances: no largest is read
+])
+def test_estimate_delta_needs_three_distinct_radii(shells, radii_ok):
+    try:
+        estimate_delta(shell_sample(*shells))
+    except DegenerateFit as exc:
+        assert ("three distinct radii" in str(exc)) is not radii_ok
+    else:
+        assert radii_ok
+
+
 def test_estimate_delta_two_shells_are_too_few():
     # two generators of lengths 1 and 2 give three radii in two shells
     m = RealHyperboloid(2)
@@ -779,6 +842,42 @@ def test_estimate_delta_doubles_the_bracket():
     # T_last / T_prev = 2 + e^-s stays above 1 for every s
     with pytest.raises(DegenerateFit, match="never drops below 1"):
         estimate_delta(shell_sample([0.0], [1.0], [1.0, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize("gens, max_len", [(punctured_torus_group(), 12), (schottky_pair(4.0), 10)])
+def test_estimate_delta_brackets_at_the_growth_fit(monkeypatch, gens, max_len):
+    # the tail ratio is below 1 at the growth fit on both: that point is
+    # the bracket's upper end, and the doubling search never runs
+    sample = enumerate_orbit(gens, max_len=max_len)
+    seen = []
+    log_shell_sum = orbits._log_shell_sum
+
+    def record(d, d_min, s):
+        seen.append(s)
+        return log_shell_sum(d, d_min, s)
+
+    monkeypatch.setattr(orbits, "_log_shell_sum", record)
+    est = estimate_delta(sample)
+    assert seen[0] == est.growth_fit
+    assert max(1.0, 2.0 * est.growth_fit) not in seen
+    assert len(seen) == 2 * len(set(seen))  # one pass per shell at each point
+
+
+def test_estimate_delta_ignores_the_blas_thread_count():
+    # a BLAS dot splits a long vector across threads, and its rounding
+    # with it: at L = 13 that moves the last bit of a Newton slope's dot
+    src = os.path.dirname(os.path.dirname(orbits.__file__))
+    code = ("from hypspec.orbits import enumerate_orbit, estimate_delta, punctured_torus_group; "
+            "print(repr(estimate_delta(enumerate_orbit(punctured_torus_group(), max_len=13))))")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0].startswith("DeltaEstimate(")
+    assert outs[0] == outs[1]
 
 
 # --------------------------------------------------------- green pullback
@@ -958,6 +1057,16 @@ def test_load_group_file_bad_schema(tmp_path):
     path.write_text(json.dumps({"generators": []}))
     with pytest.raises(DomainError):
         load_group_file(str(path))
+
+
+@pytest.mark.parametrize("value", [-5, 0, 2.5, True, "10"])
+def test_word_cap_argument_must_be_a_positive_integer(value):
+    with pytest.raises(DomainError, match="max_words must be an integer >= 1"):
+        enumerate_orbit(schottky_pair(4.0), max_len=2, max_words=value)
+
+
+def test_word_cap_argument_takes_numpy_integers():
+    assert enumerate_orbit(schottky_pair(4.0), max_len=2, max_words=np.int64(17)).n_words == 17
 
 
 def test_word_cap_from_environment(monkeypatch):
