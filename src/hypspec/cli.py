@@ -273,17 +273,11 @@ def _cmd_resolvent(args) -> OutputEnvelope:
     t_grid = _parse_grid(args.t_grid, False)
     # decay is a far-field quantity; fit it past the subleading corrections
     fit = decay_check(kern, np.linspace(max(5.0, float(t_grid[0])), 15.0, 11))
-    residuals, grid_rows, ratios = [], [], []
-    for t in map(float, t_grid):
-        residuals.append(block_ode_residual(kern, t))
-        f = kernel_blocks(kern, t)[0]
-        # F = sum_j f_j P_j: operator norm max_j |f_j|, block j norm |f_j|
-        norms = np.abs(f)
-        entry = {"t": t, "total_norm": float(norms.max())}
-        entry.update((f"block{j}_norm", float(fj)) for j, fj in enumerate(norms))
-        grid_rows.append(entry)
-        if args.p == 0:  # one block: F = f_0 I against the scalar kernel
-            ratios.append(f[0] / green0_eval(space, s, t))
+    f = kernel_blocks(kern, t_grid)[0]
+    # F = sum_j f_j P_j: operator norm max_j |f_j|, block j norm |f_j|
+    grid_rows = [{"t": t, "total_norm": max(m), **{f"block{j}_norm": v for j, v in enumerate(m)}}
+                 for t, m in zip(t_grid.tolist(), np.abs(f).tolist())]
+    residuals = block_ode_residual(kern, t_grid)
     psi, expo = psi_coefficient(op, kern)
     rows = [{
         "n": args.n,
@@ -294,7 +288,7 @@ def _cmd_resolvent(args) -> OutputEnvelope:
         "on_physical_sheet": cp.on_physical_sheet,
         "decay_fit": fit,
         "rho_plus_h": (args.n - 1) / 2.0 + cp.h,
-        "ode_residual_max": max(residuals),
+        "ode_residual_max": float(residuals.max()),
         "resonance_margin": kern.resonance_margin,
         "has_log_terms": kern.has_log_terms,
         "psi_exponent": expo,
@@ -306,8 +300,8 @@ def _cmd_resolvent(args) -> OutputEnvelope:
         "psi": psi,
         "kernel_grid": grid_rows,
     }
-    if ratios:
-        ratios = np.asarray(ratios)
+    if args.p == 0:  # one block: F = f_0 I against the scalar kernel
+        ratios = f[:, 0] / np.array([green0_eval(space, s, t) for t in t_grid.tolist()])
         mean = ratios.mean()
         extra["scalar_oracle_agreement"] = float(np.abs(ratios - mean).max() / abs(mean))
     params = {

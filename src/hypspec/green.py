@@ -274,12 +274,15 @@ def decay_rate_fit(samples: Sequence[tuple[float, float]]) -> float:
     """Least-squares slope of -log(value) against r.
 
     For Green-kernel samples in the far field the slope recovers
-    s + rho.  Values must be positive and the radii must have spread.
+    s + rho.  Radii and values must be finite, the values positive and
+    the radii spread.
     """
     if len(samples) < 2:
         raise DegenerateFit("need at least two samples")
     rs = np.asarray([p[0] for p in samples], dtype=float)
     vals = np.asarray([p[1] for p in samples], dtype=float)
+    if not (np.isfinite(rs).all() and np.isfinite(vals).all()):
+        raise DomainError("decay fit requires finite radii and values")
     if np.any(vals <= 0):
         raise DomainError("decay fit requires positive values")
     if np.ptp(rs) < 1e-12:

@@ -478,7 +478,11 @@ def enumerate_orbit(
     letters, so the word cap is checked once, before anything is built;
     under matrix hashing it is checked after each level.  OrbitOverflow
     is raised at the first word length whose distances are not finite.
+    A max_len that is not an integer >= 1 (bool excluded) raises
+    DomainError.
     """
+    if not isinstance(max_len, numbers.Integral) or isinstance(max_len, bool):
+        raise DomainError(f"max_len must be an integer, got {max_len!r}")
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
     model = gens.model

@@ -48,12 +48,13 @@ new algorithmic content and are rejected):
     W-series of a and b (one matrix product per level) and divides.
 
 4.  `kernel_blocks` evaluates the series and its exact derivatives on
-    coefficients, with norms ||sum_j c_j P_j||_F = sqrt(sum_j m_j |c_j|^2)
-    (m_j = rank P_j, summed as sqrt(max m) times sqrt(sum_j (m_j / max m)
-    |c_j|^2) so that ranks near the float64 limit stay finite);
-    `kernel_eval` / `kernel_derivatives` expand them to dim_v x dim_v
-    matrices, `block_ode_residual` / `form_ode_residual` check the radial
-    equation and `decay_check` fits the far-field decay.
+    coefficients, at a time or a whole t-grid from one exp(-lam t) table,
+    with norms ||sum_j c_j P_j||_F = sqrt(sum_j m_j |c_j|^2) (m_j = rank
+    P_j, summed as sqrt(max m) times sqrt(sum_j (m_j / max m) |c_j|^2) so
+    that ranks near the float64 limit stay finite); `kernel_eval` /
+    `kernel_derivatives` expand them to dim_v x dim_v matrices,
+    `block_ode_residual` / `form_ode_residual` check the radial equation
+    and `decay_check` fits the far-field decay, each grid in one call.
 
 5.  `psi_coefficient` reads the kernel near t = 0 from its local
     Frobenius basis there.  In y = tanh^2(t/2) the block equation is
@@ -79,6 +80,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -310,33 +312,16 @@ class RadialOperator:
         """alpha_p plus the SO(n) Casimir scalar p(n-p)."""
         return float(self.alpha_p) + self.p * (self.n - self.p)
 
-    @staticmethod
-    def ode_coefficients(t: float) -> np.ndarray:
-        """u(t) = (1, coth^2 t + 1/sinh^2 t, 2 cosh t / sinh^2 t, coth t),
-        the weights of `ode_matrices`."""
-        coth = 1.0 / math.tanh(t)
-        sh2 = math.sinh(t) ** 2
-        return np.array([1.0, coth * coth + 1.0 / sh2, 2.0 * math.cosh(t) / sh2, coth])
-
-    def ode_matrices(self, s: complex) -> np.ndarray:
-        """The radial equation on blocks as y' = sum_i u_i(t) K_i y with
-        y = (f, f'): the constant 2B x 2B matrices K_i, stacked."""
-        B = len(self.block_mult)
-        eye = np.eye(B)
-        K = np.zeros((4, 2 * B, 2 * B), dtype=complex)
-        K[0, :B, B:] = eye
-        K[0, B:, :B] = (s * s - self._shift) * eye
-        K[1, B:, :B] = -np.diag(self.block_a)
-        K[2, B:, :B] = self.block_s
-        K[3, B:, B:] = -(self.n - 1) * eye
-        return K
-
-    def apply_blocks(self, s: complex, f, df, ddf, t: float) -> np.ndarray:
-        """`direct_apply` on block coefficients: the coefficients r_j of
-        (Delta_p - alpha_p + s^2) F(a_t) for F = sum_j f_j P_j, read off
-        the f'' rows of `ode_matrices`."""
-        y = self.ode_coefficients(t) @ (self.ode_matrices(s) @ np.concatenate([f, df]))
-        return y[len(self.block_mult):] - ddf
+    def apply_blocks(self, s: complex, f, df, ddf, t: float | np.ndarray) -> np.ndarray:
+        """`direct_apply` on block coefficients (B,) at a float t, or (T, B) at
+        T times: the r_j of (Delta_p - alpha_p + s^2) F(a_t), F = sum_j f_j P_j,
+        r = (s^2 - shift) f - (coth^2 + 1/sinh^2) a f + 2/(sinh tanh) S f
+        - (n-1) coth f' - f'', with no weight that squares sinh t."""
+        t = np.asarray(t, dtype=float)[..., None]
+        sh, th = np.sinh(t), np.tanh(t)
+        return ((s * s - self._shift) * f - ((1.0 / th) ** 2 + (1.0 / sh) ** 2) * self.block_a * f
+                + 2.0 / (sh * th) * (self.block_s * f[..., None, :]).sum(axis=-1)
+                - (self.n - 1) / th * df - ddf)
 
     def direct_apply(
         self, s: complex, F: np.ndarray, dF: np.ndarray, ddF: np.ndarray, t: float
@@ -517,6 +502,18 @@ class FrobeniusKernel:
             0.02,
         )
 
+    @functools.cached_property
+    def _series_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """`kernel_blocks`' tables, built on first use (coef_a and coef_b are
+        not edited in place after it): lam = mu_j + l over the K = B (L+1)
+        terms, the columns lam^k a and lam^k b (K, 6B), k = 0, 1, 2, and the
+        tail's rates Re mu_j + L and last-level norms."""
+        lam = (np.asarray(self.exponents)[:, None] + np.arange(self.truncation + 1))[..., None]
+        a, b = self.coef_a, self.coef_b
+        terms = np.concatenate([a, lam * a, lam * lam * a, b, lam * b, lam * lam * b], axis=2)
+        return (lam.ravel(), terms.reshape(lam.size, -1), lam[:, -1, 0].real,
+                self.operator.block_norm(a[:, -1]))
+
     def _expand(self, coef: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
         return tuple(tuple(self.operator.expand(c) for c in blk) for blk in coef)
 
@@ -540,10 +537,12 @@ def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> Frobe
     t-linear (logarithmic in q) terms; gaps inside the resonance floor
     but not exactly integer raise ResonanceDetected.  A ratio test on
     the last coefficients emits TruncationWarning when the tail fails to
-    decay.  L < 1 raises DomainError, and an L whose W table would pass
-    MAX_EXPAND_ENTRIES entries raises CombinatorialBlowup before it
-    allocates.
+    decay.  An L not an integer >= 1 (bool excluded) raises DomainError,
+    and an L whose W table would pass MAX_EXPAND_ENTRIES entries raises
+    CombinatorialBlowup before it allocates.
     """
+    if not isinstance(L, numbers.Integral) or isinstance(L, bool):
+        raise DomainError(f"truncation order L must be an integer, got {L!r}")
     if L < 1:
         raise DomainError(f"truncation order L must be >= 1, got {L}")
     if 2 * (L + 1) ** 2 > MAX_EXPAND_ENTRIES:
@@ -629,47 +628,55 @@ def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> Frobe
 
 
 def kernel_blocks(
-    kernel: FrobeniusKernel, t: float
+    kernel: FrobeniusKernel, t: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block coefficients (f, f', f'') of (F, F', F'') at t, F = sum_j f_j P_j.
-
-    Exact derivatives of the truncated series; below the series validity
-    threshold TailBoundExceeded is raised.
-    """
-    if not t > 0:  # NaN fails too
-        raise DomainError(f"radial time must be positive, got t={t}")
-    ratio = kernel.growth_ratio * math.exp(-t)
-    if ratio >= 0.95:
-        raise TailBoundExceeded(
-            f"t={t} below the series validity threshold {kernel.t_min:.3f} "
-            f"(coefficient growth {kernel.growth_ratio:.3f})"
-        )
-    op = kernel.operator
-    beta = float(op.beta)
-    mu = np.asarray(kernel.exponents)
-    lam = mu[:, None] + np.arange(kernel.truncation + 1)
-    E = np.exp(-lam * t)
-    lam = lam[..., None]
-    a, b = kernel.coef_a, kernel.coef_b
-    term = a + t * b
-    v = np.einsum("jl,jli->i", E, term)
-    dv = np.einsum("jl,jli->i", E, b - lam * term)
-    ddv = np.einsum("jl,jli->i", E, lam * lam * term - 2.0 * lam * b)
-    tail = op.block_norm(a[:, -1]) @ np.exp(-(mu.real + kernel.truncation) * t) / (1.0 - ratio)
-    vnorm = float(op.block_norm(v))
-    if vnorm > 0 and tail > _TAIL_RTOL * vnorm:
-        raise TailBoundExceeded(
-            f"truncated tail estimate {tail / vnorm:.3g} of the kernel exceeds "
-            f"{_TAIL_RTOL:.1g} at t={t} (threshold t ~ {kernel.t_min:.3f})"
-        )
-    coth = 1.0 / math.tanh(t)
-    sig = math.sinh(t) ** (-beta)
-    f = sig * v
-    df = sig * (dv - beta * coth * v)
-    ddf = sig * (
-        ddv - 2.0 * beta * coth * dv + ((beta * beta + beta) * coth * coth - beta) * v
-    )
-    return f, df, ddf
+    """Block coefficients (f, f', f'') of (F, F', F'') at t, F = sum_j f_j P_j:
+    (B,) arrays at a float t, (T, B) at a 1-d array of T times, whose rows
+    are bit for bit the float calls.  Exact derivatives of the truncated
+    series.  The first failing time names itself, check by check: DomainError
+    (t not positive, or sinh t past the float64 range), TailBoundExceeded
+    (below the series validity threshold, then past _TAIL_RTOL), NumericalError
+    (a value past the float64 range, far out on the second sheet), DegenerateFit
+    (the kernel norm max_j |f_j| vanished below it)."""
+    ts = np.asarray(t, dtype=float).reshape(-1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below read inf and NaN
+        sh = np.sinh(ts)
+        if (bad := ~(ts > 0) | np.isinf(sh)).any():  # NaN fails too
+            raise DomainError(f"radial time must be positive with a finite sinh, "
+                              f"got t={ts[bad.argmax(), 0]}")
+        ratio = kernel.growth_ratio * np.exp(-ts)
+        if (low := ratio >= 0.95).any():
+            raise TailBoundExceeded(
+                f"t={ts[low.argmax(), 0]} below the series validity threshold "
+                f"{kernel.t_min:.3f} (coefficient growth {kernel.growth_ratio:.3f})"
+            )
+        lam, terms, rates, last = kernel._series_tables
+        # one (1, K) x (K, 6B) product per time, so rows match one-time calls
+        E = np.exp(-lam * ts)[:, None]
+        a0, a1, a2, b0, b1, b2 = (E @ terms).reshape(len(ts), 6, -1).transpose(1, 0, 2)
+        v = a0 + ts * b0  # the terms are e^(-lam t) (a + t b)
+        dv = b0 - a1 - ts * b1
+        ddv = a2 + ts * b2 - 2.0 * b1
+        tail = (np.exp(-rates * ts) * last).sum(axis=1) / (1.0 - ratio[:, 0])
+        vnorm = kernel.operator.block_norm(v)
+        if (over := (vnorm > 0) & (tail > _TAIL_RTOL * vnorm)).any():
+            i = over.argmax()
+            raise TailBoundExceeded(
+                f"truncated tail estimate {tail[i] / vnorm[i]:.3g} of the kernel exceeds "
+                f"{_TAIL_RTOL:.1g} at t={ts[i, 0]} (threshold t ~ {kernel.t_min:.3f})"
+            )
+        beta = float(kernel.operator.beta)
+        coth = 1.0 / np.tanh(ts)
+        sig = sh ** -beta
+        f = sig * v
+        df = sig * (dv - beta * coth * v)
+        ddf = sig * (ddv - 2.0 * beta * coth * dv + ((beta * beta + beta) * coth * coth - beta) * v)
+    if (bad := ~np.isfinite(np.hstack([f, df, ddf])).all(axis=1)).any():
+        raise NumericalError(f"the kernel series passes the float64 range "
+                             f"at t={ts[bad.argmax(), 0]}")
+    if (zero := np.abs(f).max(axis=1) <= 0).any():
+        raise DegenerateFit(f"kernel norm vanished at t={ts[zero.argmax(), 0]}")
+    return (f, df, ddf) if np.ndim(t) else (f[0], df[0], ddf[0])
 
 
 def kernel_eval(kernel: FrobeniusKernel, t: float) -> np.ndarray:
@@ -685,12 +692,14 @@ def kernel_derivatives(
     return kernel.operator.expand(f), kernel.operator.expand(df), kernel.operator.expand(ddf)
 
 
-def block_ode_residual(kernel: FrobeniusKernel, t: float) -> float:
+def block_ode_residual(kernel: FrobeniusKernel, t: float | np.ndarray) -> float | np.ndarray:
     """`form_ode_residual` on the block coefficients: F is diagonal, so
-    each 2-norm there is the largest block coefficient in modulus."""
+    each 2-norm there is the largest block coefficient in modulus.  A float
+    at a float t, an array at a 1-d array of times."""
     f, df, ddf = kernel_blocks(kernel, t)
-    r = kernel.operator.apply_blocks(kernel.cover.s, f, df, ddf, t)
-    return float(np.abs(r).max() / max(np.abs(ddf).max(), np.abs(f).max(), 1e-300))
+    r = np.abs(kernel.operator.apply_blocks(kernel.cover.s, f, df, ddf, t)).max(axis=-1)
+    scale = np.maximum(np.maximum(np.abs(ddf).max(axis=-1), np.abs(f).max(axis=-1)), 1e-300)
+    return r / scale if np.ndim(t) else float(r / scale)
 
 
 def form_ode_residual(kernel: FrobeniusKernel, t: float) -> float:
@@ -708,14 +717,9 @@ def form_ode_residual(kernel: FrobeniusKernel, t: float) -> float:
 
 def decay_check(kernel: FrobeniusKernel, t_grid: Sequence[float]) -> float:
     """Fitted exponential decay rate of the operator norm over t_grid
-    (max_j |f_j| for F = sum_j f_j P_j)."""
-    samples = []
-    for t in t_grid:
-        norm = float(np.abs(kernel_blocks(kernel, t)[0]).max())
-        if norm <= 0:
-            raise DegenerateFit(f"kernel norm vanished at t={t}")
-        samples.append((float(t), norm))
-    return decay_rate_fit(samples)
+    (max_j |f_j| for F = sum_j f_j P_j), from one `kernel_blocks` call."""
+    t = np.asarray(t_grid, dtype=float)
+    return decay_rate_fit(np.column_stack([t, np.abs(kernel_blocks(kernel, t)[0]).max(axis=1)]))
 
 
 # psi_coefficient reads the kernel on 8 points of [_PSI_T0, 10 _PSI_T0]

@@ -8,12 +8,14 @@ degrees and spectral parameters, and pin psi to reference values.
 
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hypspec.errors import ResonanceDetected, TailBoundExceeded, TruncationWarning
 from hypspec.resolvent import (
     block_ode_residual,
     build_radial_operator,
@@ -174,6 +176,53 @@ def test_expanded_kernel_solves_dense_equation(deg, s):
     dense = form_ode_residual(off, 2.0)
     assert dense > 1e-9
     assert block_ode_residual(off, 2.0) == pytest.approx(dense, rel=1e-9)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except TailBoundExceeded as exc:
+        return exc
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(degrees(n_max=9), spectral, st.booleans(),
+       st.lists(st.floats(0.02, 25.0), min_size=1, max_size=6))
+@example((5, 1), 1.0 + 0.0j, False, [3.0, 0.04, 2.0, 0.03])
+def test_array_times_agree_with_float_calls(deg, s, flipped, times):
+    # each row of an array call is the float call at that time, to 1 ulp;
+    # where float calls fail, the array call raises the first failure of
+    # the first check that fails (the threshold, then the tail bound)
+    n, p = deg
+    op = build_radial_operator(n, p, L_w=40)
+    signs = [-1] * sum(e > 0 for e in op.e_values) if flipped else None
+    cp = cover_point(make_space(Field.REAL, n), p, s, signs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        try:
+            kern = frobenius_solve(op, cp, L=40)
+        except ResonanceDetected:
+            assume(False)
+    ts = np.array(times)
+    single = [outcome(lambda: kernel_blocks(kern, t)) for t in times]
+    failed = [str(r) for r in single if isinstance(r, Exception)]
+    if failed:
+        want = next((m for m in failed if "below the series validity" in m), failed[0])
+        with pytest.raises(TailBoundExceeded) as info:
+            kernel_blocks(kern, ts)
+        assert str(info.value) == want
+        with pytest.raises(TailBoundExceeded):
+            block_ode_residual(kern, ts)
+        return
+    rows = kernel_blocks(kern, ts)
+    for got, want in zip(rows, zip(*single)):
+        assert got.shape == (len(times), len(op.block_mult))
+        want = np.array(want)
+        np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+        np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+    residuals = block_ode_residual(kern, ts)
+    np.testing.assert_array_max_ulp(residuals, [block_ode_residual(kern, t) for t in times],
+                                    maxulp=1)
 
 
 # -------------------------------------------------------------- ker T projection

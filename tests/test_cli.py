@@ -11,13 +11,14 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hypspec import hyper
+from hypspec import cli, hyper, resolvent
 from hypspec.cli import OutputEnvelope, main, to_json
 from hypspec.errors import TruncationWarning
 from hypspec.orbits import boost_matrix
+from hypspec.resolvent import kernel_blocks
 
 
 def run(capsys, *argv):
@@ -456,6 +457,33 @@ def test_resolvent_norm_checks_finite_at_large_degree(capsys):
         "type": "DegenerateFit", "message": "kernel norm vanished at t=5.0"}}
 
 
+@pytest.mark.parametrize("grid,t", [("2:300:3", "300.0"), ("2:400:3", "400.0")])
+def test_resolvent_grid_past_the_float64_range(capsys, grid, t):
+    # at n = 5 the kernel passes below the float64 range near t = 300; it
+    # once printed total_norm 0 there, and from t ~ 355 the 1/sinh^2 weight
+    # ended in an OverflowError traceback
+    code, out = run(capsys, "resolvent", "--n", "5", "--p", "1", "--s", "1", "--t-grid", grid)
+    assert code == 4
+    assert json.loads(out) == {"error": {
+        "type": "DegenerateFit", "message": f"kernel norm vanished at t={t}"}}
+
+
+def test_resolvent_report_makes_at_most_four_kernel_calls(monkeypatch, capsys):
+    # one kernel_blocks call each for the decay fit, the t-grid's rows, its
+    # residuals and psi's match, where the per-time loops once made 38
+    calls = []
+
+    def counted(kernel, t):
+        calls.append(np.size(t))
+        return kernel_blocks(kernel, t)
+
+    monkeypatch.setattr(resolvent, "kernel_blocks", counted)
+    monkeypatch.setattr(cli, "kernel_blocks", counted)
+    code, _ = run(capsys, "resolvent", "--n", "5", "--p", "1", "--s", "1")
+    assert code == 0
+    assert len(calls) <= 4 and 13 in calls
+
+
 def test_green_residual_null_where_it_is_not_defined(capsys):
     # the residual's normalization degenerates below r = 0.01
     code, out = run(capsys, "green", "--field", "R", "--n", "3", "--s", "1",
@@ -771,6 +799,9 @@ def kernel_values(doc):
 @settings(derandomize=True, max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(alpha_argv(), bounds_argv(), green_argv(), resolvent_argv(), delta_argv()))
+@example(["resolvent", "--n", "5", "--p", "1", "--s", "1", "--t-grid", "2:300:3"])
+@example(["resolvent", "--n", "5", "--p", "1", "--s", "1", "--t-grid", "2:400:3"])
+@example(["resolvent", "--n", "12", "--p", "5", "--s", "0.3", "--signs=-", "--t-grid", "5:700:2"])
 def test_cli_contract(tmp_path, argv):
     # every argv exits 0, 2, 3 or 4, exits 3 and 4 with a JSON error, and
     # exit 0 prints no NaN and no infinite kernel value; the truncation

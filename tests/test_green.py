@@ -316,6 +316,18 @@ def test_decay_rate_fit_errors():
         decay_rate_fit([(1.0, -0.5), (2.0, 0.4)])
 
 
+@pytest.mark.parametrize("samples", [
+    [(1.0, math.inf), (2.0, 0.4)],
+    [(1.0, math.nan), (2.0, 0.4)],
+    [(math.nan, 0.5), (2.0, 0.4), (3.0, 0.3)],  # once LAPACK's DLASCL complaint, then LinAlgError
+    [(math.inf, 0.5), (2.0, 0.4)],
+    [(-math.inf, 0.5), (2.0, 0.4)],
+])
+def test_decay_rate_fit_rejects_non_finite_samples(samples):
+    with pytest.raises(DomainError, match="finite radii and values"):
+        decay_rate_fit(samples)
+
+
 def test_holomorphy_in_s():
     # Cauchy-Riemann finite-difference residual in the spectral parameter
     h = 1e-5

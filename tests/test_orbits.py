@@ -1065,6 +1065,13 @@ def test_word_cap_argument_must_be_a_positive_integer(value):
         enumerate_orbit(schottky_pair(4.0), max_len=2, max_words=value)
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3", None])
+def test_max_len_must_be_an_integer(value):
+    with pytest.raises(DomainError, match="max_len must be an integer"):
+        enumerate_orbit(schottky_pair(4.0), max_len=value)
+    assert enumerate_orbit(schottky_pair(4.0), max_len=np.int64(2)).max_word_length == 2
+
+
 def test_word_cap_argument_takes_numpy_integers():
     assert enumerate_orbit(schottky_pair(4.0), max_len=2, max_words=np.int64(17)).n_words == 17
 

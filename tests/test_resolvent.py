@@ -15,6 +15,7 @@ from hypspec.errors import (
     CombinatorialBlowup,
     DegenerateFit,
     DomainError,
+    NumericalError,
     ResonanceDetected,
     TailBoundExceeded,
     TruncationWarning,
@@ -303,8 +304,42 @@ def test_non_finite_s_and_t_rejected():
         with pytest.raises(DomainError):
             cover_point(sp, 1, s)
     _, kern = solve(5, 1, 1.0)
-    with pytest.raises(DomainError):
-        kernel_blocks(kern, math.nan)
+    for t in (math.nan, math.inf, 800.0):
+        with pytest.raises(DomainError):
+            kernel_blocks(kern, t)
+        with pytest.raises(DomainError):
+            resolvent.block_ode_residual(kern, t)
+
+
+@pytest.mark.parametrize("L", [2.5, 40.0, True, "40", None])
+def test_frobenius_order_must_be_an_integer(L):
+    op = build_radial_operator(5, 1)
+    cp = cover_point(make_space(Field.REAL, 5), 1, 1.0)
+    with pytest.raises(DomainError, match="truncation order L must be an integer"):
+        frobenius_solve(op, cp, L=L)
+    assert frobenius_solve(op, cp, L=np.int64(12)).truncation == 12
+
+
+def test_array_times_name_their_first_failure():
+    # an unsorted array of times names the first that fails, in array order
+    _, kern = solve(5, 1, 1.0)
+    with pytest.raises(DomainError, match=r"got t=-1.0$"):
+        kernel_blocks(kern, np.array([3.0, -1.0, 2.0, math.nan]))
+    with pytest.raises(DomainError, match=r"got t=800.0$"):
+        kernel_blocks(kern, np.array([3.0, 800.0, -1.0]))
+    with pytest.raises(TailBoundExceeded, match=r"^t=0.03 below the series validity"):
+        kernel_blocks(kern, np.array([3.0, 0.03, 2.0, 0.02]))
+    # at L = 2 the tail bound holds from t ~ 7 on
+    _, low = solve(5, 1, 1.0, L=2)
+    with pytest.raises(TailBoundExceeded, match=r"exceeds 1e-06 at t=3.0 "):
+        kernel_blocks(low, np.array([20.0, 3.0, 2.0]))
+    # the kernel passes below the float64 range at t ~ 300 (n = 5)
+    with pytest.raises(DegenerateFit, match=r"vanished at t=300.0$"):
+        decay_check(kern, [300.0, 2.0, 400.0, 5.0])
+    # on the second sheet e^(-mu t), Re mu = -1.45, passes it from t ~ 490
+    _, far = solve(12, 5, 0.3, signs=[-1])
+    with pytest.raises(NumericalError, match=r"float64 range at t=700.0$"):
+        kernel_blocks(far, np.array([5.0, 700.0, 650.0]))
 
 
 def test_frobenius_order_guards():
@@ -523,3 +558,5 @@ def test_decay_check_rejects_a_vanished_kernel():
         kern = frobenius_solve(op, cover_point(make_space(Field.REAL, 400), 200, 1.0))
     with pytest.raises(DegenerateFit, match="vanished at t=5.0"):
         decay_check(kern, [5.0, 6.0, 7.0])
+    with pytest.raises(DegenerateFit, match="vanished at t=7.0"):
+        decay_check(kern, np.array([7.0, 5.0, 6.0]))
