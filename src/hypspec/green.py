@@ -167,10 +167,11 @@ def green0_eval(space: SpaceDescriptor, s: complex, r: float) -> complex:
 def green0_eval_many(space: SpaceDescriptor, s: complex, r) -> np.ndarray:
     """g0(s, r) at every distance in the array r, in one array pass.
 
-    Agrees with green0_eval point by point: the one 2F1 entry
+    Agrees with green0_eval point by point to a relative 1e-13
+    (`ARRAY_RTOL` in tests/test_green.py), not bit for bit: the one 2F1 entry
     (hyper._gauss_2f1_core) applies the same branch rule to the array of
-    z and sums the points of each branch together.  The normalization and
-    the 2F1 parameters are computed once.
+    z and sums the points of each branch together, in array arithmetic.
+    The normalization and the 2F1 parameters are computed once.
     """
     s = complex(s)
     r = np.asarray(r, dtype=float)

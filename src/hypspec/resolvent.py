@@ -43,9 +43,10 @@ new algorithmic content and are rejected):
     plain series is obstructed and the logarithmic (t-linear) terms are
     switched on; near-integer gaps inside the resonance floor raise
     ResonanceDetected instead of returning a poisoned series.  All
-    divisors, resonance masks and the first (block, level) that must
-    raise are computed before the recursion, whose loop only forms the
-    W-series of a and b (one matrix product per level) and divides.
+    divisors, resonance masks and each seed's first level that must raise
+    are computed before the recursion, which runs all seeds at once: level
+    l's W-series is a convolution over the gap l - m, one product of the
+    levels, stored last first, with a table of gap weights.
 
 4.  `kernel_blocks` evaluates the series and its exact derivatives on
     coefficients, at a time or a whole t-grid from one exp(-lam t) table,
@@ -234,7 +235,7 @@ def build_tau_p_action(n: int, p: int) -> TauPAction:
 
 
 # Largest dense matrix (entries) that the block-to-matrix expansion builds,
-# and largest W table (2 (L+1)^2 entries) that frobenius_solve builds.
+# and the cap on frobenius_solve's O(L^2) W-series work (2 (L+1)^2 entries).
 MAX_EXPAND_ENTRIES = 2 ** 20
 
 
@@ -290,22 +291,20 @@ class RadialOperator:
         over the first axis of c."""
         return self.block_mult @ c / self.block_mult.sum()
 
-    @functools.cached_property
-    def _w_scale(self) -> np.ndarray:
-        """beta^2 - beta - 2a, the block factor of the even W_k."""
-        return float(self.beta ** 2 - self.beta) - 2.0 * self.block_a
-
-    def _w_rows(self, L: int) -> np.ndarray:
-        """Weights of x_m in sum_k W_k(x_(l-k)) for levels l <= L, as
-        rows[l, 0, m] = 2k (k = l - m even) and rows[l, 1, m] = 4k (k odd),
-        zero for m >= l; one table, grown to the largest L asked for."""
-        rows = self.__dict__.get("_w_table")
-        if rows is None or len(rows) <= L:
-            k = np.subtract.outer(np.arange(L + 1), np.arange(L + 1))
-            rows = np.stack([np.where((k > 0) & (k % 2 == 0), 2.0 * k, 0.0),
-                             np.where((k > 0) & (k % 2 == 1), 4.0 * k, 0.0)], axis=1)
-            self.__dict__["_w_table"] = rows  # a cache, beside the frozen fields
-        return rows[:L + 1, :, :L + 1]
+    def _gap_weights(self, L: int) -> np.ndarray:
+        """Weights of x_(l-k) in sum_k W_k(x_(l-k)): 2k diag(beta^2 - beta - 2a)
+        for even k and 4k S^T for odd k, as kron(w, I_2) on the float view of the
+        block vectors, one 2B x 2B block per gap k = 1..L stacked as (2BL, 2B);
+        one table, grown to the largest L asked for."""
+        table = self.__dict__.get("_gap_table")
+        B2 = 2 * len(self.block_mult)
+        if table is None or len(table) < B2 * L:
+            k = np.arange(1.0, L + 1)[:, None, None]
+            scale = float(self.beta ** 2 - self.beta) - 2.0 * self.block_a
+            w = np.where(k % 2 == 0, 2.0 * k * np.diag(scale), 4.0 * k * self.block_s.T)
+            table = np.kron(w, np.eye(2)).reshape(-1, B2)
+            self.__dict__["_gap_table"] = table  # a cache, beside the frozen fields
+        return table[:B2 * L]
 
     @functools.cached_property
     def _shift(self) -> float:
@@ -328,18 +327,19 @@ class RadialOperator:
     ) -> np.ndarray:
         """Radial Hodge-Laplacian equation applied to dense (F, F', F'') at t.
 
-        Returns  (Delta_p - alpha_p + s^2) F(a_t); zero on the kernel.
+        Returns  (Delta_p - alpha_p + s^2) F(a_t); zero on the kernel.  The
+        weights are those of `apply_blocks`, none of which squares sinh t.
         """
         tp = self.taup
-        coth = 1.0 / math.tanh(t)
-        sh2 = math.sinh(t) ** 2
+        sh, th = math.sinh(t), math.tanh(t)
+        coth = 1.0 / th
         A = tp.omega_k - tp.omega_m
         return (
             -ddF
             - (self.n - 1) * coth * dF
             - coth * coth * (A @ F)
-            - (F @ A) / sh2
-            + 2.0 * math.cosh(t) / sh2 * tp.sandwich(F)
+            - (F @ A) * (1.0 / sh) ** 2
+            + 2.0 / (sh * th) * tp.sandwich(F)
             + tp.omega_k @ F
             + (s * s - float(self.alpha_p)) * F
         )
@@ -531,22 +531,22 @@ class FrobeniusKernel:
 
 
 def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> FrobeniusKernel:
-    """Solve the block recursion for the decaying solution.
+    """Solve the block recursion for the decaying solution, all seeds at once.
 
     Exponent gaps that are integers to within _SNAP_TOL are absorbed with
-    t-linear (logarithmic in q) terms; gaps inside the resonance floor
-    but not exactly integer raise ResonanceDetected.  A ratio test on
-    the last coefficients emits TruncationWarning when the tail fails to
-    decay.  An L not an integer >= 1 (bool excluded) raises DomainError,
-    and an L whose W table would pass MAX_EXPAND_ENTRIES entries raises
-    CombinatorialBlowup before it allocates.
+    t-linear (logarithmic in q) terms; gaps inside the resonance floor but
+    not exactly integer raise ResonanceDetected, each seed's first error in
+    seed order.  A ratio test on the last coefficients emits TruncationWarning
+    when the tail fails to decay.  An L not an integer >= 1 (bool excluded)
+    raises DomainError.  The W-series take O(L^2) work, counted as 2 (L+1)^2
+    entries: past MAX_EXPAND_ENTRIES, CombinatorialBlowup is raised up front.
     """
     if not isinstance(L, numbers.Integral) or isinstance(L, bool):
         raise DomainError(f"truncation order L must be an integer, got {L!r}")
     if L < 1:
         raise DomainError(f"truncation order L must be >= 1, got {L}")
     if 2 * (L + 1) ** 2 > MAX_EXPAND_ENTRIES:
-        raise CombinatorialBlowup(f"truncation order L = {L} needs a W table of "
+        raise CombinatorialBlowup(f"truncation order L = {L} needs W-series work of "
                                   f"{2 * (L + 1) ** 2} entries, over the cap of "
                                   f"{MAX_EXPAND_ENTRIES}")
     s = cover.s
@@ -555,9 +555,8 @@ def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> Frobe
     B = len(mus)
     snap_abs = _SNAP_TOL * (1.0 + max(abs(m) for m in mus)) ** 2
 
-    # every divisor [lam^2 - s^2 - E] of the recursion, d[j, l-1, i] for
-    # lam = mu_j + l, with its resonance masks and the first (block, level)
-    # that must raise; the squares are Python complex products, as the
+    # every divisor [lam^2 - s^2 - E] of the recursion, d[j, l-1, i] for lam = mu_j + l,
+    # with its resonance masks; the squares are Python complex products, as the
     # per-level statement of the recursion forms them
     lams = [[mu + l for l in range(1, L + 1)] for mu in mus]
     d = np.array([[lam * lam - s * s for lam in row] for row in lams]).reshape(B, L, 1)
@@ -565,47 +564,60 @@ def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> Frobe
     absd = np.abs(d)
     res = absd <= snap_abs
     near = ~res & (absd < resonance_floor)
-    double = res.any(axis=2) & (np.abs(lams) < resonance_floor)
+    lam = np.array(lams)
+    double = res.any(axis=2) & (np.abs(lam) < resonance_floor)
     bad = double | near.any(axis=2)
-    stop, error = (B, 0), None  # (block, level - 1) of the first error
-    if bad.any():
-        stop = j, k = divmod(int(bad.argmax()), L)
-        if double[j, k]:
-            error = f"double root at exponent {lams[j][k]} (level {k + 1} of block {j})"
-        else:
-            error = (f"recursion divisor {d[j, k][near[j, k]][0]:.3g} at level {k + 1} of block "
-                     f"{j} is inside the resonance floor {resonance_floor:.3g}")
-    # resonant entries divide to zero: a stays zero there (the freedom is
-    # a multiple of the other block's solution, fixed to the minimal
-    # choice) and b takes the log-term value below
-    divisor = np.where(res, np.inf, d)
-    has_res = res.any(axis=2).tolist()
-    rows, scale, s_t = op._w_rows(L), op._w_scale, op.block_s.T
 
-    # coef[j, l] = (a_(j,l), b_(j,l)); one matrix product per level forms
-    # the even and odd W-series of both
-    coef = np.zeros((B, L + 1, 2, B), dtype=complex)
-    for j in range(B):
-        x = coef[j]
-        xr = x.reshape(L + 1, 2 * B).view(float)
-        x[0, 0, j] = 1.0
-        for l in range(1, L + 1):
-            if (j, l - 1) == stop:
-                raise ResonanceDetected(error)
-            even, odd = (rows[l] @ xr).view(complex).reshape(2, 2, B)
-            rhs_a, rhs_b = scale * even + odd @ s_t
-            b = rhs_b / divisor[j, l - 1]
-            lam = lams[j][l - 1]
-            if has_res[j][l - 1]:
-                r = res[j, l - 1]
-                if np.abs(rhs_b[r]).max() > 1e-8 * max(1.0, np.abs(rhs_a).max()):
-                    raise ResonanceDetected(
-                        "repeated resonance in one block needs t^2 terms; not supported"
-                    )
-                b[r] = -rhs_a[r] / (2.0 * lam)
-            x[l, 1] = b
-            x[l, 0] = (rhs_a + 2.0 * lam * b) / divisor[j, l - 1]
-    coef_a, coef_b = coef.transpose(2, 0, 1, 3).copy()
+    # first[j] = (levels done once seed j's first error is settled, the error):
+    # a table error once the seed is past its resonant levels below it, where a
+    # repeated resonance would come first, a repeated resonance right after its
+    # level.  It raises once every seed before j is past its resonant levels.
+    def done(r):  # levels done once past the last resonant level of r[seeds, levels, :]
+        return max(np.flatnonzero(r.any(axis=(0, 2))) + 1, default=0) if r.size else 0
+    first = {j: (done(res[j:j + 1, :k]),
+                 f"double root at exponent {lams[j][k]} (level {k + 1} of block {j})"
+                 if double[j, k] else f"recursion divisor {d[j, k][near[j, k]][0]:.3g} at level "
+                 f"{k + 1} of block {j} is inside the resonance floor {resonance_floor:.3g}")
+             for j, k in enumerate(bad.argmax(axis=1).tolist()) if bad[j, k]}
+    def settle():
+        j = min(first, default=None)
+        return (L + 1, None) if j is None else (max(first[j][0], done(res[:j])), first[j][1])
+    stop, error = settle()
+    if stop == 0:
+        raise ResonanceDetected(error)
+
+    # by level: resonant entries divide to zero (a stays zero there, the freedom is
+    # a multiple of the other block's solution, fixed to the minimal choice; b takes
+    # the log-term value below), as does a seed run past its table error, so no warning
+    dead = np.logical_or.accumulate(bad, axis=1)[..., None]
+    live_res = (res & ~dead).transpose(1, 0, 2)
+    has_res = live_res.any(axis=(1, 2)).tolist()
+    divisor = np.where(res | dead, np.inf, d).transpose(1, 0, 2)
+    lam2 = (2.0 * lam.T)[..., None].repeat(B, axis=2)
+    weights = op._gap_weights(L)
+
+    # y[c, j, L - m] = (a, b)[c] of seed j at level m, so that levels l-1..0
+    # are one run, whose product with the gap weights forms level l's W-series
+    y = np.zeros((2, B, L + 1, B), dtype=complex)
+    y[0, :, L] = np.eye(B)
+    yr = y.view(float)
+    for l in range(1, L + 1):
+        run = yr[:, :, L - l + 1:].reshape(2 * B, -1)
+        rhs_a, rhs_b = (run @ weights[:2 * B * l]).view(complex).reshape(2, B, B)
+        x = y[:, :, L - l]
+        x[1] = rhs_b / divisor[l - 1]
+        if has_res[l - 1]:
+            r = live_res[l - 1]
+            repeated = (np.where(r, np.abs(rhs_b), 0.0).max(axis=1)
+                        > 1e-8 * np.fmax(1.0, np.abs(rhs_a).max(axis=1)))
+            for j in np.flatnonzero(repeated).tolist():  # an earlier repeat had this message
+                first[j] = (l, "repeated resonance in one block needs t^2 terms; not supported")
+            stop, error = settle()
+            x[1][r] = -rhs_a[r] / lam2[l - 1][r]
+        x[0] = (rhs_a + lam2[l - 1] * x[1]) / divisor[l - 1]
+        if l == stop:
+            raise ResonanceDetected(error)
+    coef_a, coef_b = y[:, :, ::-1].copy()
     margin = math.inf if res.all() else float(absd[~res].min())
     has_log = bool(res.any())
 

@@ -30,11 +30,14 @@ def w_apply(op, k, X):
 
 
 def w_series(op, past):
-    """sum_k W_k(x_(l-k)) on block coefficient vectors, past[k-1] = x_(l-k),
-    from the operator's weight table: one level of the recursion."""
-    l = len(past)
-    even, odd = op._w_rows(l)[l, :, l - 1::-1] @ past
-    return op._w_scale * even + op.block_s @ odd
+    """sum_k W_k(x_(l-k)) on block coefficient vectors, past[k-1] = x_(l-k):
+    one level of the recursion, with weights of its own, 2k (beta^2 - beta
+    - 2a) for even k and 4k S for odd k, shared with no library table."""
+    k = np.arange(1, len(past) + 1)
+    even = np.where(k % 2 == 0, 2.0 * k, 0.0) @ past
+    odd = np.where(k % 2 == 1, 4.0 * k, 0.0) @ past
+    beta = float(op.beta)
+    return (beta * beta - beta - 2.0 * op.block_a) * even + op.block_s @ odd
 
 
 def operator_series_error(op, s, t, X=None):

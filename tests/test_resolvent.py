@@ -389,6 +389,14 @@ def test_ode_residual_acceptance_grid(n, p, s):
         assert form_ode_residual(kern, float(t)) < 1e-6
 
 
+def test_dense_residual_where_sinh_squared_overflows():
+    # at t = 400 sinh^2 t passes the float64 range, but the kernel (about
+    # 4e-96) does not; the dense residual must read what the block one does
+    _, kern = solve(2, 0, 0.05)
+    dense = form_ode_residual(kern, 400.0)
+    assert math.isfinite(dense) and dense < 1e-14
+
+
 def test_log_terms_engage_exactly_at_integer_gaps():
     # sqrt(s^2+3) - s = 1 at s = 1 and sqrt(s^2+2) - s = 1 at s = 1/2
     _, kern = solve(5, 1, 1.0)

@@ -1,9 +1,10 @@
 """The resolvent's two hot loops against their straightforward references.
 
-`frobenius_solve` takes every divisor, resonance mask and error position
-from precomputed arrays and forms the W-series of a and b in one matrix
-product per level; `dense_oracle.recursion_reference` runs the recursion
-one (block, level) at a time with every check in the loop.
+`frobenius_solve` takes every divisor, resonance mask and table error
+from precomputed arrays and runs all seeds at once, forming the W-series
+of a and b of every seed in one matrix product per level;
+`dense_oracle.recursion_reference` runs the recursion one (block, level)
+at a time with every check in the loop.
 `psi_coefficient` sums the local Frobenius basis at t = 0, matched to
 the series at one time t*; `dense_oracle.psi_reference` integrates the
 block equation down to the same window with `solve_ivp`.
@@ -120,6 +121,20 @@ def test_recursion_reference_cases(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(resolvent, "_SNAP_TOL", 1e-3)
         assert check_recursion(5, 1, 1.0 + 1e-5, [-1]) == (
+            ResonanceDetected, "repeated resonance in one block needs t^2 terms; not supported")
+    # both seeds fail, and in seed order: at s = -1 - 3e-9 on the flipped
+    # sheet (each exponent minus that at s = 1) block 1 meets block 0 at
+    # level 1, but block 0 meets itself at level 2 first in seed order
+    assert check_recursion(5, 1, -1.0 - 3e-9, [-1]) == (
+        ResonanceDetected, "recursion divisor -1.2e-08+0j at level 2 of block 0 is inside the "
+                           "resonance floor 2e-08")
+    # with this snap and floor, at s = -1/3 on the flipped sheet, block 1
+    # stops before level 3 (a double root) while block 0 runs on to its
+    # repeated resonance at level 3, which still comes first in seed order
+    with monkeypatch.context() as mp:
+        mp.setattr(resolvent, "_SNAP_TOL", 0.2)
+        mp.setattr(resolvent, "_RESONANCE_FLOOR", 0.5)
+        assert check_recursion(9, 1, -1 / 3, [-1]) == (
             ResonanceDetected, "repeated resonance in one block needs t^2 terms; not supported")
     # mu_1 = -sqrt(s^2 + 4) = -2 at s = 0: lam = mu_1 + 2 = 0 is resonant with block 0
     assert check_recursion(6, 1, 0.0, [-1]) == (
