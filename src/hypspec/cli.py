@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from . import __version__
+# green, resolvent and orbits (and numpy, which they load) execute on the
+# first call through them, so alpha and bounds load neither
+from . import __version__, green, orbits, resolvent
 from .bounds import compare, sullivan_corlette
 from .errors import (
     DomainError,
@@ -28,29 +29,16 @@ from .errors import (
     ResonanceDetected,
     UnknownConstant,
 )
-from .green import green0_eval, green0_ode_residual
-from .orbits import (
-    DedupPolicy,
-    enumerate_orbit,
-    estimate_delta,
-    load_group_file,
-    shell_sums,
-)
-from .resolvent import (
-    block_ode_residual,
-    build_radial_operator,
-    cover_point,
-    decay_check,
-    frobenius_solve,
-    kernel_blocks,
-    psi_coefficient,
-)
 from .spaces import Field, alpha_p, make_space
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERICAL = 4
+
+# the values of orbits.DedupPolicy, the default first, spelled out so that
+# building the parser does not load orbits
+_DEDUP_POLICIES = ["free_reduction", "matrix_hash"]
 
 
 # --------------------------------------------------------------------------
@@ -78,14 +66,14 @@ def _json_render(obj, out: list[str]) -> None:
         out.append("false")
     elif isinstance(obj, str):
         out.append('"' + obj.translate(_JSON_ESCAPES) + '"')
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, numbers.Integral):  # numpy registers its scalar types
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _json_render({"re": float(obj.real), "im": float(obj.imag)}, out)
-    elif isinstance(obj, Fraction):
+    elif isinstance(obj, Fraction):  # a numbers.Real, but kept exact
         out.append('"' + str(obj) + '"')
+    elif isinstance(obj, numbers.Real):
+        out.append(_fmt_float(float(obj)))
+    elif isinstance(obj, numbers.Complex):
+        _json_render({"re": float(obj.real), "im": float(obj.imag)}, out)
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -94,7 +82,7 @@ def _json_render(obj, out: list[str]) -> None:
             out.append('"' + str(k) + '": ')
             _json_render(v, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (list, tuple)) or _is_ndarray(obj):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
@@ -103,6 +91,12 @@ def _json_render(obj, out: list[str]) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def _is_ndarray(obj) -> bool:
+    # an array exists only once numpy is loaded, and rendering loads nothing
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(obj, np.ndarray)
 
 
 def to_json(obj) -> str:
@@ -116,7 +110,8 @@ def _csv_cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
+    # ints and Fractions are Rational and print as str(v)
+    if isinstance(v, numbers.Real) and not isinstance(v, numbers.Rational):
         return format(float(v), ".17g")
     return str(v)
 
@@ -171,6 +166,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_grid(text: str, log: bool) -> np.ndarray:
+    import numpy as np
+
     try:
         start_s, stop_s, count_s = text.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
@@ -239,9 +236,9 @@ def _cmd_green(args) -> OutputEnvelope:
     grid = _parse_grid(args.r_grid, args.log)
     rows = []
     for r in grid:
-        val = green0_eval(space, s, float(r))
+        val = green.green0_eval(space, s, float(r))
         try:
-            res = green0_ode_residual(space, s, float(r))
+            res = green.green0_ode_residual(space, s, float(r))
         except DomainError:
             res = None
         rows.append({"r": float(r), "re": val.real, "im": val.imag, "residual": res})
@@ -256,29 +253,31 @@ def _cmd_green(args) -> OutputEnvelope:
 
 
 def _cmd_resolvent(args) -> OutputEnvelope:
+    import numpy as np
+
     space = make_space(Field.REAL, args.n)
     signs = None
     if args.signs:
         if set(args.signs) - {"+", "-"}:
             raise DomainError(f"--signs takes only '+' and '-', got {args.signs!r}")
         signs = [1 if ch == "+" else -1 for ch in args.signs]
-    op = build_radial_operator(args.n, args.p)
+    op = resolvent.build_radial_operator(args.n, args.p)
     if args.scan:
         return _resolvent_scan(args, space, op, signs)
     if args.s is None:
         raise DomainError("--s is required unless --scan is given")
     s = _parse_complex(args.s)
-    cp = cover_point(space, args.p, s, signs)
-    kern = frobenius_solve(op, cp, L=args.order)
+    cp = resolvent.cover_point(space, args.p, s, signs)
+    kern = resolvent.frobenius_solve(op, cp, L=args.order)
     t_grid = _parse_grid(args.t_grid, False)
     # decay is a far-field quantity; fit it past the subleading corrections
-    fit = decay_check(kern, np.linspace(max(5.0, float(t_grid[0])), 15.0, 11))
-    f = kernel_blocks(kern, t_grid)[0]
+    fit = resolvent.decay_check(kern, np.linspace(max(5.0, float(t_grid[0])), 15.0, 11))
+    f = resolvent.kernel_blocks(kern, t_grid)[0]
     # F = sum_j f_j P_j: operator norm max_j |f_j|, block j norm |f_j|
     grid_rows = [{"t": t, "total_norm": max(m), **{f"block{j}_norm": v for j, v in enumerate(m)}}
                  for t, m in zip(t_grid.tolist(), np.abs(f).tolist())]
-    residuals = block_ode_residual(kern, t_grid)
-    psi, expo = psi_coefficient(op, kern)
+    residuals = resolvent.block_ode_residual(kern, t_grid)
+    psi, expo = resolvent.psi_coefficient(op, kern)
     rows = [{
         "n": args.n,
         "p": args.p,
@@ -301,7 +300,7 @@ def _cmd_resolvent(args) -> OutputEnvelope:
         "kernel_grid": grid_rows,
     }
     if args.p == 0:  # one block: F = f_0 I against the scalar kernel
-        ratios = f[:, 0] / np.array([green0_eval(space, s, t) for t in t_grid.tolist()])
+        ratios = f[:, 0] / np.array([green.green0_eval(space, s, t) for t in t_grid.tolist()])
         mean = ratios.mean()
         extra["scalar_oracle_agreement"] = float(np.abs(ratios - mean).max() / abs(mean))
     params = {
@@ -325,8 +324,8 @@ def _resolvent_scan(args, space, op, signs) -> OutputEnvelope:
     for sv in grid:
         row = {"s_re": float(sv), "s_im": 0.0}
         try:
-            cp = cover_point(space, args.p, complex(sv), signs)
-            kern = frobenius_solve(op, cp, L=args.order)
+            cp = resolvent.cover_point(space, args.p, complex(sv), signs)
+            kern = resolvent.frobenius_solve(op, cp, L=args.order)
             row["status"] = "log" if kern.has_log_terms else "ok"
             row["resonance_margin"] = kern.resonance_margin
         except ResonanceDetected:
@@ -339,16 +338,16 @@ def _resolvent_scan(args, space, op, signs) -> OutputEnvelope:
 
 
 def _cmd_delta(args) -> OutputEnvelope:
-    gens, base = load_group_file(args.group_file)
+    gens, base = orbits.load_group_file(args.group_file)
     if args.base is not None:
         base = [_parse_complex(v) for v in args.base.split(",")]  # the model reads it
-    sample = enumerate_orbit(
+    sample = orbits.enumerate_orbit(
         gens,
         base=base,
         max_len=args.max_len,
-        dedup_policy=DedupPolicy(args.dedup),
+        dedup_policy=orbits.DedupPolicy(args.dedup),
     )
-    est = estimate_delta(sample)
+    est = orbits.estimate_delta(sample)
     space = make_space(gens.model.field, gens.model.n)
     two_rho = float(2 * space.rho)
     readout = min(max(est.growth_fit, 0.0), two_rho)
@@ -362,7 +361,7 @@ def _cmd_delta(args) -> OutputEnvelope:
     }
     extra = {
         "shell_word_counts": [int(len(d)) for d in sample.distances_by_length],
-        "shell_sums_at_growth_fit": [float(v) for v in shell_sums(sample, readout)],
+        "shell_sums_at_growth_fit": [float(v) for v in orbits.shell_sums(sample, readout)],
     }
     params = {"group_file": args.group_file, "max_len": args.max_len,
               "dedup": args.dedup, "base": args.base}
@@ -425,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--base", default=None,
                    help="base point, comma-separated entries (overrides the file)")
-    p.add_argument("--dedup", choices=[d.value for d in DedupPolicy],
-                   default=DedupPolicy.FREE_REDUCTION.value)
+    p.add_argument("--dedup", choices=_DEDUP_POLICIES, default=_DEDUP_POLICIES[0])
     common(p)
     p.set_defaults(fn=_cmd_delta)
     return parser

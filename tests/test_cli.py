@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hypspec import cli, hyper, resolvent
-from hypspec.cli import OutputEnvelope, main, to_json
+from hypspec.cli import OutputEnvelope, _csv_cell, build_parser, main, to_json
 from hypspec.errors import TruncationWarning
-from hypspec.orbits import boost_matrix
+from hypspec.orbits import DedupPolicy, boost_matrix
 from hypspec.resolvent import kernel_blocks
 
 
@@ -369,6 +369,42 @@ def test_rare_encodings():
     assert OutputEnvelope("t", {}, [], format="csv").render() == ""
 
 
+# (value, its JSON, its CSV cell), as rendered when the renderer tested numpy
+# types directly: Integral prints as an int, Fraction (a Real) stays exact
+# text, other Reals get 17 digits, and CSV prints ints and Fractions as str()
+@pytest.mark.parametrize("value, json_text, csv_text", [
+    (True, "true", "true"),
+    (7, "7", "7"),
+    (2 ** 70, "1180591620717411303424", "1180591620717411303424"),
+    (-0.1, "-0.10000000000000001", "-0.10000000000000001"),
+    (1e300, "1.0000000000000001e+300", "1.0000000000000001e+300"),
+    (math.nan, '"nan"', "nan"),
+    (1 + 2j, '{"re": 1, "im": 2}', "(1+2j)"),
+    (np.int64(-3), "-3", "-3"),
+    (np.float32(0.1), "0.10000000149011612", "0.10000000149011612"),
+    (np.float64(2.5), "2.5", "2.5"),
+    (np.complex128(1.5 - 0.25j), '{"re": 1.5, "im": -0.25}', "(1.5-0.25j)"),
+    (Fraction(17, 3), '"17/3"', "17/3"),
+    (Fraction(4), '"4"', "4"),
+    (np.array([1.0, 2.5]), "[1, 2.5]", "[1.  2.5]"),
+    (np.array([[1, 2]]), "[[1, 2]]", "[[1 2]]"),
+])
+def test_rendering_of_python_and_numpy_values(value, json_text, csv_text):
+    assert to_json(value) == json_text
+    assert _csv_cell(value) == csv_text
+
+
+def test_dedup_choices_are_the_policy_values(capsys):
+    # the parser spells them out, so that building it does not load orbits
+    assert cli._DEDUP_POLICIES == [d.value for d in DedupPolicy]
+    args = build_parser().parse_args(["delta", "--group-file", "g.json"])
+    assert args.dedup == DedupPolicy.FREE_REDUCTION.value
+    with pytest.raises(SystemExit) as exc:
+        main(["delta", "--group-file", "g.json", "--dedup", "bogus"])
+    assert exc.value.code == 2
+    assert "usage: hypspec delta" in capsys.readouterr().err
+
+
 def test_json_escapes_control_characters(capsys):
     assert to_json('a"b\\c\n\x00\x1f\x7f') == '"a\\"b\\\\c\\u000a\\u0000\\u001f\x7f"'
     code, out = run(capsys, "green", "--field", "R", "--n", "3", "--s", "1",
@@ -478,7 +514,6 @@ def test_resolvent_report_makes_at_most_four_kernel_calls(monkeypatch, capsys):
         return kernel_blocks(kernel, t)
 
     monkeypatch.setattr(resolvent, "kernel_blocks", counted)
-    monkeypatch.setattr(cli, "kernel_blocks", counted)
     code, _ = run(capsys, "resolvent", "--n", "5", "--p", "1", "--s", "1")
     assert code == 0
     assert len(calls) <= 4 and 13 in calls

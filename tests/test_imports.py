@@ -1,9 +1,11 @@
-"""Each CLI command imports only what it computes with: no command loads
-scipy, which only the tests depend on (hyper computes its Gamma
-functions itself, and psi sums the local basis at t = 0 where it once
-integrated with scipy.integrate).  Every check runs in a fresh
-interpreter, because sys.modules in the test process already holds
-whatever other tests imported."""
+"""Each CLI command imports only what it computes with.  The package
+registers its six modules lazily, so alpha and bounds load no numpy and
+green executes neither resolvent nor orbits.  No command loads scipy,
+which only the tests depend on (hyper computes its Gamma functions
+itself, and psi sums the local basis at t = 0 where it once integrated
+with scipy.integrate).  Every check runs in a fresh interpreter, because
+sys.modules in the test process already holds whatever other tests
+imported."""
 
 import json
 import os
@@ -17,14 +19,24 @@ import hypspec
 SRC = str(Path(hypspec.__file__).resolve().parents[1])
 CYCLIC_GROUP = str(Path(__file__).resolve().parents[1] / "perfbench" / "groups" / "cyclic_h3.json")
 
+MODULES = ("spaces", "bounds", "hyper", "green", "resolvent", "orbits")
+ALPHA = ["alpha", "--field", "H", "--n", "2"]
+BOUNDS = ["bounds", "--field", "R", "--n", "5", "--p", "1", "--delta", "2"]
+GREEN = ["green", "--field", "C", "--n", "2", "--s", "1.5", "--r-grid", "0.1:10:5", "--log"]
+
+# type() reads no attribute, so it does not execute a lazily loaded module;
+# one whose code has run is a plain module again
 _SCRIPT = textwrap.dedent("""
-    import contextlib, io, json, sys
+    import contextlib, io, json, sys, types
     import hypspec.cli
+    want = json.loads(sys.argv[2])
     for argv in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()):
             code = hypspec.cli.main(argv)
-        assert code == 0, (argv, code)
-    print(json.dumps(sorted(sys.modules)))
+        assert code == want, (argv, code)
+    print(json.dumps({"modules": sorted(sys.modules), "executed": sorted(
+        k for k, m in sys.modules.items()
+        if k.startswith("hypspec") and type(m) is types.ModuleType)}))
 """)
 
 
@@ -51,56 +63,73 @@ _LIBRARY_SCRIPT = textwrap.dedent("""
 
 
 def _run(script, *args):
-    """Module names in sys.modules after running script with args, in a
-    fresh interpreter."""
+    """What script, run with args in a fresh interpreter, prints as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
 
 
-def loaded_after(*argvs):
-    """Module names in sys.modules after `import hypspec.cli` and main(argv)
-    for each argv, in a fresh interpreter."""
-    return _run(_SCRIPT, json.dumps(argvs))
+def loaded_after(*argvs, code=0):
+    """Module names in sys.modules, and the hypspec modules whose code ran,
+    after `import hypspec.cli` and main(argv) for each argv, each exiting
+    with code, in a fresh interpreter."""
+    out = _run(_SCRIPT, json.dumps(argvs), json.dumps(code))
+    return set(out["modules"]), set(out["executed"])
 
 
 def scipy_modules(mods):
     return sorted(m for m in mods if m == "scipy" or m.startswith("scipy."))
 
 
-def test_cli_import_is_eager_for_hypspec_and_loads_no_scipy():
-    mods = loaded_after()
+def test_cli_import_registers_every_module_lazily_and_loads_no_scipy():
+    mods, executed = loaded_after()
     # perfbench's span tracer looks each of these up in sys.modules right
-    # after `import hypspec.cli`, so the package's own graph stays eager
-    for name in ("spaces", "bounds", "hyper", "green", "resolvent", "orbits"):
+    # after `import hypspec.cli`; they are there, and run on first use
+    for name in MODULES:
         assert f"hypspec.{name}" in mods
-    assert "numpy" in mods
+    assert executed == {"hypspec", "hypspec.cli", "hypspec.errors",
+                        "hypspec.spaces", "hypspec.bounds"}
+    assert "numpy" not in mods
     assert scipy_modules(mods) == []
 
 
+def test_exact_commands_load_no_numpy():
+    numeric = {f"hypspec.{name}" for name in ("hyper", "green", "resolvent", "orbits")}
+    # the second bounds call is a domain error: delta past 2 rho exits 3
+    for argvs, code in (((ALPHA, BOUNDS), 0), ((BOUNDS[:-1] + ["9"],), 3)):
+        mods, executed = loaded_after(*argvs, code=code)
+        assert "numpy" not in mods
+        assert not executed & numeric
+
+
 def test_exact_and_orbit_commands_load_no_scipy():
-    mods = loaded_after(
-        ["alpha", "--field", "H", "--n", "2"],
-        ["bounds", "--field", "R", "--n", "5", "--p", "1", "--delta", "2"],
+    mods, _ = loaded_after(
+        ALPHA,
+        BOUNDS,
         ["delta", "--group-file", CYCLIC_GROUP],
         ["resolvent", "--n", "5", "--p", "1", "--scan", "0.8:1.2:9"],
     )
     assert scipy_modules(mods) == []
 
 
+def test_green_leaves_resolvent_and_orbits_unexecuted():
+    mods, executed = loaded_after(GREEN)
+    assert {"hypspec.hyper", "hypspec.green"} <= executed
+    assert {"hypspec.resolvent", "hypspec.orbits"} <= mods - executed
+
+
 def test_green_loads_no_scipy():
-    mods = loaded_after(["green", "--field", "C", "--n", "2", "--s", "1.5",
-                         "--r-grid", "0.1:10:5", "--log"])
+    mods, _ = loaded_after(GREEN)
     assert scipy_modules(mods) == []
     assert scipy_modules(_run(_LIBRARY_SCRIPT)) == []
 
 
 def test_resolvent_report_loads_no_scipy():
-    mods = loaded_after(["resolvent", "--n", "5", "--p", "1", "--s", "1"],
-                        ["resolvent", "--n", "2", "--p", "1", "--s", "1"])
+    mods, _ = loaded_after(["resolvent", "--n", "5", "--p", "1", "--s", "1"],
+                           ["resolvent", "--n", "2", "--p", "1", "--s", "1"])
     assert scipy_modules(mods) == []
 
 
@@ -108,8 +137,13 @@ def test_package_re_exports_every_module_name():
     # each module states its public names once, in its __all__
     import importlib
 
-    for name in ("spaces", "bounds", "hyper", "green", "resolvent", "orbits"):
+    for name in MODULES:
         module = importlib.import_module(f"hypspec.{name}")
+        assert getattr(hypspec, name) is module
         for public in module.__all__:
             assert getattr(hypspec, public, None) is getattr(module, public), (name, public)
             assert public in hypspec.__all__
+    # an unknown name is an AttributeError, so `from hypspec import x` and
+    # hasattr behave as for any module
+    assert not hasattr(hypspec, "no_such_name")
+    assert not hasattr(hypspec, "__no_such_dunder__")

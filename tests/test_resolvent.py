@@ -348,8 +348,9 @@ def test_frobenius_order_guards():
     for L in (-3, 0):
         with pytest.raises(DomainError):
             frobenius_solve(op, cp, L=L)
-    # the W table has 2 (L+1)^2 entries: 1048352 fit the cap of 2^20 at
-    # L = 723, 1051250 do not at L = 724; at L = 200000 it would take 596 GiB
+    # the cap counts the O(L^2) W-series work as 2 (L+1)^2 entries: 1048352
+    # fit the cap of 2^20 at L = 723, 1051250 do not at L = 724, and
+    # L = 200000 would count 8e10
     for L, entries in ((724, 1051250), (200000, 80000800002)):
         with pytest.raises(CombinatorialBlowup, match=f"{entries} entries"):
             frobenius_solve(op, cp, L=L)
