@@ -44,9 +44,11 @@ new algorithmic content and are rejected):
     switched on; near-integer gaps inside the resonance floor raise
     ResonanceDetected instead of returning a poisoned series.  All
     divisors, resonance masks and each seed's first level that must raise
-    are computed before the recursion, which runs all seeds at once: level
-    l's W-series is a convolution over the gap l - m, one product of the
-    levels, stored last first, with a table of gap weights.
+    are computed before the recursion, which runs all seeds at once.  Times
+    (1 - x^2)^2, x = e^-t, the equation has five terms per level, linear work:
+        D_l a_l = (2 D_(l-2) + 4G) a_(l-2) - D_(l-4) a_(l-4) + 4S (a_(l-1) + a_(l-3)),
+    D_l = (mu_j + l)^2 - s^2 - e_i, G = diag(beta^2 - beta - 2a), and the
+    t-linear terms entering through dD/dlambda = 2 lambda at lags 0, 2 and 4.
 
 4.  `kernel_blocks` evaluates the series and its exact derivatives on
     coefficients, at a time or a whole t-grid from one exp(-lam t) table,
@@ -235,7 +237,7 @@ def build_tau_p_action(n: int, p: int) -> TauPAction:
 
 
 # Largest dense matrix (entries) that the block-to-matrix expansion builds,
-# and the cap on frobenius_solve's O(L^2) W-series work (2 (L+1)^2 entries).
+# and the cap on frobenius_solve's level maps (16 B^3 L entries).
 MAX_EXPAND_ENTRIES = 2 ** 20
 
 
@@ -280,31 +282,18 @@ class RadialOperator:
         return np.diag(np.asarray(c)[self.block_of])
 
     def block_norm(self, c: np.ndarray) -> np.ndarray:
-        """Frobenius norm of sum_j c_j P_j, over the last axis of c; the
-        ranks enter over the largest one, so ranks near the float64 limit
-        do not overflow the sum."""
-        top = self.block_mult.max()
-        return math.sqrt(top) * np.sqrt(np.abs(c) ** 2 @ (self.block_mult / top))
+        """Frobenius norm of sum_j c_j P_j, over the last axis of c; the ranks
+        enter over the largest one, each row over the power of two of its largest
+        modulus (exact scalings), so that neither overflows the sum."""
+        top, m = self.block_mult.max(), np.abs(c)
+        e = np.frexp(m.max(axis=-1))[1]
+        return np.ldexp(math.sqrt(top) * np.sqrt(np.ldexp(m, -e[..., None]) ** 2
+                                                 @ (self.block_mult / top)), e)
 
     def sphere_average(self, c: np.ndarray) -> np.ndarray:
         """Coefficient of I in the projection of sum_j c_j P_j onto ker T,
         over the first axis of c."""
         return self.block_mult @ c / self.block_mult.sum()
-
-    def _gap_weights(self, L: int) -> np.ndarray:
-        """Weights of x_(l-k) in sum_k W_k(x_(l-k)): 2k diag(beta^2 - beta - 2a)
-        for even k and 4k S^T for odd k, as kron(w, I_2) on the float view of the
-        block vectors, one 2B x 2B block per gap k = 1..L stacked as (2BL, 2B);
-        one table, grown to the largest L asked for."""
-        table = self.__dict__.get("_gap_table")
-        B2 = 2 * len(self.block_mult)
-        if table is None or len(table) < B2 * L:
-            k = np.arange(1.0, L + 1)[:, None, None]
-            scale = float(self.beta ** 2 - self.beta) - 2.0 * self.block_a
-            w = np.where(k % 2 == 0, 2.0 * k * np.diag(scale), 4.0 * k * self.block_s.T)
-            table = np.kron(w, np.eye(2)).reshape(-1, B2)
-            self.__dict__["_gap_table"] = table  # a cache, beside the frozen fields
-        return table[:B2 * L]
 
     @functools.cached_property
     def _shift(self) -> float:
@@ -537,22 +526,22 @@ def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> Frobe
     t-linear (logarithmic in q) terms; gaps inside the resonance floor but
     not exactly integer raise ResonanceDetected, each seed's first error in
     seed order.  A ratio test on the last coefficients emits TruncationWarning
-    when the tail fails to decay.  An L not an integer >= 1 (bool excluded)
-    raises DomainError.  The W-series take O(L^2) work, counted as 2 (L+1)^2
-    entries: past MAX_EXPAND_ENTRIES, CombinatorialBlowup is raised up front.
+    when the tail fails to decay.  Up front, an L not an integer >= 1 (bool
+    excluded) raises DomainError and level maps (step 3) of 16 B^3 L entries
+    past MAX_EXPAND_ENTRIES CombinatorialBlowup; a coefficient norm past the
+    float64 range raises NumericalError.
     """
     if not isinstance(L, numbers.Integral) or isinstance(L, bool):
         raise DomainError(f"truncation order L must be an integer, got {L!r}")
     if L < 1:
         raise DomainError(f"truncation order L must be >= 1, got {L}")
-    if 2 * (L + 1) ** 2 > MAX_EXPAND_ENTRIES:
-        raise CombinatorialBlowup(f"truncation order L = {L} needs W-series work of "
-                                  f"{2 * (L + 1) ** 2} entries, over the cap of "
-                                  f"{MAX_EXPAND_ENTRIES}")
+    B = len(op.e_values)
+    if 16 * B ** 3 * L > MAX_EXPAND_ENTRIES:
+        raise CombinatorialBlowup(f"truncation order L = {L} needs level maps of {16 * B ** 3 * L}"
+                                  f" entries, over the cap of {MAX_EXPAND_ENTRIES}")
     s = cover.s
     resonance_floor = _RESONANCE_FLOOR * (1.0 + abs(s) ** 2)
     mus = [cover.exponent_for(ev) for ev in op.e_values]
-    B = len(mus)
     snap_abs = _SNAP_TOL * (1.0 + max(abs(m) for m in mus)) ** 2
 
     # every divisor [lam^2 - s^2 - E] of the recursion, d[j, l-1, i] for lam = mu_j + l,
@@ -586,56 +575,67 @@ def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> Frobe
     if stop == 0:
         raise ResonanceDetected(error)
 
-    # by level: resonant entries divide to zero (a stays zero there, the freedom is
-    # a multiple of the other block's solution, fixed to the minimal choice; b takes
-    # the log-term value below), as does a seed run past its table error, so no warning
+    # by seed, block and level: resonant entries divide to zero (a stays zero there,
+    # the freedom is a multiple of the other block's solution, fixed to the minimal
+    # choice; b takes the log-term value below), as does a seed past its table error
     dead = np.logical_or.accumulate(bad, axis=1)[..., None]
-    live_res = (res & ~dead).transpose(1, 0, 2)
-    has_res = live_res.any(axis=(1, 2)).tolist()
-    divisor = np.where(res | dead, np.inf, d).transpose(1, 0, 2)
-    lam2 = (2.0 * lam.T)[..., None].repeat(B, axis=2)
-    weights = op._gap_weights(L)
+    live_res = (res & ~dead).transpose(0, 2, 1)
+    divisor = np.where(res | dead, np.inf, d).transpose(0, 2, 1)
+    lam2 = 2.0 * np.concatenate([np.zeros((B, 4)), lam], axis=1)[:, None]  # levels -3..L
 
-    # y[c, j, L - m] = (a, b)[c] of seed j at level m, so that levels l-1..0
-    # are one run, whose product with the gap weights forms level l's W-series
-    y = np.zeros((2, B, L + 1, B), dtype=complex)
-    y[0, :, L] = np.eye(B)
-    yr = y.view(float)
-    for l in range(1, L + 1):
-        run = yr[:, :, L - l + 1:].reshape(2 * B, -1)
-        rhs_a, rhs_b = (run @ weights[:2 * B * l]).view(complex).reshape(2, B, B)
-        x = y[:, :, L - l]
-        x[1] = rhs_b / divisor[l - 1]
-        if has_res[l - 1]:
-            r = live_res[l - 1]
-            repeated = (np.where(r, np.abs(rhs_b), 0.0).max(axis=1)
-                        > 1e-8 * np.fmax(1.0, np.abs(rhs_a).max(axis=1)))
-            for j in np.flatnonzero(repeated).tolist():  # an earlier repeat had this message
-                first[j] = (l, "repeated resonance in one block needs t^2 terms; not supported")
-            stop, error = settle()
-            x[1][r] = -rhs_a[r] / lam2[l - 1][r]
-        x[0] = (rhs_a + lam2[l - 1] * x[1]) / divisor[l - 1]
-        if l == stop:
-            raise ResonanceDetected(error)
-    coef_a, coef_b = y[:, :, ::-1].copy()
-    margin = math.inf if res.all() else float(absd[~res].min())
-    has_log = bool(res.any())
+    # u[j, m, x, i, y, h, l-1] takes seed j's (a, b)[x][i] at level l-4+m to the rhs
+    # (a, b)[y][h] of level l (step 3; D = 0 at levels <= 0 and where resonant), and
+    # on to (a, b) itself by the divisions, but at the levels with a live resonance
+    dz = np.concatenate([np.zeros((B, B, 4)), np.where(res, 0.0, d).transpose(0, 2, 1)], axis=2)
+    g = 4.0 * (float(op.beta ** 2 - op.beta) - 2.0 * op.block_a)[:, None]
+    k = np.arange(B)
+    u = np.zeros((B, 4, 2, B, 2, B, L), dtype=complex)
+    u[:, 1::2, 0, :, 0] = u[:, 1::2, 1, :, 1] = 4.0 * op.block_s.T[..., None]
+    u[:, 0, 0, k, 0, k] = u[:, 0, 1, k, 1, k] = -dz[..., :L]
+    u[:, 2, 0, k, 0, k] = u[:, 2, 1, k, 1, k] = 2.0 * dz[..., 2:L + 2] + g
+    u[:, 0, 1, k, 0, k], u[:, 2, 1, k, 0, k] = lam2[..., :L], -2.0 * lam2[..., 2:L + 2]
+    has_res = live_res.any(axis=(0, 1))
+    inv = np.where(has_res, 1.0, 1.0 / divisor)[:, None, None, None]
+    u[..., 1, :, :] *= inv
+    u[..., 0, :, :] += np.where(has_res, 0.0, lam2[..., 4:])[:, None, None, None] * u[..., 1, :, :]
+    u[..., 0, :, :] *= inv
+    maps = np.moveaxis(u, -1, 0).reshape(L, B, 8 * B, 2 * B)
 
-    # effective geometric growth of the coefficients, smoothed over a dozen
-    # levels (parity of the perturbation makes consecutive ratios oscillate)
-    growth = 1.0
-    span = min(12, L)
-    for norms in op.block_norm(coef_a):
-        if span >= 2 and norms[-1 - span] > 0 and norms[-1] > 0:
-            growth = max(growth, (norms[-1] / norms[-1 - span]) ** (1.0 / span))
+    z = np.zeros((B, L + 5, 2 * B), dtype=complex)  # z[j, l + 4]: (a, b) of seed j, level l
+    z[:, 4, :B] = np.eye(B)
+    with np.errstate(all="ignore"):  # non-finite levels raise below
+        for l in range(1, L + 1):
+            np.matmul(z[:, l:l + 4].reshape(B, 1, 8 * B), maps[l - 1], out=z[:, l + 4:l + 5])
+            if has_res[l - 1]:  # the map gave the rhs
+                rhs_a, rhs_b = np.split(z[:, l + 4], 2, axis=1)
+                r = live_res[..., l - 1]
+                repeated = (np.where(r, np.abs(rhs_b), 0.0).max(axis=1)
+                            > 1e-8 * np.fmax(1.0, np.abs(rhs_a).max(axis=1)))
+                for j in np.flatnonzero(repeated).tolist():  # an earlier repeat had this message
+                    first[j] = (l, "repeated resonance in one block needs t^2 terms; not supported")
+                stop, error = settle()
+                x_b = np.where(r, -rhs_a / lam2[..., l + 3], rhs_b / divisor[..., l - 1])
+                z[:, l + 4] = np.hstack([(rhs_a + lam2[..., l + 3] * x_b) / divisor[..., l - 1],
+                                         x_b])
+            if l == stop:
+                raise ResonanceDetected(error)
+        # geometric growth over levels L - span to L (consecutive ratios oscillate)
+        span = min(12, L)
+        norms = op.block_norm(z[:, [-1 - span, -1], :B])
+    finite = np.isfinite(z[:, 4:]).all(axis=(0, 2))
+    finite[-1] &= np.isfinite(norms).all()
+    if not finite.all():
+        raise NumericalError(f"the series coefficients pass the float64 range, in value or in "
+                             f"norm, at level {finite.argmin()}")
+    growth = max([1.0] + [(n1 / n0) ** (1.0 / span) for n0, n1 in norms.tolist()
+                          if span >= 2 and n0 > 0 and n1 > 0])
     if growth > 2.0:
-        warnings.warn(
-            f"series coefficients grow with ratio {growth:.3f}; tail bound shrinks",
-            TruncationWarning,
-        )
+        warnings.warn(f"series coefficients grow with ratio {growth:.3f}; tail bound shrinks",
+                      TruncationWarning)
     return FrobeniusKernel(
-        operator=op, cover=cover, exponents=tuple(mus), coef_a=coef_a, coef_b=coef_b,
-        truncation=L, resonance_margin=margin, has_log_terms=has_log, growth_ratio=growth,
+        operator=op, cover=cover, exponents=tuple(mus), coef_a=z[:, 4:, :B], coef_b=z[:, 4:, B:],
+        truncation=L, resonance_margin=math.inf if res.all() else float(absd[~res].min()),
+        has_log_terms=bool(res.any()), growth_ratio=growth,
     )
 
 

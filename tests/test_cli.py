@@ -654,6 +654,9 @@ def test_delta_output_pinned(capsys, group, max_len, row, extra):
     (["green", "--field", "R", "--n", "3", "--s", "1", "--r-grid", "1:2"], "DomainError"),
     (["green", "--field", "R", "--n", "3", "--s", "1", "--r-grid", "0:2:3", "--log"],
      "DomainError"),
+    # the truncation cap at one block, past 2^20 map entries
+    (["resolvent", "--n", "4", "--p", "2", "--s", "1", "--order", "200000"],
+     "CombinatorialBlowup"),
 ])
 def test_library_errors_exit_3(monkeypatch, capsys, argv, error):
     monkeypatch.delenv("HYPSPEC_MAX_WORDS", raising=False)

@@ -348,10 +348,10 @@ def test_frobenius_order_guards():
     for L in (-3, 0):
         with pytest.raises(DomainError):
             frobenius_solve(op, cp, L=L)
-    # the cap counts the O(L^2) W-series work as 2 (L+1)^2 entries: 1048352
-    # fit the cap of 2^20 at L = 723, 1051250 do not at L = 724, and
-    # L = 200000 would count 8e10
-    for L, entries in ((724, 1051250), (200000, 80000800002)):
+    # the cap counts the 16 B^3 L entries of the level maps, 128 L at B = 2:
+    # 1048576 fit the cap of 2^20 at L = 8192, 1048704 do not at L = 8193,
+    # and L = 200000 would count 2.56e7
+    for L, entries in ((8193, 1048704), (200000, 25600000)):
         with pytest.raises(CombinatorialBlowup, match=f"{entries} entries"):
             frobenius_solve(op, cp, L=L)
 
@@ -406,6 +406,26 @@ def test_log_terms_engage_exactly_at_integer_gaps():
     assert kern.has_log_terms
     _, kern = solve(5, 1, 0.75)
     assert not kern.has_log_terms
+
+
+def test_long_orders_converge_without_a_warning():
+    # the level maps are linear in L, so thousands of levels fit the cap;
+    # the last dozen levels shrink or barely grow
+    for n, p, L in ((110, 1, 2560), (60, 30, 5120)):
+        _, kern = solve(n, p, 1.0, L=L)
+        assert np.isfinite(kern.coef_a).all() and np.isfinite(kern.coef_b).all()
+        assert 1.0 <= kern.growth_ratio < 1.05
+
+
+def test_coefficients_past_the_float64_square_keep_their_growth():
+    # at (400, 200) the coefficients pass 1.3e154, where their squares
+    # overflow; their norms, and so the growth ratio, must not
+    _, kern = solve(400, 200, 1.0, L=300)
+    assert np.abs(kern.coef_a).max() > 1e160
+    assert 1.8 < kern.growth_ratio < 1.9
+    # at (1000, 500) they pass the float64 range inside the recursion
+    with pytest.raises(NumericalError, match="float64 range, in value or in norm, at level 339$"):
+        solve(1000, 500, 1.0, L=723)
 
 
 def test_near_resonance_raises():

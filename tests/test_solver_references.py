@@ -1,10 +1,11 @@
 """The resolvent's two hot loops against their straightforward references.
 
 `frobenius_solve` takes every divisor, resonance mask and table error
-from precomputed arrays and runs all seeds at once, forming the W-series
-of a and b of every seed in one matrix product per level;
+from precomputed arrays and runs all seeds at once, each level from the
+four before it (the five-term recurrence) in one matrix product;
 `dense_oracle.recursion_reference` runs the recursion one (block, level)
-at a time with every check in the loop.
+at a time with every check in the loop, each level a convolution over
+all the levels before it, at L = 40 and L = 160.
 `psi_coefficient` sums the local Frobenius basis at t = 0, matched to
 the series at one time t*; `dense_oracle.psi_reference` integrates the
 block equation down to the same window with `solve_ivp`.
@@ -75,13 +76,13 @@ def outcome(fn):
         return FitFailure, None
 
 
-def check_recursion(n, p, s, signs=None):
+def check_recursion(n, p, s, signs=None, L=40):
     op = build_radial_operator(n, p, L_w=1)
     cp = cover_point(make_space(Field.REAL, n), p, s, signs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)  # the reference does not test growth
-        got = outcome(lambda: frobenius_solve(op, cp, L=40))
-    want = outcome(lambda: recursion_reference(op, cp, L=40))
+        got = outcome(lambda: frobenius_solve(op, cp, L=L))
+    want = outcome(lambda: recursion_reference(op, cp, L=L))
     if want[0] is ResonanceDetected:
         assert got == want
         return want
@@ -94,24 +95,36 @@ def check_recursion(n, p, s, signs=None):
     return has_log
 
 
+# the truncation orders drawn: the default, and one where the recurrence has
+# run four times as long
+orders = st.sampled_from([40, 160])
+
+
 @RECURSION
-@given(degrees(), spectral, st.booleans())
-def test_recursion_matches_reference(deg, s, flipped):
+@given(degrees(), spectral, st.booleans(), orders)
+def test_recursion_matches_reference(deg, s, flipped, L):
     n, p = deg
     signs = [-1] * sum(e > 0 for e in e_element_values(n, p)) if flipped else None
-    check_recursion(n, p, s, signs)
+    check_recursion(n, p, s, signs, L)
 
 
 @RECURSION
-@given(resonant())
-def test_recursion_matches_reference_at_resonances(nps):
-    check_recursion(*nps)
+@given(resonant(), orders)
+def test_recursion_matches_reference_at_resonances(nps, L):
+    check_recursion(*nps, L=L)
 
 
 def test_recursion_reference_cases(monkeypatch):
     assert check_recursion(5, 1, 1.0) is True
+    assert check_recursion(5, 1, 1.0, L=160) is True
     assert check_recursion(4, 1, 0.5) is True
+    assert check_recursion(4, 1, 0.5, [-1], L=160) is True
     assert check_recursion(5, 1, 1.0 + 3e-9)[1].startswith("recursion divisor")
+    # inside the snap but not exact, where the divisor is a few 1e-11, not 0:
+    # the reference holds only if the lagged terms take D = 0 on the
+    # resonant entries
+    assert check_recursion(5, 1, 1.0 + 1e-11, L=160) is True
+    assert check_recursion(4, 1, 0.5 - 1e-11, L=160) is True
     # flipped sheet, mu_1 = -sqrt(s^2 + 3) = -2: block 1 meets block 0 at
     # levels 1 and 3 and itself at level 4; the t-linear terms of level 1
     # leave no obstruction at the later two
