@@ -51,10 +51,11 @@ new algorithmic content and are rejected):
     t-linear terms entering through dD/dlambda = 2 lambda at lags 0, 2 and 4.
 
 4.  `kernel_blocks` evaluates the series and its exact derivatives on
-    coefficients, at a time or a whole t-grid from one exp(-lam t) table,
-    with norms ||sum_j c_j P_j||_F = sqrt(sum_j m_j |c_j|^2) (m_j = rank
-    P_j, summed as sqrt(max m) times sqrt(sum_j (m_j / max m) |c_j|^2) so
-    that ranks near the float64 limit stay finite); `kernel_eval` /
+    coefficients, at a time or a whole t-grid (exp(-lam t) tables of at
+    most MAX_EXPAND_ENTRIES terms, MAX_SERIES_TERMS in all), with norms
+    ||sum_j c_j P_j||_F = sqrt(sum_j m_j |c_j|^2) (m_j = rank P_j; in
+    `RadialOperator.block_norm`, scaled so that neither ranks near the
+    float64 limit nor coefficients past 1e154 overflow); `kernel_eval` /
     `kernel_derivatives` expand them to dim_v x dim_v matrices,
     `block_ode_residual` / `form_ode_residual` check the radial equation
     and `decay_check` fits the far-field decay, each grid in one call.
@@ -237,8 +238,12 @@ def build_tau_p_action(n: int, p: int) -> TauPAction:
 
 
 # Largest dense matrix (entries) that the block-to-matrix expansion builds,
-# and the cap on frobenius_solve's level maps (16 B^3 L entries).
+# the cap on frobenius_solve's level maps (16 B^3 L entries), and the most
+# exp(-lam t) terms that kernel_blocks holds at a time.
 MAX_EXPAND_ENTRIES = 2 ** 20
+# Most exp(-lam t) terms, times by series terms B (L+1), that one kernel_blocks
+# call evaluates: a 2^16-point grid up to L = 1023 at two blocks, 2047 at one.
+MAX_SERIES_TERMS = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -580,25 +585,33 @@ def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> Frobe
     # choice; b takes the log-term value below), as does a seed past its table error
     dead = np.logical_or.accumulate(bad, axis=1)[..., None]
     live_res = (res & ~dead).transpose(0, 2, 1)
-    divisor = np.where(res | dead, np.inf, d).transpose(0, 2, 1)
-    lam2 = 2.0 * np.concatenate([np.zeros((B, 4)), lam], axis=1)[:, None]  # levels -3..L
-
-    # u[j, m, x, i, y, h, l-1] takes seed j's (a, b)[x][i] at level l-4+m to the rhs
-    # (a, b)[y][h] of level l (step 3; D = 0 at levels <= 0 and where resonant), and
-    # on to (a, b) itself by the divisions, but at the levels with a live resonance
-    dz = np.concatenate([np.zeros((B, B, 4)), np.where(res, 0.0, d).transpose(0, 2, 1)], axis=2)
-    g = 4.0 * (float(op.beta ** 2 - op.beta) - 2.0 * op.block_a)[:, None]
-    k = np.arange(B)
-    u = np.zeros((B, 4, 2, B, 2, B, L), dtype=complex)
-    u[:, 1::2, 0, :, 0] = u[:, 1::2, 1, :, 1] = 4.0 * op.block_s.T[..., None]
-    u[:, 0, 0, k, 0, k] = u[:, 0, 1, k, 1, k] = -dz[..., :L]
-    u[:, 2, 0, k, 0, k] = u[:, 2, 1, k, 1, k] = 2.0 * dz[..., 2:L + 2] + g
-    u[:, 0, 1, k, 0, k], u[:, 2, 1, k, 0, k] = lam2[..., :L], -2.0 * lam2[..., 2:L + 2]
     has_res = live_res.any(axis=(0, 1))
+    divisor = np.where(res | dead, np.inf, d).transpose(0, 2, 1)
+    # at levels -3..L: D, 0 at levels <= 0 and where resonant, and 2 lam
+    dz = np.concatenate([np.zeros((B, B, 4)), np.where(res, 0.0, d).transpose(0, 2, 1)], axis=2)
+    lam2 = 2.0 * np.concatenate([np.zeros((B, 4)), lam], axis=1)[:, None]
+
+    # u[j, 4-k, x, i, y, h, l-1] takes (a, b)[x] of block i at level l-k of seed j
+    # to the rhs (a, b)[y] of block h at level l, one lag k at a time (step 3)
+    u = np.zeros((B, 4, 2, B, 2, B, L), dtype=complex)
+    i = np.arange(B)
+    # k = 4: -D_(l-4) on a and on b, and 2 lam_(l-4) from b to rhs_a
+    u[:, 0, 0, i, 0, i] = u[:, 0, 1, i, 1, i] = -dz[..., :L]
+    u[:, 0, 1, i, 0, i] = lam2[..., :L]
+    # k = 3 and k = 1: 4S on a and on b
+    u[:, 1::2, 0, :, 0] = u[:, 1::2, 1, :, 1] = 4.0 * op.block_s.T[..., None]
+    # k = 2: 2 D_(l-2) + 4G on a and on b, and -2 (2 lam_(l-2)) from b to rhs_a
+    g = 4.0 * (float(op.beta ** 2 - op.beta) - 2.0 * op.block_a)[:, None]
+    u[:, 2, 0, i, 0, i] = u[:, 2, 1, i, 1, i] = 2.0 * dz[..., 2:L + 2] + g
+    u[:, 2, 1, i, 0, i] = -2.0 * lam2[..., 2:L + 2]
+    # k = 0, folded in on levels without a live resonance: b = rhs_b / D_l and
+    # a = (rhs_a + 2 lam_l b) / D_l.  On the others the map gives the rhs.
     inv = np.where(has_res, 1.0, 1.0 / divisor)[:, None, None, None]
     u[..., 1, :, :] *= inv
     u[..., 0, :, :] += np.where(has_res, 0.0, lam2[..., 4:])[:, None, None, None] * u[..., 1, :, :]
     u[..., 0, :, :] *= inv
+    # a strided view per level: numpy's own loop takes these small products
+    # faster than a BLAS call on a contiguous copy would
     maps = np.moveaxis(u, -1, 0).reshape(L, B, 8 * B, 2 * B)
 
     z = np.zeros((B, L + 5, 2 * B), dtype=complex)  # z[j, l + 4]: (a, b) of seed j, level l
@@ -606,7 +619,7 @@ def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> Frobe
     with np.errstate(all="ignore"):  # non-finite levels raise below
         for l in range(1, L + 1):
             np.matmul(z[:, l:l + 4].reshape(B, 1, 8 * B), maps[l - 1], out=z[:, l + 4:l + 5])
-            if has_res[l - 1]:  # the map gave the rhs
+            if has_res[l - 1]:
                 rhs_a, rhs_b = np.split(z[:, l + 4], 2, axis=1)
                 r = live_res[..., l - 1]
                 repeated = (np.where(r, np.abs(rhs_b), 0.0).max(axis=1)
@@ -619,7 +632,6 @@ def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> Frobe
                                          x_b])
             if l == stop:
                 raise ResonanceDetected(error)
-        # geometric growth over levels L - span to L (consecutive ratios oscillate)
         span = min(12, L)
         norms = op.block_norm(z[:, [-1 - span, -1], :B])
     finite = np.isfinite(z[:, 4:]).all(axis=(0, 2))
@@ -627,15 +639,23 @@ def frobenius_solve(op: RadialOperator, cover: CoverPoint, L: int = 40) -> Frobe
     if not finite.all():
         raise NumericalError(f"the series coefficients pass the float64 range, in value or in "
                              f"norm, at level {finite.argmin()}")
-    growth = max([1.0] + [(n1 / n0) ** (1.0 / span) for n0, n1 in norms.tolist()
-                          if span >= 2 and n0 > 0 and n1 > 0])
+    margin = math.inf if res.all() else float(absd[~res].min())
+    has_log = bool(res.any())
+
+    # effective geometric growth of the coefficients, smoothed over a dozen
+    # levels (parity of the perturbation makes consecutive ratios oscillate)
+    growth = 1.0
+    for n0, n1 in norms.tolist():
+        if span >= 2 and n0 > 0 and n1 > 0:
+            growth = max(growth, (n1 / n0) ** (1.0 / span))
     if growth > 2.0:
-        warnings.warn(f"series coefficients grow with ratio {growth:.3f}; tail bound shrinks",
-                      TruncationWarning)
+        warnings.warn(
+            f"series coefficients grow with ratio {growth:.3f}; tail bound shrinks",
+            TruncationWarning,
+        )
     return FrobeniusKernel(
         operator=op, cover=cover, exponents=tuple(mus), coef_a=z[:, 4:, :B], coef_b=z[:, 4:, B:],
-        truncation=L, resonance_margin=math.inf if res.all() else float(absd[~res].min()),
-        has_log_terms=bool(res.any()), growth_ratio=growth,
+        truncation=L, resonance_margin=margin, has_log_terms=has_log, growth_ratio=growth,
     )
 
 
@@ -645,12 +665,18 @@ def kernel_blocks(
     """Block coefficients (f, f', f'') of (F, F', F'') at t, F = sum_j f_j P_j:
     (B,) arrays at a float t, (T, B) at a 1-d array of T times, whose rows
     are bit for bit the float calls.  Exact derivatives of the truncated
-    series.  The first failing time names itself, check by check: DomainError
+    series.  More than MAX_SERIES_TERMS terms raise CombinatorialBlowup up
+    front.  The first failing time names itself, check by check: DomainError
     (t not positive, or sinh t past the float64 range), TailBoundExceeded
     (below the series validity threshold, then past _TAIL_RTOL), NumericalError
     (a value past the float64 range, far out on the second sheet), DegenerateFit
     (the kernel norm max_j |f_j| vanished below it)."""
     ts = np.asarray(t, dtype=float).reshape(-1, 1)
+    count = len(ts) * len(kernel.exponents) * (kernel.truncation + 1)
+    if count > MAX_SERIES_TERMS:
+        raise CombinatorialBlowup(f"{len(ts)} times at truncation order L = {kernel.truncation} "
+                                  f"need {count} exp(-lam t) terms, over the cap of "
+                                  f"{MAX_SERIES_TERMS}")
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below read inf and NaN
         sh = np.sinh(ts)
         if (bad := ~(ts > 0) | np.isinf(sh)).any():  # NaN fails too
@@ -663,9 +689,12 @@ def kernel_blocks(
                 f"{kernel.t_min:.3f} (coefficient growth {kernel.growth_ratio:.3f})"
             )
         lam, terms, rates, last = kernel._series_tables
-        # one (1, K) x (K, 6B) product per time, so rows match one-time calls
-        E = np.exp(-lam * ts)[:, None]
-        a0, a1, a2, b0, b1, b2 = (E @ terms).reshape(len(ts), 6, -1).transpose(1, 0, 2)
+        # one (1, K) x (K, 6B) product per time, so rows match one-time calls; the
+        # exp(-lam t) table is built for at most MAX_EXPAND_ENTRIES terms at a time
+        step = max(1, MAX_EXPAND_ENTRIES // len(lam))
+        sums = np.concatenate([np.exp(-lam * ts[k:k + step])[:, None] @ terms
+                               for k in range(0, len(ts), step)])
+        a0, a1, a2, b0, b1, b2 = sums.reshape(len(ts), 6, -1).transpose(1, 0, 2)
         v = a0 + ts * b0  # the terms are e^(-lam t) (a + t b)
         dv = b0 - a1 - ts * b1
         ddv = a2 + ts * b2 - 2.0 * b1

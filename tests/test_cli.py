@@ -657,6 +657,12 @@ def test_delta_output_pinned(capsys, group, max_len, row, extra):
     # the truncation cap at one block, past 2^20 map entries
     (["resolvent", "--n", "4", "--p", "2", "--s", "1", "--order", "200000"],
      "CombinatorialBlowup"),
+    # 2^16-point grids at orders inside that cap: 4.3e9 and 1.1e9 exp(-lam t)
+    # terms, past the cap of 2^27, where one table once asked for 69 and 17 GB
+    (["resolvent", "--n", "4", "--p", "2", "--s", "1", "--order", "65536",
+      "--t-grid", "2:8:65536"], "CombinatorialBlowup"),
+    (["resolvent", "--n", "5", "--p", "1", "--s", "1", "--order", "8192",
+      "--t-grid", "2:8:65536"], "CombinatorialBlowup"),
 ])
 def test_library_errors_exit_3(monkeypatch, capsys, argv, error):
     monkeypatch.delenv("HYPSPEC_MAX_WORDS", raising=False)

@@ -342,6 +342,28 @@ def test_array_times_name_their_first_failure():
         kernel_blocks(far, np.array([5.0, 700.0, 650.0]))
 
 
+def test_long_grids_at_long_orders_take_bounded_tables():
+    # 4096 times at L = 2000 take 8.2e6 exp(-lam t) terms, 131 MB in one
+    # table; built 2^20 terms at a time, each row is still the one-time call
+    _, kern = solve(4, 2, 1.0, L=2000)
+    ts = np.linspace(2.0, 8.0, 4096)
+    tracemalloc.start()
+    try:
+        rows = kernel_blocks(kern, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    for k in (0, 523, 524, 4095):  # 524 rows to a table
+        for got, want in zip(rows, kernel_blocks(kern, ts[k])):
+            np.testing.assert_array_max_ulp(got[k].real, want.real, maxulp=1)
+            np.testing.assert_array_max_ulp(got[k].imag, want.imag, maxulp=1)
+    # one time more than the cap of 2^27 terms allows raises before any work
+    count = (resolvent.MAX_SERIES_TERMS // 2001 + 1) * 2001
+    with pytest.raises(CombinatorialBlowup, match=f"need {count} exp"):
+        kernel_blocks(kern, np.linspace(2.0, 8.0, count // 2001))
+
+
 def test_frobenius_order_guards():
     op = build_radial_operator(5, 1)
     cp = cover_point(make_space(Field.REAL, 5), 1, 1.0)
